@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from .ground import GroundSet, RationalSequence, Sequence, lex_positive, negate
+from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, lex_positive, negate
 from .intlinalg import (
     det_bareiss,
     primitive_kernel_vector,
@@ -401,13 +401,9 @@ class ElementaryDecomposition:
     def to_json(self) -> dict:
         return {
             "balanced": self.balanced.to_json(),
-            "parts": [{"atom": list(a.mult), "exponent": _frac_str(x)}
+            "parts": [{"atom": list(a.mult), "exponent": _encode_mult(x)}
                       for a, x in self.parts],
         }
-
-
-def _frac_str(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 class _SupportAtomCache:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +25,7 @@ from .atoms import (
 )
 from .certify import run_suite
 from .constructions import fibonacci, fibonacci_witness, hypercube_plus, hypercube_pm
-from .ground import GroundSet, RationalSequence, Sequence
+from .ground import GroundSet, RationalSequence, Sequence, _encode_mult
 from .invariants import (
     block_monoid,
     catenary_element,
@@ -86,7 +85,7 @@ def _load_sequence(ground: GroundSet, path: str, rational: bool = False):
 
 def _encode(value):
     if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+        return _encode_mult(value)
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (set, tuple)):
@@ -138,19 +137,11 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> No
                             help="ground set JSON: {\"rank\": r, \"elements\": [[..], ..]}")
     parser.add_argument("-o", "--output", help="write the report to this file")
     parser.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ZSL_THREADS", "1")),
-                        help="worker count; results are identical for any value")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument("--canonicalize", action="store_true",
                         help="sort ground elements lexicographically before indexing")
     parser.add_argument("--budget", type=int, default=None,
                         help="search length cap where applicable")
-
-
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise InputError("--threads must be at least 1")
 
 
 def _parse_group(text: str) -> FiniteAbelianGroup:
@@ -307,7 +298,7 @@ def cmd_monext(args) -> dict:
     kind, _, payload = args.d.partition(":")
     if kind == "group":
         model = MonextModel(h0, group=_parse_group(payload))
-    elif kind == "free":
+    elif kind == "free" and (payload or "1").isdigit():
         model = MonextModel(h0, free_rank=int(payload or "1"))
     else:
         raise InputError("--d must look like group:2,2 or free:1")
@@ -549,13 +540,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads(args)
         if getattr(args, "is_certify", False):
             return args.handler(args)
         report = args.handler(args)
         _emit(report, args)
         return 0
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

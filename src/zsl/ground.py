@@ -48,8 +48,15 @@ class GroundSet:
 
     @staticmethod
     def from_elements(rank: int, elements, canonicalize: bool = False) -> "GroundSet":
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ValueError(f"'rank' must be an integer, got {rank!r}")
         if rank < 1:
             raise ValueError("rank must be at least 1")
+        if not isinstance(elements, (list, tuple)):
+            raise ValueError(f"'elements' must be a list of integer lists, got {elements!r}")
+        for v in elements:
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"'elements' entries must be integer lists, got {v!r}")
         elems = [tuple(_int_coord(x) for x in v) for v in elements]
         for v in elems:
             if len(v) != rank:
@@ -116,6 +123,8 @@ class GroundSet:
 
     @staticmethod
     def from_json(data: dict, canonicalize: bool = False) -> "GroundSet":
+        if not isinstance(data, dict):
+            raise ValueError(f"ground set JSON must be an object, got {data!r}")
         if "rank" not in data:
             raise ValueError("ground set JSON is missing the 'rank' field")
         if "elements" not in data:

@@ -1,15 +1,15 @@
 """Factorization invariants of finitely generated reduced monoids.
 
-A monoid is presented by its atom vectors inside N0^m.  In ``saturated`` mode
-an element a divides b exactly when b - a is componentwise nonnegative (the
-right notion for zero-sum monoids and for divisor-theory images, which are
-saturated in the ambient free monoid); ``solver`` mode additionally requires
-b - a to factor into atoms.
+A monoid is presented by its atom vectors inside N0^m.  An element a divides
+b exactly when b - a is componentwise nonnegative: the right notion for
+zero-sum monoids and for divisor-theory images, which are saturated in the
+ambient free monoid.
 
-Factorization searches are depth-first over the atoms in decreasing length
-order with residual-feasibility pruning; set-level invariants (catenary,
-omega, tau, tame degree, unions of sets of lengths) are derived from the
-searches.  Everything is deterministic: outputs are canonically sorted.
+Two searches carry everything: a depth-first factorization search over the
+atoms in decreasing length order with residual-feasibility pruning, and a
+breadth-first search for minimal atom covers.  Set-level invariants
+(catenary, omega, tau, tame degree, unions of sets of lengths) are derived
+from them.  Everything is deterministic: outputs are canonically sorted.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ from .atoms import AtomSet
 class PresentedMonoid:
     ambient_dim: int
     atoms: tuple[tuple[int, ...], ...]
-    mode: str = "saturated"
 
     def __post_init__(self):
-        if self.mode not in ("saturated", "solver"):
-            raise ValueError(f"unknown divisibility mode {self.mode!r}")
         atoms = tuple(tuple(int(x) for x in a) for a in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         for a in atoms:
@@ -71,12 +68,7 @@ class PresentedMonoid:
         return tuple(x)
 
     def divides(self, a, b) -> bool:
-        diff = tuple(y - x for x, y in zip(a, b))
-        if any(d < 0 for d in diff):
-            return False
-        if self.mode == "saturated":
-            return True
-        return not any(diff) or _exists_factorization(self, diff)
+        return _leq(a, b)
 
 
 def _leq(a, b) -> bool:
@@ -88,12 +80,12 @@ def block_monoid(atom_set: AtomSet) -> PresentedMonoid:
     if not atom_set.complete:
         raise ValueError("a truncated atom set does not present the monoid")
     return PresentedMonoid(len(atom_set.ground),
-                           tuple(a.mult for a in atom_set.atoms), "saturated")
+                           tuple(a.mult for a in atom_set.atoms))
 
 
 def free_monoid(k: int) -> PresentedMonoid:
     basis = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    return PresentedMonoid(k, basis, "saturated")
+    return PresentedMonoid(k, basis)
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,55 @@ class Factorization:
     @property
     def length(self) -> int:
         return sum(self.counts)
+
+
+def _factorization_counts(monoid: PresentedMonoid, x, target: int | None = None):
+    """Yield the count vectors of the factorizations of x, of exactly
+    ``target`` atoms when a target is given.
+
+    Depth-first over the atoms in search order, with an explicit stack so
+    that the depth is not bounded by the recursion limit.  Each atom takes
+    every count from the largest that fits down to 0.  A residual that the
+    remaining atoms cannot cover is pruned; with a target, so is one whose
+    length does not sit between k * (shortest atom) and k * (longest atom)
+    for the k picks left.
+    """
+    atoms = monoid.atoms
+    order = monoid._search_order
+    masks = monoid._cover_masks
+    n = len(order)
+    if target is not None and n:
+        lengths = monoid.atom_lengths()
+        lmin, lmax = min(lengths), max(lengths)
+    path: list[int] = []  # the count chosen at each search position so far
+    stack = [(0, x, target, 0)]
+    while stack:
+        pos, residual, left, c = stack.pop()
+        if pos:
+            del path[pos - 1:]
+            path.append(c)
+        if not any(residual):
+            if not left:
+                counts = [0] * n
+                for p, k in enumerate(path):
+                    counts[order[p]] = k
+                yield tuple(counts)
+            continue
+        if pos == n or left == 0:
+            continue
+        if left is not None:
+            total = sum(residual)
+            if total < left * lmin or total > left * lmax:
+                continue
+        if any(r and not m for r, m in zip(residual, masks[pos])):
+            continue
+        atom = atoms[order[pos]]
+        cap = min(r // a for r, a in zip(residual, atom) if a)
+        if left is not None:
+            cap = min(cap, left)
+        for c in range(cap + 1):  # pushed upwards, so the largest count pops first
+            stack.append((pos + 1, tuple(r - c * a for r, a in zip(residual, atom)),
+                          None if left is None else left - c, c))
 
 
 def factorizations(monoid: PresentedMonoid, x) -> list[Factorization]:
@@ -116,48 +157,7 @@ def factorizations(monoid: PresentedMonoid, x) -> list[Factorization]:
         raise ValueError("element dimension mismatch")
     if any(v < 0 for v in x):
         raise ValueError("element vectors must be nonnegative")
-    order = monoid._search_order
-    masks = monoid._cover_masks
-    results: list[tuple[int, ...]] = []
-    counts = [0] * monoid.atom_count
-
-    def rec(pos: int, residual: tuple[int, ...]):
-        if not any(residual):
-            results.append(tuple(counts))
-            return
-        if pos == len(order):
-            return
-        mask = masks[pos]
-        if any(r and not m for r, m in zip(residual, mask)):
-            return
-        atom = monoid.atoms[order[pos]]
-        cap = min(r // a for r, a in zip(residual, atom) if a)
-        for c in range(cap, -1, -1):
-            counts[order[pos]] = c
-            rec(pos + 1, tuple(r - c * a for r, a in zip(residual, atom)))
-        counts[order[pos]] = 0
-
-    rec(0, x)
-    return [Factorization(c) for c in sorted(results)]
-
-
-def _exists_factorization(monoid: PresentedMonoid, x) -> bool:
-    order = monoid._search_order
-    masks = monoid._cover_masks
-
-    def rec(pos, residual):
-        if not any(residual):
-            return True
-        if pos == len(order):
-            return False
-        if any(r and not m for r, m in zip(residual, masks[pos])):
-            return False
-        atom = monoid.atoms[order[pos]]
-        cap = min(r // a for r, a in zip(residual, atom) if a)
-        return any(rec(pos + 1, tuple(r - c * a for r, a in zip(residual, atom)))
-                   for c in range(cap, -1, -1))
-
-    return rec(0, tuple(x))
+    return [Factorization(c) for c in sorted(_factorization_counts(monoid, x))]
 
 
 def set_of_lengths(monoid: PresentedMonoid, x) -> tuple[int, ...]:
@@ -247,38 +247,9 @@ def max_length(monoid: PresentedMonoid, x) -> int | None:
 
 
 def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
-    """Whether x factors into exactly ``target`` atoms.
-
-    Depth-first with banding: with k picks left the residual length must sit
-    between k * (shortest atom) and k * (longest atom).
-    """
+    """Whether x factors into exactly ``target`` atoms."""
     x = tuple(int(v) for v in x)
-    order = monoid._search_order
-    masks = monoid._cover_masks
-    lengths = [sum(monoid.atoms[i]) for i in order]
-    if not lengths:
-        return target == 0 and not any(x)
-    lmax = max(lengths)
-    lmin = min(lengths)
-
-    def rec(pos, residual, left):
-        total = sum(residual)
-        if not total:
-            return left == 0
-        if pos == len(order) or left == 0:
-            return False
-        if total < left * lmin or total > left * lmax:
-            return False
-        if any(r and not m for r, m in zip(residual, masks[pos])):
-            return False
-        atom = monoid.atoms[order[pos]]
-        cap = min(r // a for r, a in zip(residual, atom) if a)
-        cap = min(cap, left)
-        return any(rec(pos + 1, tuple(r - c * a for r, a in zip(residual, atom)),
-                       left - c)
-                   for c in range(cap, -1, -1))
-
-    return rec(0, x, target)
+    return next(_factorization_counts(monoid, x, target), None) is not None
 
 
 @dataclass(frozen=True)
@@ -299,22 +270,7 @@ class UnionOfLengths:
         }
 
 
-def _distinct_k_fold_sums(monoid: PresentedMonoid, k: int) -> set[tuple[int, ...]]:
-    sums: set[tuple[int, ...]] = set()
-    n = monoid.atom_count
-
-    def rec(start, left, acc):
-        if left == 0:
-            sums.add(acc)
-            return
-        for i in range(start, n):
-            rec(i, left - 1, tuple(x + y for x, y in zip(acc, monoid.atoms[i])))
-
-    rec(0, k, (0,) * monoid.ambient_dim)
-    return sums
-
-
-def _sums_with_min_total(monoid: PresentedMonoid, k: int, min_total: int):
+def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
     """Distinct sums of k atoms whose total length is at least min_total."""
     idx = sorted(range(monoid.atom_count), key=lambda i: -sum(monoid.atoms[i]))
     lens = [sum(monoid.atoms[i]) for i in idx]
@@ -354,7 +310,7 @@ def union_of_lengths(monoid: PresentedMonoid, k: int, strategy: str = "auto",
         strategy = "exhaustive" if comb(monoid.atom_count + k - 1, k) <= budget else "extremes"
     if strategy == "exhaustive":
         values: set[int] = set()
-        for s in _distinct_k_fold_sums(monoid, k):
+        for s in _k_fold_sums(monoid, k):
             values.update(set_of_lengths(monoid, s))
         return UnionOfLengths(k, frozenset(values), max(values), min(values), True)
     if strategy != "extremes":
@@ -365,7 +321,7 @@ def union_of_lengths(monoid: PresentedMonoid, k: int, strategy: str = "auto",
     rho = k
     for target in range(k * lmax // lmin, k, -1):
         found = False
-        for s in _sums_with_min_total(monoid, k, target * lmin):
+        for s in _k_fold_sums(monoid, k, target * lmin):
             if exists_length(monoid, s, target):
                 found = True
                 break
@@ -375,7 +331,7 @@ def union_of_lengths(monoid: PresentedMonoid, k: int, strategy: str = "auto",
     lam = k
     for target in range(max(1, -(-k * lmin // lmax)), k):
         found = False
-        for s in _sums_with_min_total(monoid, target, k * lmin):
+        for s in _k_fold_sums(monoid, target, k * lmin):
             if exists_length(monoid, s, k):
                 found = True
                 break
@@ -385,28 +341,15 @@ def union_of_lengths(monoid: PresentedMonoid, k: int, strategy: str = "auto",
     return UnionOfLengths(k, frozenset({lam, k, rho}), rho, lam, False)
 
 
-def minimal_covers(monoid: PresentedMonoid, atom_index: int,
-                   cap: int | None = None) -> list[tuple[int, ...]]:
-    """Componentwise-minimal atom multisets whose product is divisible by the
-    given atom, as factorization-count vectors.
+def _minimal_covers(n: int, is_cover, cap: int) -> list[tuple[int, ...]]:
+    """Componentwise-minimal count vectors over n generators that satisfy the
+    upward-closed predicate ``is_cover``, among those of size at most cap.
 
     Breadth-first over multisets in nondecreasing index order; a multiset is
     recorded once it covers, and it is minimal exactly when no single removal
-    still covers (cover sets are upward closed).  For saturated monoids every
-    minimal cover has size at most the coordinate sum of the atom, which
-    bounds the search.
+    still covers.
     """
-    u = monoid.atoms[atom_index]
-    if cap is None:
-        if monoid.mode != "saturated":
-            raise ValueError("solver-mode minimal covers need an explicit cap")
-        cap = sum(u)
-    n = monoid.atom_count
     covers: list[tuple[int, ...]] = []
-
-    def is_cover(counts):
-        return monoid.divides(u, monoid.element(counts))
-
     frontier: list[tuple[int, ...]] = [(0,) * n]
     for _ in range(cap):
         nxt: set[tuple[int, ...]] = set()
@@ -434,6 +377,21 @@ def minimal_covers(monoid: PresentedMonoid, atom_index: int,
                     nxt.add(z2)
         frontier = sorted(nxt)
     return sorted(covers)
+
+
+def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, ...]]:
+    """Componentwise-minimal atom multisets whose product is divisible by the
+    given atom, as factorization-count vectors.
+
+    In a saturated monoid every minimal cover has size at most the
+    coordinate sum of the atom, which bounds the search.
+    """
+    u = monoid.atoms[atom_index]
+
+    def is_cover(counts):
+        return monoid.divides(u, monoid.element(counts))
+
+    return _minimal_covers(monoid.atom_count, is_cover, sum(u))
 
 
 def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",
@@ -519,11 +477,8 @@ def tame_degree(monoid: PresentedMonoid, atom_index: int) -> int:
 def elements_up_to(monoid: PresentedMonoid, level: int) -> set[tuple[int, ...]]:
     """Distinct sums of at most ``level`` atoms (the identity excluded)."""
     out: set[tuple[int, ...]] = set()
-    layer = {(0,) * monoid.ambient_dim}
-    for _ in range(level):
-        layer = {tuple(x + y for x, y in zip(e, a))
-                 for e in layer for a in monoid.atoms}
-        out |= layer
+    for k in range(1, level + 1):
+        out |= _k_fold_sums(monoid, k)
     return out
 
 

@@ -24,6 +24,7 @@ from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
     Factorization,
     PresentedMonoid,
+    _minimal_covers,
     catenary_element,
     catenary_from_factorizations,
     elements_up_to,
@@ -134,11 +135,6 @@ class MonextModel:
             return True
         return all(x <= y for x, y in zip(a, b))
 
-    def d_nontrivial(self) -> bool:
-        if self.d_is_group:
-            return not self.group.is_trivial
-        return self.free_rank > 0
-
     # ---- H = H0 |x D --------------------------------------------------
     def zero_vec(self) -> tuple[int, ...]:
         return (0,) * self.h0.ambient_dim
@@ -163,21 +159,6 @@ class MonextModel:
         if not self.d_divides(du, dv):
             return False
         return uvec != vvec or du == dv
-
-    def _d_splittings(self, count: int, total):
-        """Multisets of ``count`` D-values with the given sum."""
-        if self.d_is_group:
-            pool = self.group.elements()
-        else:
-            pool = [tuple(c) for c in product(*(range(t + 1) for t in total))]
-        out = []
-        for combo in combinations_with_replacement(pool, count):
-            s = self.d_identity()
-            for d in combo:
-                s = self.d_add(s, d)
-            if s == tuple(total):
-                out.append(combo)
-        return out
 
     def factorizations(self, vec, d) -> list[tuple]:
         """All factorizations of (vec, d) as sorted ((atom, d-value), count) tuples."""
@@ -249,38 +230,13 @@ class MonextModel:
         target = (self.h0.atoms[u_idx], tuple(du))
         atoms = self.h_atoms()
 
-        def is_cover(ms):
-            return self.divides(target, self.atom_product(ms))
+        def items(counts):
+            return tuple((atoms[j], c) for j, c in enumerate(counts) if c)
 
-        covers: list[tuple] = []
-        frontier: list[tuple] = [()]
-        for _ in range(cap):
-            nxt = set()
-            for z in frontier:
-                start = atoms.index(z[-1][0]) if z else 0
-                for j in range(start, len(atoms)):
-                    items = dict(z)
-                    items[atoms[j]] = items.get(atoms[j], 0) + 1
-                    z2 = tuple(sorted(items.items()))
-                    if z2 in nxt:
-                        continue
-                    if is_cover(z2):
-                        minimal = True
-                        for key, c in z2:
-                            less = dict(z2)
-                            if c == 1:
-                                del less[key]
-                            else:
-                                less[key] = c - 1
-                            if is_cover(tuple(sorted(less.items()))):
-                                minimal = False
-                                break
-                        if minimal and z2 not in covers:
-                            covers.append(z2)
-                    else:
-                        nxt.add(z2)
-            frontier = sorted(nxt)
-        return sorted(covers)
+        def is_cover(counts):
+            return self.divides(target, self.atom_product(items(counts)))
+
+        return sorted(items(z) for z in _minimal_covers(len(atoms), is_cover, cap))
 
 
 def monext_invariants(model: MonextModel, u_idx: int, dval) -> dict:
@@ -629,7 +585,7 @@ class AcmModel:
         if self.spec.case() == 3:
             raise ValueError("only the fully covered case embeds with finitely many atoms")
         return PresentedMonoid(self.spec.size - 1,
-                               tuple(a[1:] for a in self.atoms()), "saturated")
+                               tuple(a[1:] for a in self.atoms()))
 
     def free_part(self) -> "MonextModel":
         """Case-3 realization as (covered sub-monoid) |x N0^(uncovered)."""

@@ -33,7 +33,7 @@ def test_davenport_hypercube2(capsys, h2):
 
 def test_atoms_roundtrip(capsys, h2, tmp_path):
     out_path = tmp_path / "atoms.json"
-    code, _, _ = run(capsys, "atoms", "-i", h2, "-o", str(out_path), "--threads", "2")
+    code, _, _ = run(capsys, "atoms", "-i", h2, "-o", str(out_path))
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["complete"] and len(report["atoms"]) == 5
@@ -45,6 +45,23 @@ def test_atoms_bad_json_exit2(capsys, tmp_path):
     code, _, err = run(capsys, "atoms", "-i", str(bad))
     assert code == 2
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("ground,argv", [
+    ({"rank": 2, "elements": 5}, ["atoms", "-i", "GROUND"]),
+    ({"rank": "2", "elements": [[1, 0], [-1, 0]]}, ["atoms", "-i", "GROUND"]),
+    (5, ["atoms", "-i", "GROUND"]),
+    (None, ["unions", "-i", "GROUND", "--k", "0"]),
+    (None, ["delm", "-i", "GROUND", "--method", "enumerate", "--budget", "1"]),
+    (None, ["fp", "--budget", "2"]),
+    (None, ["monext", "--h0", "GROUND", "--d", "free:x"]),
+])
+def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
+    path = h2 if ground is None else write(tmp_path, "g.json", ground)
+    code, _, err = run(capsys, *[path if a == "GROUND" else a for a in argv])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_missing_field_named(capsys, tmp_path):
@@ -210,18 +227,6 @@ def test_csv_and_table_formats(capsys, h2):
     code, out, _ = run(capsys, "davenport", "-i", h2, "--format", "table")
     assert code == 0
     assert any(line.startswith("davenport") for line in out.splitlines())
-
-
-def test_threads_validation(capsys, h2):
-    code, _, err = run(capsys, "davenport", "-i", h2, "--threads", "0")
-    assert code == 2
-    assert "threads" in err
-
-
-def test_determinism_across_thread_counts(capsys, h2):
-    _, out1, _ = run(capsys, "atoms", "-i", h2, "--threads", "1")
-    _, out4, _ = run(capsys, "atoms", "-i", h2, "--threads", "4")
-    assert out1 == out4
 
 
 def test_canonicalize_orders_elements(capsys, tmp_path):

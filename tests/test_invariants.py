@@ -1,4 +1,8 @@
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsl.atoms import enumerate_atoms
 from zsl.ground import GroundSet, Sequence
@@ -159,6 +163,34 @@ def test_omega_triple_atom():
     assert omega(B2, i, "both", budget=6) == 3
 
 
+def test_factorization_search_depth_not_bounded_by_recursion_limit():
+    # the search goes one level deeper per atom; on a free monoid of 150
+    # atoms, the all-ones element must factor even under a recursion limit
+    # of 100
+    f = free_monoid(150)
+    ones = (1,) * 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        zs = factorizations(f, ones)
+        hit = exists_length(f, ones, 150)
+        miss = exists_length(f, ones, 149)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [z.counts for z in zs] == [ones]
+    assert hit and not miss
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, B2.atom_count - 1), max_size=6), st.integers(0, 20))
+def test_exists_length_agrees_with_set_of_lengths(picks, target):
+    counts = [0] * B2.atom_count
+    for i in picks:
+        counts[i] += 1
+    x = B2.element(counts)
+    assert exists_length(B2, x, target) == (target in set_of_lengths(B2, x))
+
+
 def test_omega_pair_atom():
     pair = vec([((1, 0), 1), ((-1, 0), 1)])
     i = atom_index(B2, pair)
@@ -277,10 +309,10 @@ def test_rho5_rank3_independent_route():
     # strategy, which sweeps all candidates)
     from zsl.atoms import enumerate_atoms as enum
     from zsl.constructions import hypercube_pm
-    from zsl.invariants import _sums_with_min_total, block_monoid, max_length
+    from zsl.invariants import _k_fold_sums, block_monoid, max_length
 
     m3 = block_monoid(enum(hypercube_pm(3)))
-    candidates = sorted(_sums_with_min_total(m3, 5, 24))
+    candidates = sorted(_k_fold_sums(m3, 5, 24))
     assert len(candidates) > 5000
     sample = candidates[::17]
     worst = max(max_length(m3, s) for s in sample)
