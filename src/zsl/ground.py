@@ -38,6 +38,35 @@ def _int_coord(x) -> int:
     return x
 
 
+def _json_fields(data, what: str, fields) -> dict:
+    """``data`` if it is a JSON object holding every one of ``fields``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {data!r}")
+    for field in fields:
+        if field not in data:
+            raise ValueError(f"{what} JSON is missing the {field!r} field")
+    return data
+
+
+def _json_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, field: str, items: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field!r} must be a list of {items}, got {value!r}")
+    return value
+
+
+def _json_ints(value, field: str) -> tuple[int, ...]:
+    for x in _json_list(value, field, "integers"):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"{field!r} entries must be integers, got {x!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Finite indexed subset of Z^r with its sign partition."""
@@ -48,13 +77,9 @@ class GroundSet:
 
     @staticmethod
     def from_elements(rank: int, elements, canonicalize: bool = False) -> "GroundSet":
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise ValueError(f"'rank' must be an integer, got {rank!r}")
-        if rank < 1:
+        if _json_int(rank, "rank") < 1:
             raise ValueError("rank must be at least 1")
-        if not isinstance(elements, (list, tuple)):
-            raise ValueError(f"'elements' must be a list of integer lists, got {elements!r}")
-        for v in elements:
+        for v in _json_list(elements, "elements", "integer lists"):
             if not isinstance(v, (list, tuple)):
                 raise ValueError(f"'elements' entries must be integer lists, got {v!r}")
         elems = [tuple(_int_coord(x) for x in v) for v in elements]
@@ -123,12 +148,7 @@ class GroundSet:
 
     @staticmethod
     def from_json(data: dict, canonicalize: bool = False) -> "GroundSet":
-        if not isinstance(data, dict):
-            raise ValueError(f"ground set JSON must be an object, got {data!r}")
-        if "rank" not in data:
-            raise ValueError("ground set JSON is missing the 'rank' field")
-        if "elements" not in data:
-            raise ValueError("ground set JSON is missing the 'elements' field")
+        _json_fields(data, "ground set", ("rank", "elements"))
         return GroundSet.from_elements(data["rank"], data["elements"],
                                        canonicalize=canonicalize)
 
@@ -139,8 +159,17 @@ def _parse_mult(value):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"invalid multiplicity {value!r}") from None
     raise ValueError(f"invalid multiplicity {value!r} (expected int or 'p/q')")
+
+
+def _sequence_mult(data) -> list:
+    """The multiplicity list of a sequence JSON document."""
+    _json_fields(data, "sequence", ("mult",))
+    return _json_list(data["mult"], "mult", "multiplicities")
 
 
 def _encode_mult(value):
@@ -296,9 +325,7 @@ class Sequence(_SequenceOps):
 
     @staticmethod
     def from_json(ground: GroundSet, data: dict) -> "Sequence":
-        if "mult" not in data:
-            raise ValueError("sequence JSON is missing the 'mult' field")
-        mult = [_parse_mult(x) for x in data["mult"]]
+        mult = [_parse_mult(x) for x in _sequence_mult(data)]
         if any(isinstance(m, Fraction) for m in mult):
             raise ValueError("integer sequence JSON contains fractional multiplicities")
         return Sequence(ground, tuple(mult))
@@ -332,10 +359,8 @@ class RationalSequence(_SequenceOps):
 
     @staticmethod
     def from_json(ground: GroundSet, data: dict) -> "RationalSequence":
-        if "mult" not in data:
-            raise ValueError("sequence JSON is missing the 'mult' field")
         return RationalSequence(ground, tuple(Fraction(_parse_mult(x))
-                                              for x in data["mult"]))
+                                              for x in _sequence_mult(data)))
 
     def scaled(self, alpha) -> "RationalSequence":
         alpha = Fraction(alpha)

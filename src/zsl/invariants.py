@@ -15,7 +15,6 @@ from them.  Everything is deterministic: outputs are canonically sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
 
 from .atoms import AtomSet
@@ -36,9 +35,20 @@ class PresentedMonoid:
                 raise ValueError("the zero vector cannot be an atom")
             if any(x < 0 for x in a):
                 raise ValueError("atom vectors must be nonnegative")
-        for a, b in combinations_with_replacement(atoms, 2):
-            if a != b and (_leq(a, b) or _leq(b, a)):
-                raise ValueError("atoms must be pairwise incomparable")
+        # a < b needs supp(a) inside supp(b) and |a| < |b|, so group the atoms
+        # by support bitmask and scan coordinates only where both can hold
+        by_support: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for a in atoms:
+            mask = sum(1 << i for i, x in enumerate(a) if x)
+            by_support.setdefault(mask, []).append((sum(a), a))
+        for mask_a, lower in by_support.items():
+            for mask_b, upper in by_support.items():
+                if mask_a & ~mask_b:
+                    continue
+                for len_a, a in lower:
+                    for len_b, b in upper:
+                        if len_a < len_b and _leq(a, b):
+                            raise ValueError("atoms must be pairwise incomparable")
         order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
         object.__setattr__(self, "_search_order", tuple(order))
         masks = []
@@ -403,6 +413,21 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",
     replays the defining property over all atom products of size <= budget
     as an independent oracle (exact whenever budget >= coordinate sum of the
     atom).  mode='both' cross-checks them.
+
+    The replay visits every atom multiset z with 1 <= |z| <= budget, in
+    increasing size, and over those whose product u divides it takes the
+    largest f(z), the least size of a sub-multiset of z that u still
+    divides.  It computes f level by level from
+
+        f(z) = min(|z|, min f(z - e_i) over the i with u | z - e_i).
+
+    Proof: a covering proper sub-multiset y of z misses some copy of an
+    atom i, so y <= z - e_i, which covers too because divisibility is
+    upward closed; and a sub-multiset of z - e_i is one of z.  Only the
+    f values of the previous size's covering multisets are kept.  The
+    multisets of one size come from a depth-first walk over nondecreasing
+    atom index sequences that carries the running sum, restricted to the
+    coordinates of supp(u), the only ones u <= x reads.
     """
     if mode == "both":
         a = omega(monoid, atom_index, "minimal-cover")
@@ -417,35 +442,39 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",
     u = monoid.atoms[atom_index]
     if budget is None:
         budget = sum(u)
+    support = [k for k, x in enumerate(u) if x]
+    need = tuple(u[k] for k in support)
+    proj = [tuple(a[k] for k in support) for a in monoid.atoms]
     n = monoid.atom_count
     worst = 0
-
-    def min_subcover(z):
-        best = sum(z)
-
-        def rec(i, current, size):
-            nonlocal best
-            if monoid.divides(u, monoid.element(current)):
-                best = min(best, size)
-                return
-            if i == n:
-                return
-            for c in range(0, z[i] + 1):
-                if size + c >= best:
-                    break
-                rec(i + 1, current[:i] + (c,) + current[i + 1:], size + c)
-
-        rec(0, (0,) * n, 0)
-        return best
-
+    prev: dict[tuple[int, ...], int] = {}  # f of the covering multisets one size down
     for size in range(1, budget + 1):
-        for combo in combinations_with_replacement(range(n), size):
-            z = [0] * n
-            for i in combo:
-                z[i] += 1
-            z = tuple(z)
-            if monoid.divides(u, monoid.element(z)):
-                worst = max(worst, min_subcover(z))
+        cur: dict[tuple[int, ...], int] = {}
+        # nondecreasing index prefixes of length size - 1 with what u still lacks
+        stack = [((), need)]
+        while stack:
+            prefix, lack = stack.pop()
+            start = prefix[-1] if prefix else 0
+            if len(prefix) < size - 1:
+                for j in range(start, n):
+                    stack.append((prefix + (j,),
+                                  tuple(d - a for d, a in zip(lack, proj[j]))))
+                continue
+            for j in range(start, n):
+                if any(a < d for a, d in zip(proj[j], lack)):
+                    continue
+                z = prefix + (j,)
+                f = size
+                for p in range(size):  # drop the last copy of each atom in turn
+                    if p + 1 < size and z[p] == z[p + 1]:
+                        continue
+                    g = prev.get(z[:p] + z[p + 1:])
+                    if g is not None and g < f:
+                        f = g
+                cur[z] = f
+                if f > worst:
+                    worst = f
+        prev = cur
     return worst
 
 

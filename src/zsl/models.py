@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
-from .ground import GroundSet, Sequence
+from .ground import GroundSet, Sequence, _json_fields, _json_int, _json_ints, _json_list
 from .atoms import enumerate_atoms
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
@@ -489,12 +489,18 @@ class AcmSpec:
 
     @staticmethod
     def from_json(data: dict) -> "AcmSpec":
-        for field in ("omega", "c", "lambda"):
-            if field not in data:
-                raise ValueError(f"acm spec JSON is missing the {field!r} field")
-        weights = [Fraction(str(w)) for w in data["c"]]
-        return AcmSpec(int(data["omega"]), tuple(weights),
-                       tuple(tuple(t) for t in data["lambda"]))
+        _json_fields(data, "acm spec", ("omega", "c", "lambda"))
+        weights = []
+        for w in _json_list(data["c"], "c", "weights"):
+            if isinstance(w, bool) or not isinstance(w, (int, float, str)):
+                raise ValueError(f"'c' entries must be numbers or 'p/q' strings, got {w!r}")
+            try:
+                weights.append(Fraction(str(w)))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"'c' entry {w!r} is not a rational number") from None
+        towers = _json_list(data["lambda"], "lambda", "coordinate lists")
+        return AcmSpec(_json_int(data["omega"], "omega"), tuple(weights),
+                       tuple(_json_ints(t, f"lambda[{k}]") for k, t in enumerate(towers)))
 
     def to_json(self) -> dict:
         return {
@@ -789,21 +795,21 @@ class TowerData:
 
     @staticmethod
     def from_json(data: dict) -> "TowerData":
-        for field in ("udim", "cycle_towers", "faithful_towers", "class_group"):
-            if field not in data:
-                raise ValueError(f"tower data JSON is missing the {field!r} field")
+        _json_fields(data, "tower data",
+                     ("udim", "cycle_towers", "faithful_towers", "class_group"))
 
-        def ranks(towers):
+        def ranks(field):
             out = []
-            for t in towers:
-                if "ranks" not in t:
-                    raise ValueError("each tower needs a 'ranks' list")
-                out.append(tuple(int(r) for r in t["ranks"]))
+            for k, t in enumerate(_json_list(data[field], field, "tower objects")):
+                where = f"{field}[{k}]"
+                out.append(_json_ints(_json_fields(t, where, ("ranks",))["ranks"],
+                                      f"{where}.ranks"))
             return tuple(out)
 
-        return TowerData(int(data["udim"]), ranks(data["cycle_towers"]),
-                         ranks(data["faithful_towers"]),
-                         FiniteAbelianGroup.from_factors(data["class_group"]))
+        return TowerData(_json_int(data["udim"], "udim"), ranks("cycle_towers"),
+                         ranks("faithful_towers"),
+                         FiniteAbelianGroup.from_factors(
+                             _json_ints(data["class_group"], "class_group")))
 
     def nontrivial_cycle(self) -> tuple[tuple[int, ...], ...]:
         return tuple(t for t in self.cycle_towers if len(t) >= 2)

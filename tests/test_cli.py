@@ -55,10 +55,18 @@ def test_atoms_bad_json_exit2(capsys, tmp_path):
     (None, ["delm", "-i", "GROUND", "--method", "enumerate", "--budget", "1"]),
     (None, ["fp", "--budget", "2"]),
     (None, ["monext", "--h0", "GROUND", "--d", "free:x"]),
+    ({"omega": 3, "c": 5, "lambda": [[1, 2]]}, ["acm", "--spec", "GROUND"]),
+    (5, ["acm", "--spec", "GROUND"]),
+    ({"udim": 1, "cycle_towers": 5, "faithful_towers": [], "class_group": []},
+     ["hnp", "--towers", "GROUND"]),
+    ({"mult": 5}, ["lengths", "-i", "H2", "--element", "GROUND"]),
+    ({"mult": ["1/0", 0, 0, 0, 0, 0]}, ["lengths", "-i", "H2", "--element", "GROUND"]),
+    ({"omega": 3, "c": ["1", "1/0", "1"], "lambda": [[1, 2]]}, ["acm", "--spec", "GROUND"]),
 ])
 def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     path = h2 if ground is None else write(tmp_path, "g.json", ground)
-    code, _, err = run(capsys, *[path if a == "GROUND" else a for a in argv])
+    code, _, err = run(capsys, *[path if a == "GROUND" else h2 if a == "H2" else a
+                                 for a in argv])
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err

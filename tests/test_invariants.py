@@ -1,7 +1,8 @@
 import sys
+from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zsl.atoms import enumerate_atoms
@@ -52,6 +53,20 @@ def test_monoid_validation():
         PresentedMonoid(2, [(1, 0), (1, 1)])  # comparable atoms
     with pytest.raises(ValueError):
         PresentedMonoid(2, [(1,)])
+    # comparable pairs whose supports differ, listed in either order
+    for atoms in ([(1, 0, 2), (0, 1, 1), (1, 1, 2)], [(2, 1, 0), (1, 1, 0)],
+                  [(0, 0, 1), (3, 1, 0), (1, 0, 1)]):
+        with pytest.raises(ValueError, match="incomparable"):
+            PresentedMonoid(3, atoms)
+    # a support inside another's, or a shorter atom, is not enough
+    assert PresentedMonoid(2, [(3, 0), (1, 1)]).atom_count == 2
+    assert PresentedMonoid(2, [(2, 0), (1, 1), (0, 2)]).atom_count == 3
+
+
+def test_free_monoid_of_600_atoms_builds():
+    f = free_monoid(600)
+    assert f.atom_count == 600
+    assert f.atoms[599][599] == 1
 
 
 def test_single_atom_unique_factorization():
@@ -259,13 +274,73 @@ def test_omega_modes_agree_on_all_r2_atoms():
                                                       budget=sum(u))
 
 
+def omega_definition_replay(monoid, atom_index, budget):
+    """omega over the atom multisets of size <= budget, read off the
+    definition: for every multiset z whose product the atom divides, the
+    least size of a sub-multiset of z that it still divides, found by trying
+    them all."""
+    u = monoid.atoms[atom_index]
+    worst = 0
+    for size in range(1, budget + 1):
+        for combo in combinations_with_replacement(range(monoid.atom_count), size):
+            z = [combo.count(i) for i in range(monoid.atom_count)]
+            if monoid.divides(u, monoid.element(z)):
+                worst = max(worst, min(sum(y) for y in product(*(range(c + 1) for c in z))
+                                       if monoid.divides(u, monoid.element(y))))
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+                .filter(lambda v: v > (0, 0)), min_size=2, max_size=3, unique=True))
+def test_omega_oracle_matches_literal_replay_at_every_budget(vectors):
+    # lexicographically positive vectors with their negatives: a symmetric
+    # ground, whose atoms reach length 6
+    elements = sorted(set(vectors) | {(-x, -y) for x, y in vectors})
+    atom_set = enumerate_atoms(GroundSet.from_elements(2, elements), budget=6)
+    assume(atom_set.complete)
+    monoid = block_monoid(atom_set)
+    for i in range(monoid.atom_count):
+        for budget in range(sum(monoid.atoms[i]) + 2):
+            assert omega(monoid, i, "definition-budget", budget) == \
+                omega_definition_replay(monoid, i, budget)
+
+
+def test_omega_oracle_never_calls_minimal_covers(monkeypatch):
+    from zsl import invariants
+    from zsl.certify import ACM_SPEC
+    from zsl.models import AcmModel
+
+    monoid = AcmModel(ACM_SPEC).presented()
+    expected = [omega(monoid, i, "minimal-cover") for i in range(monoid.atom_count)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the omega oracle called the minimal-cover search")
+
+    monkeypatch.setattr(invariants, "_minimal_covers", forbidden)
+    monkeypatch.setattr(invariants, "minimal_covers", forbidden)
+    assert [omega(monoid, i, "definition-budget")
+            for i in range(monoid.atom_count)] == expected
+    assert max(expected) == 5
+
+
+def test_omega_modes_agree_on_rank3_atoms():
+    from zsl.constructions import hypercube_pm
+
+    m3 = block_monoid(enumerate_atoms(hypercube_pm(3)))
+    lengths = [sum(a) for a in m3.atoms]
+    picked = [i for i, n in enumerate(lengths) if n <= 3] + [lengths.index(4)]
+    assert len(picked) == 20
+    for i in picked:
+        assert omega(m3, i, "definition-budget") == omega(m3, i, "minimal-cover") \
+            == lengths[i]
+
+
 def tau_definition_replay(monoid, atom_index, budget):
     """Independent oracle for tau: scan every atom multiset up to the budget,
     keep those that the atom divides but no single removal of which it still
     divides, and take the largest minimal factorization length of the
     quotient."""
-    from itertools import combinations_with_replacement
-
     u = monoid.atoms[atom_index]
     best = 0
     for size in range(1, budget + 1):
