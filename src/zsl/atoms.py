@@ -4,9 +4,12 @@ The enumerator is a breadth-first completion procedure in the style of
 Contejean and Devie: partial multiplicity vectors grow one term at a time,
 a term g may extend a partial vector t only when the running sum of t has
 negative inner product with g, and any partial vector that componentwise
-dominates an already-found minimal solution is discarded.  Complete runs
-return the full Hilbert basis of the kernel cone; a length budget acts as a
-safety valve and is reported through the ``complete`` flag.
+dominates an already-found minimal solution is discarded.  That dominance
+test runs only on the new child t + e_j of a partial vector, and only against
+the atoms whose j-th coordinate equals the child's, screened by support
+bitmask (see ``enumerate_atoms``).  Complete runs return the full Hilbert
+basis of the kernel cone; a length budget acts as a safety valve and is
+reported through the ``complete`` flag.
 """
 
 from __future__ import annotations
@@ -54,6 +57,24 @@ def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:
     When the search frontier empties before the length budget is hit the
     returned set is the complete Hilbert basis (``complete=True``); otherwise
     every atom of length <= budget is present and ``complete`` is False.
+
+    Round L holds the frontier tuples of length L, none of which dominates an
+    atom.  Its zero-sum tuples are atoms; every other tuple t spawns the
+    children t2 = t + e_j allowed by the inner-product rule, and a child that
+    dominates an atom found so far (all of length <= L) is dropped.  Only the
+    children need the dominance test:
+
+    - a frontier tuple of length L was tested when it was made, against
+      every atom shorter than L, and an atom of length L lies below it only
+      if the two are equal, which no distinct tuple of the frontier can be;
+    - if an atom a <= t2 had a_j < t2_j, then a <= t, which the first point
+      rules out; so a_j = t2_j >= 1.
+
+    The atoms are therefore kept by (j, a_j) for each j in supp(a), and a
+    child is compared only with the atoms under (j, t2_j).  Each atom carries
+    its support bitmask and each frontier tuple carries its own next to its
+    running sum, so one integer test, supp(a) inside supp(t2), rejects most
+    of those before any coordinate is read.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -62,26 +83,24 @@ def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:
     rank = ground.rank
     zero_sigma = (0,) * rank
     atoms: list[tuple[int, ...]] = []
+    # (j, a_j) -> (support bitmask, a) for every atom a and every j in supp(a)
+    by_coordinate: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
 
-    def dominates_atom(t):
-        return any(all(a <= b for a, b in zip(atom, t)) for atom in atoms)
-
-    frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frontier: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     for j, v in enumerate(vectors):
         unit = tuple(int(i == j) for i in range(n))
-        frontier[unit] = v
+        frontier[unit] = (v, 1 << j)
     length = 1
     while frontier and length <= budget:
-        extendable = []
-        for t, sigma in frontier.items():
+        for t, (sigma, mask) in frontier.items():
             if sigma == zero_sigma:
-                if not dominates_atom(t):
-                    atoms.append(t)
-            else:
-                extendable.append((t, sigma))
-        next_frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for t, sigma in extendable:
-            if dominates_atom(t):
+                atoms.append(t)
+                for j, c in enumerate(t):
+                    if c:
+                        by_coordinate.setdefault((j, c), []).append((mask, t))
+        next_frontier: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        for t, (sigma, mask) in frontier.items():
+            if sigma == zero_sigma:
                 continue
             for j, v in enumerate(vectors):
                 if sum(s * x for s, x in zip(sigma, v)) >= 0:
@@ -89,9 +108,13 @@ def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:
                 t2 = list(t)
                 t2[j] += 1
                 t2 = tuple(t2)
-                if t2 in next_frontier or dominates_atom(t2):
+                if t2 in next_frontier:
                     continue
-                next_frontier[t2] = tuple(s + x for s, x in zip(sigma, v))
+                mask2 = mask | (1 << j)
+                if any(not atom_mask & ~mask2 and all(a <= b for a, b in zip(atom, t2))
+                       for atom_mask, atom in by_coordinate.get((j, t2[j]), ())):
+                    continue
+                next_frontier[t2] = (tuple(s + x for s, x in zip(sigma, v)), mask2)
         frontier = next_frontier
         length += 1
     complete = not frontier

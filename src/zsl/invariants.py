@@ -28,6 +28,7 @@ class PresentedMonoid:
     def __post_init__(self):
         atoms = tuple(tuple(int(x) for x in a) for a in self.atoms)
         object.__setattr__(self, "atoms", atoms)
+        distinct: set[tuple[int, ...]] = set()
         for a in atoms:
             if len(a) != self.ambient_dim:
                 raise ValueError("atom dimension does not match ambient dimension")
@@ -35,6 +36,9 @@ class PresentedMonoid:
                 raise ValueError("the zero vector cannot be an atom")
             if any(x < 0 for x in a):
                 raise ValueError("atom vectors must be nonnegative")
+            if a in distinct:
+                raise ValueError(f"atom {list(a)} is repeated")
+            distinct.add(a)
         # a < b needs supp(a) inside supp(b) and |a| < |b|, so group the atoms
         # by support bitmask and scan coordinates only where both can hold
         by_support: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
@@ -397,9 +401,18 @@ def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, 
     coordinate sum of the atom, which bounds the search.
     """
     u = monoid.atoms[atom_index]
+    # u <= x reads only the coordinates of supp(u)
+    support = [k for k, x in enumerate(u) if x]
+    need = [u[k] for k in support]
+    proj = [tuple(a[k] for k in support) for a in monoid.atoms]
 
     def is_cover(counts):
-        return monoid.divides(u, monoid.element(counts))
+        got = [0] * len(need)
+        for c, a in zip(counts, proj):
+            if c:
+                for k, x in enumerate(a):
+                    got[k] += c * x
+        return all(g >= d for g, d in zip(got, need))
 
     return _minimal_covers(monoid.atom_count, is_cover, sum(u))
 

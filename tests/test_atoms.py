@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsl.atoms import (
     AtomSet,
@@ -20,6 +22,7 @@ from zsl.atoms import (
     rational_elementary_decomposition,
     unique_elementary_atom,
 )
+from zsl.constructions import hypercube_pm
 from zsl.ground import GroundSet, Sequence
 
 
@@ -110,6 +113,78 @@ def test_enumeration_matches_brute_force_on_signed_hypercube_r3():
     slow = [a.mult for a in brute_force_atoms(PM3, 5)]
     assert fast == slow
     assert len(fast) == 41
+
+
+def linear_scan_atoms(ground, budget):
+    """The completion enumerator with its dominance test as a plain scan of
+    every atom found so far, for every frontier tuple and every child: a
+    reference for the indexed test of ``enumerate_atoms``."""
+    n = len(ground)
+    vectors = ground.elements
+    zero_sigma = (0,) * ground.rank
+    atoms = []
+
+    def dominates_atom(t):
+        return any(all(a <= b for a, b in zip(atom, t)) for atom in atoms)
+
+    frontier = {tuple(int(i == j) for i in range(n)): v for j, v in enumerate(vectors)}
+    length = 1
+    while frontier and length <= budget:
+        extendable = []
+        for t, sigma in frontier.items():
+            if sigma == zero_sigma:
+                if not dominates_atom(t):
+                    atoms.append(t)
+            else:
+                extendable.append((t, sigma))
+        next_frontier = {}
+        for t, sigma in extendable:
+            if dominates_atom(t):
+                continue
+            for j, v in enumerate(vectors):
+                if sum(s * x for s, x in zip(sigma, v)) >= 0:
+                    continue
+                t2 = t[:j] + (t[j] + 1,) + t[j + 1:]
+                if t2 in next_frontier or dominates_atom(t2):
+                    continue
+                next_frontier[t2] = tuple(s + x for s, x in zip(sigma, v))
+        frontier = next_frontier
+        length += 1
+    return sorted(atoms), not frontier
+
+
+@st.composite
+def small_grounds(draw):
+    rank = draw(st.integers(2, 3))
+    elems = draw(st.sets(st.tuples(*[st.integers(-3, 3)] * rank), min_size=3, max_size=7))
+    return GroundSet.from_elements(rank, sorted(elems))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_grounds(), st.integers(1, 7))
+def test_indexed_enumerator_matches_linear_scan_and_brute_force(ground, budget):
+    got = enumerate_atoms(ground, budget)
+    mults = [a.mult for a in got.atoms]
+    assert (mults, got.complete) == linear_scan_atoms(ground, budget)
+    assert [m for m in mults if sum(m) <= budget] == \
+        [a.mult for a in brute_force_atoms(ground, budget)]
+
+
+def test_square_ground_hilbert_basis():
+    # the 24 nonzero points of [-2, 2]^2
+    g = GroundSet.from_elements(2, [(x, y) for x in range(-2, 3) for y in range(-2, 3)
+                                    if (x, y) != (0, 0)])
+    atoms = enumerate_atoms(g)
+    assert atoms.complete
+    assert len(atoms.atoms) == 4088
+    assert davenport(atoms).value == 13
+
+
+def test_rank4_hypercube_at_budget5():
+    atoms = enumerate_atoms(hypercube_pm(4), budget=5)
+    assert not atoms.complete
+    assert len(atoms.atoms) == 641
+    assert atoms.max_length() == 5
 
 
 def test_is_elementary_requires_zero_sum():

@@ -53,6 +53,8 @@ def test_monoid_validation():
         PresentedMonoid(2, [(1, 0), (1, 1)])  # comparable atoms
     with pytest.raises(ValueError):
         PresentedMonoid(2, [(1,)])
+    with pytest.raises(ValueError, match=r"\[1, 0\] is repeated"):
+        PresentedMonoid(2, [(1, 0), (1, 0), (0, 1)])
     # comparable pairs whose supports differ, listed in either order
     for atoms in ([(1, 0, 2), (0, 1, 1), (1, 1, 2)], [(2, 1, 0), (1, 1, 0)],
                   [(0, 0, 1), (3, 1, 0), (1, 0, 1)]):
@@ -218,6 +220,19 @@ def test_minimal_covers_contain_self():
     self_cover = tuple(int(j == i) for j in range(B2.atom_count))
     assert self_cover in covers
     assert max(sum(z) for z in covers) == 3
+
+
+def test_minimal_covers_match_divides_predicate():
+    # the cover test on supp(u) is the predicate "u divides the product"
+    from zsl.certify import ACM_SPEC
+    from zsl.invariants import _minimal_covers
+    from zsl.models import AcmModel
+    for monoid in (B2, AcmModel(ACM_SPEC).presented()):
+        for i, u in enumerate(monoid.atoms):
+            def divides_product(z, u=u):
+                return monoid.divides(u, monoid.element(z))
+            assert minimal_covers(monoid, i) == \
+                _minimal_covers(monoid.atom_count, divides_product, sum(u))
 
 
 def test_tau_and_tame_r2():
