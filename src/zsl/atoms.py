@@ -38,9 +38,6 @@ class AtomSet:
     atoms: tuple[Sequence, ...]
     complete: bool
 
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(a.length for a in self.atoms)
-
     def max_length(self) -> int:
         return max((a.length for a in self.atoms), default=0)
 
@@ -51,59 +48,54 @@ class AtomSet:
         }
 
 
-def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:
-    """All componentwise-minimal nonzero solutions of sum(x_g * g) = 0.
+def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
+                       clip: bool) -> tuple[list[tuple[int, ...]], bool]:
+    """Componentwise-minimal count tuples t above the frontier whose state
+    reaches zero, of length at most ``budget``, and whether the search ended
+    because the frontier emptied.
 
-    When the search frontier empties before the length budget is hit the
-    returned set is the complete Hilbert basis (``complete=True``); otherwise
-    every atom of length <= budget is present and ``complete`` is False.
+    ``frontier`` maps each tuple of length ``size`` to its state and support
+    bitmask.  Adding e_j adds ``vectors[j]`` to the state, clipped at 0 in
+    each coordinate when ``clip`` is set; t may take e_j only when
+    <state, vectors[j]> < 0.  Breadth-first, in rounds of equal length.
 
-    Round L holds the frontier tuples of length L, none of which dominates an
-    atom.  Its zero-sum tuples are atoms; every other tuple t spawns the
-    children t2 = t + e_j allowed by the inner-product rule, and a child that
-    dominates an atom found so far (all of length <= L) is dropped.  Only the
-    children need the dominance test:
+    Round L holds the frontier tuples of length L, none of which dominates a
+    solution.  Its zero-state tuples are solutions; every other tuple t
+    spawns the children t2 = t + e_j allowed by the inner-product rule, and a
+    child that dominates a solution found so far (all of length <= L) is
+    dropped.  Only the children need the dominance test:
 
     - a frontier tuple of length L was tested when it was made, against
-      every atom shorter than L, and an atom of length L lies below it only
-      if the two are equal, which no distinct tuple of the frontier can be;
-    - if an atom a <= t2 had a_j < t2_j, then a <= t, which the first point
-      rules out; so a_j = t2_j >= 1.
+      every solution shorter than L, and a solution of length L lies below
+      it only if the two are equal, which no distinct tuple of the frontier
+      can be;
+    - if a solution a <= t2 had a_j < t2_j, then a <= t, which the first
+      point rules out; so a_j = t2_j >= 1.
 
-    The atoms are therefore kept by (j, a_j) for each j in supp(a), and a
-    child is compared only with the atoms under (j, t2_j).  Each atom carries
-    its support bitmask and each frontier tuple carries its own next to its
-    running sum, so one integer test, supp(a) inside supp(t2), rejects most
-    of those before any coordinate is read.
+    The solutions are therefore kept by (j, a_j) for each j in supp(a), and
+    a child is compared only with the solutions under (j, t2_j).  Each
+    solution carries its support bitmask and each frontier tuple carries its
+    own next to its state, so one integer test, supp(a) inside supp(t2),
+    rejects most of those before any coordinate is read.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    n = len(ground)
-    vectors = ground.elements
-    rank = ground.rank
-    zero_sigma = (0,) * rank
-    atoms: list[tuple[int, ...]] = []
-    # (j, a_j) -> (support bitmask, a) for every atom a and every j in supp(a)
+    zero = (0,) * len(vectors[0]) if vectors else ()
+    solutions: list[tuple[int, ...]] = []
+    # (j, a_j) -> (support bitmask, a) for every solution a and every j in supp(a)
     by_coordinate: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-
-    frontier: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    for j, v in enumerate(vectors):
-        unit = tuple(int(i == j) for i in range(n))
-        frontier[unit] = (v, 1 << j)
-    length = 1
+    length = size
     while frontier and length <= budget:
-        for t, (sigma, mask) in frontier.items():
-            if sigma == zero_sigma:
-                atoms.append(t)
+        for t, (state, mask) in frontier.items():
+            if state == zero:
+                solutions.append(t)
                 for j, c in enumerate(t):
                     if c:
                         by_coordinate.setdefault((j, c), []).append((mask, t))
         next_frontier: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for t, (sigma, mask) in frontier.items():
-            if sigma == zero_sigma:
+        for t, (state, mask) in frontier.items():
+            if state == zero:
                 continue
             for j, v in enumerate(vectors):
-                if sum(s * x for s, x in zip(sigma, v)) >= 0:
+                if sum(s * x for s, x in zip(state, v)) >= 0:
                     continue
                 t2 = list(t)
                 t2[j] += 1
@@ -111,13 +103,34 @@ def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:
                 if t2 in next_frontier:
                     continue
                 mask2 = mask | (1 << j)
-                if any(not atom_mask & ~mask2 and all(a <= b for a, b in zip(atom, t2))
-                       for atom_mask, atom in by_coordinate.get((j, t2[j]), ())):
+                if any(not found_mask & ~mask2 and all(a <= b for a, b in zip(found, t2))
+                       for found_mask, found in by_coordinate.get((j, t2[j]), ())):
                     continue
-                next_frontier[t2] = (tuple(s + x for s, x in zip(sigma, v)), mask2)
+                if clip:
+                    state2 = tuple(max(s + x, 0) for s, x in zip(state, v))
+                else:
+                    state2 = tuple(s + x for s, x in zip(state, v))
+                next_frontier[t2] = (state2, mask2)
         frontier = next_frontier
         length += 1
-    complete = not frontier
+    return solutions, not frontier
+
+
+def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:
+    """All componentwise-minimal nonzero solutions of sum(x_g * g) = 0.
+
+    When the search frontier empties before the length budget is hit the
+    returned set is the complete Hilbert basis (``complete=True``); otherwise
+    every atom of length <= budget is present and ``complete`` is False.
+    The search is ``_minimal_solutions`` from the unit tuples, with the
+    running sum as the state.
+    """
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    n = len(ground)
+    frontier = {tuple(int(i == j) for i in range(n)): (v, 1 << j)
+                for j, v in enumerate(ground.elements)}
+    atoms, complete = _minimal_solutions(ground.elements, frontier, 1, budget, clip=False)
     seqs = tuple(Sequence(ground, t) for t in sorted(atoms))
     return AtomSet(ground, seqs, complete)
 

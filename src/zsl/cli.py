@@ -131,17 +131,29 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        parser.add_argument("-i", "--input", required=True,
-                            help="ground set JSON: {\"rank\": r, \"elements\": [[..], ..]}")
-    parser.add_argument("-o", "--output", help="write the report to this file")
-    parser.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--canonicalize", action="store_true",
-                        help="sort ground elements lexicographically before indexing")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="search length cap where applicable")
+_OPTIONS = {
+    "input": (("-i", "--input"), {
+        "required": True,
+        "help": "ground set JSON: {\"rank\": r, \"elements\": [[..], ..]}"}),
+    "output": (("-o", "--output"), {"help": "write the report to this file"}),
+    "format": (("--format",), {"choices": ("json", "csv", "table"), "default": "json"}),
+    "seed": (("--seed",), {"type": int, "default": 0, "help": "seed for sampled checks"}),
+    "canonicalize": (("--canonicalize",), {
+        "action": "store_true",
+        "help": "sort ground elements lexicographically before indexing"}),
+    "budget": (("--budget",), {"type": int, "default": None,
+                               "help": "search length cap where applicable"}),
+}
+# the options of a subcommand that reads a ground set and enumerates its atoms
+_GROUND = ("input", "output", "format", "canonicalize", "budget")
+# the options of a subcommand that reads no ground set
+_REPORT = ("output", "format")
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flags, kwargs = _OPTIONS[name]
+        parser.add_argument(*flags, **kwargs)
 
 
 def _parse_group(text: str) -> FiniteAbelianGroup:
@@ -185,7 +197,7 @@ def cmd_delm(args) -> dict:
 
 def cmd_bounds(args) -> dict:
     ground = _load_ground(args)
-    return davenport_upper_bounds(ground)
+    return davenport_upper_bounds(ground, enumerate_atoms(ground, args.budget))
 
 
 def cmd_decompose(args) -> dict:
@@ -269,7 +281,15 @@ def cmd_tame(args) -> dict:
     return report
 
 
+# the partial-sum check behind --verify is exhaustive and grows about 30-fold
+# per rank: on one core rank 8 takes 0.3 s, rank 9 11 s and 390 MB
+_FIB_VERIFY_MAX_RANK = 9
+
+
 def cmd_fib(args) -> dict:
+    if args.verify and args.rank > _FIB_VERIFY_MAX_RANK:
+        raise InputError(f"--verify checks ranks up to {_FIB_VERIFY_MAX_RANK}, got --rank "
+                         f"{args.rank}; drop --verify for the unverified witness")
     limit = args.rank if args.verify else None
     witness = fibonacci_witness(args.rank, verify_limit=limit or 8)
     report = witness.to_json()
@@ -289,31 +309,47 @@ def cmd_fp(args) -> dict:
     return fp_rank1_invariants(group, args.budget or 6)
 
 
+_MONEXT_CHECKS = ("theta", "invariants", "catenary")
+
+
 def cmd_monext(args) -> dict:
+    kind, _, payload = args.d.partition(":")
+    if kind == "group":
+        d_kwargs = {"group": _parse_group(payload)}
+    elif kind == "free" and (payload or "1").isdigit():
+        d_kwargs = {"free_rank": int(payload or "1")}
+    else:
+        raise InputError("--d must look like group:2,2 or free:1")
+    if args.check == "all":
+        checks = _MONEXT_CHECKS if kind == "group" else ("theta",)
+    else:
+        checks = args.check.split(",")
+        for name in checks:
+            if name not in _MONEXT_CHECKS:
+                raise InputError(f"--check: unknown check {name!r}, "
+                                 f"expected a comma list from {','.join(_MONEXT_CHECKS)}")
+        if kind != "group" and {"invariants", "catenary"} & set(checks):
+            raise InputError("--check invariants and catenary need a group D, "
+                             f"got --d {args.d}")
+    if "theta" in checks and args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     ground = GroundSet.from_json(_load_json(args.h0), canonicalize=args.canonicalize)
     atom_set = enumerate_atoms(ground, args.budget)
     if not atom_set.complete:
         raise InputError("atom enumeration hit the budget; raise --budget")
     h0 = block_monoid(atom_set)
-    kind, _, payload = args.d.partition(":")
-    if kind == "group":
-        model = MonextModel(h0, group=_parse_group(payload))
-    elif kind == "free" and (payload or "1").isdigit():
-        model = MonextModel(h0, free_rank=int(payload or "1"))
-    else:
-        raise InputError("--d must look like group:2,2 or free:1")
+    model = MonextModel(h0, **d_kwargs)
     report: dict = {"h0_atoms": h0.atom_count, "d": args.d}
-    checks = args.check.split(",") if args.check != "all" else ["theta", "invariants", "catenary"]
     if "theta" in checks:
         report["theta"] = monext_theta_check(model, samples=args.samples, seed=args.seed)
-    if "invariants" in checks and model.d_is_group:
+    if "invariants" in checks:
         stats = []
         for i in range(h0.atom_count):
             for d in model.group.elements():
                 inv = monext_invariants(model, i, d)
                 stats.append({"atom": i, "d": list(d), **inv["formula"]})
         report["atom_invariants"] = stats
-    if "catenary" in checks and model.d_is_group:
+    if "catenary" in checks:
         classified = 0
         for x in sorted(elements_up_to(h0, 2)):
             zs = factorizations(h0, x)
@@ -431,47 +467,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("atoms", help="enumerate the minimal zero-sum sequences")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.set_defaults(handler=cmd_atoms)
 
     p = sub.add_parser("davenport", help="largest atom length, with witnesses")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.set_defaults(handler=cmd_davenport)
 
     p = sub.add_parser("delm", help="largest elementary atom length")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.add_argument("--method", choices=("enumerate", "formula", "both"),
                    default="both")
     p.set_defaults(handler=cmd_delm)
 
     p = sub.add_parser("bounds", help="certified Davenport upper bounds")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("decompose", help="rational elementary decomposition")
-    _add_common(p)
+    _add_common(p, "input", "output", "format", "canonicalize")
     p.add_argument("--seq", required=True, help="sequence JSON {\"mult\": [..]}")
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("lengths", help="set of lengths of an element")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.add_argument("--element", required=True, help="sequence JSON {\"mult\": [..]}")
     p.set_defaults(handler=cmd_lengths)
 
     p = sub.add_parser("unions", help="union of sets of lengths through k")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--strategy", choices=("auto", "exhaustive", "extremes"),
                    default="auto")
     p.set_defaults(handler=cmd_unions)
 
     p = sub.add_parser("catenary", help="catenary degree of an element")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.add_argument("--element", required=True)
     p.set_defaults(handler=cmd_catenary)
 
     p = sub.add_parser("omega", help="omega invariant of an atom")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.add_argument("--atom", type=int, required=True,
                    help="index into the canonical (sorted) atom list")
     p.add_argument("--mode", choices=("minimal-cover", "definition-budget", "both"),
@@ -479,32 +515,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_omega)
 
     p = sub.add_parser("tame", help="tame degree of an atom")
-    _add_common(p)
+    _add_common(p, *_GROUND)
     p.add_argument("--atom", type=int, required=True)
     p.set_defaults(handler=cmd_tame)
 
     p = sub.add_parser("fib", help="Fibonacci witness for a rank")
-    _add_common(p, needs_input=False)
+    _add_common(p, *_REPORT)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--verify", action="store_true",
                    help="force the minimality check at this rank")
     p.set_defaults(handler=cmd_fib)
 
     p = sub.add_parser("hypercube", help="hypercube vertex ground set")
-    _add_common(p, needs_input=False)
+    _add_common(p, *_REPORT)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--signed", action="store_true",
                    help="include the negated vertices")
     p.set_defaults(handler=cmd_hypercube)
 
     p = sub.add_parser("fp", help="rank-1 finitely primary monoid invariants")
-    _add_common(p, needs_input=False)
+    _add_common(p, *_REPORT, "budget")
     p.add_argument("--group", default="trivial",
                    help="invariant factors, e.g. 2,2 (or 'trivial')")
     p.set_defaults(handler=cmd_fp)
 
     p = sub.add_parser("monext", help="unit-pinned product checks")
-    _add_common(p, needs_input=False)
+    _add_common(p, *_REPORT, "seed", "canonicalize", "budget")
     p.add_argument("--h0", required=True, help="ground set JSON for the base monoid")
     p.add_argument("--d", required=True, help="group:2,2 or free:1")
     p.add_argument("--check", default="all",
@@ -513,24 +549,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_monext)
 
     p = sub.add_parser("acm", help="almost-constant vector monoid report")
-    _add_common(p, needs_input=False)
+    _add_common(p, *_REPORT, "budget")
     p.add_argument("--spec", required=True,
                    help='JSON {"omega": n, "c": ["1", "3/2", ..], "lambda": [[..]]}')
     p.set_defaults(handler=cmd_acm)
 
     p = sub.add_parser("hnp", help="stable-class monoid report from tower data")
-    _add_common(p, needs_input=False)
+    _add_common(p, *_REPORT, "budget")
     p.add_argument("--towers", required=True, help="tower data JSON")
     p.set_defaults(handler=cmd_hnp)
 
     p = sub.add_parser("certify", help="replay the acceptance suite")
-    _add_common(p, needs_input=False)
+    _add_common(p, "output")
     p.add_argument("--suite", default="all",
                    help="'all' or a comma list of criterion names/numbers")
     p.set_defaults(handler=cmd_certify, is_certify=True)
 
     p = sub.add_parser("probe-r4", help="rank-4 lower bounds (never equality)")
-    _add_common(p, needs_input=False)
+    _add_common(p, *_REPORT, "budget")
     p.set_defaults(handler=cmd_probe_r4)
 
     return parser

@@ -211,9 +211,6 @@ class _SequenceOps:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.mult) if m)
 
-    def support_vectors(self) -> tuple[Vector, ...]:
-        return tuple(self.ground.elements[i] for i in self.support())
-
     def signed_support(self) -> frozenset[Vector]:
         """Elements g (and -g) whose net multiplicity v_g - v_{-g} is nonzero."""
         out = set()

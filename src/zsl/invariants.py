@@ -5,11 +5,13 @@ b exactly when b - a is componentwise nonnegative: the right notion for
 zero-sum monoids and for divisor-theory images, which are saturated in the
 ambient free monoid.
 
-Two searches carry everything: a depth-first factorization search over the
-atoms in decreasing length order with residual-feasibility pruning, and a
-breadth-first search for minimal atom covers.  Set-level invariants
-(catenary, omega, tau, tame degree, unions of sets of lengths) are derived
-from them.  Everything is deterministic: outputs are canonically sorted.
+A depth-first factorization search over the atoms in decreasing length order,
+with residual-feasibility pruning, carries the length invariants.  The
+minimal atom covers behind omega, tau and the tame degree are minimal
+solutions of a linear system, found by the completion search of
+``atoms._minimal_solutions``.  Set-level invariants (catenary, omega, tau,
+tame degree, unions of sets of lengths) are derived from these two.
+Everything is deterministic: outputs are canonically sorted.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .atoms import AtomSet
+from .atoms import AtomSet, _minimal_solutions
 
 
 @dataclass(frozen=True)
@@ -355,66 +357,28 @@ def union_of_lengths(monoid: PresentedMonoid, k: int, strategy: str = "auto",
     return UnionOfLengths(k, frozenset({lam, k, rho}), rho, lam, False)
 
 
-def _minimal_covers(n: int, is_cover, cap: int) -> list[tuple[int, ...]]:
-    """Componentwise-minimal count vectors over n generators that satisfy the
-    upward-closed predicate ``is_cover``, among those of size at most cap.
-
-    Breadth-first over multisets in nondecreasing index order; a multiset is
-    recorded once it covers, and it is minimal exactly when no single removal
-    still covers.
-    """
-    covers: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [(0,) * n]
-    for _ in range(cap):
-        nxt: set[tuple[int, ...]] = set()
-        for z in frontier:
-            start = 0
-            for i in range(n - 1, -1, -1):
-                if z[i]:
-                    start = i
-                    break
-            for j in range(start, n):
-                z2 = z[:j] + (z[j] + 1,) + z[j + 1:]
-                if z2 in nxt:
-                    continue
-                if is_cover(z2):
-                    minimal = True
-                    for i in range(n):
-                        if z2[i]:
-                            z3 = z2[:i] + (z2[i] - 1,) + z2[i + 1:]
-                            if is_cover(z3):
-                                minimal = False
-                                break
-                    if minimal and z2 not in covers:
-                        covers.append(z2)
-                else:
-                    nxt.add(z2)
-        frontier = sorted(nxt)
-    return sorted(covers)
-
-
 def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, ...]]:
     """Componentwise-minimal atom multisets whose product is divisible by the
     given atom, as factorization-count vectors.
 
-    In a saturated monoid every minimal cover has size at most the
-    coordinate sum of the atom, which bounds the search.
+    The search is ``atoms._minimal_solutions`` with, as the state of a
+    multiset z, what u still lacks on supp(u) (the only coordinates u <= x
+    reads), and the negated atoms projected onto supp(u) as the vectors.
+    Clipped at 0, lack(z + e_j) = max(lack(z) - p_j, 0), and z covers exactly
+    when its lack is 0.  In any order of adding the atoms of a minimal cover
+    each atom supplies a coordinate still lacking (else the cover without
+    that copy would cover too), so the rule <lack, -p_j> < 0 loses no cover;
+    and a parent that does not cover dominates no cover, so the dominance
+    lemma of the kernel holds unchanged.  Each atom added lowers the total
+    lack, so the search ends within sum(u) atoms.
     """
     u = monoid.atoms[atom_index]
-    # u <= x reads only the coordinates of supp(u)
     support = [k for k, x in enumerate(u) if x]
-    need = [u[k] for k in support]
-    proj = [tuple(a[k] for k in support) for a in monoid.atoms]
-
-    def is_cover(counts):
-        got = [0] * len(need)
-        for c, a in zip(counts, proj):
-            if c:
-                for k, x in enumerate(a):
-                    got[k] += c * x
-        return all(g >= d for g, d in zip(got, need))
-
-    return _minimal_covers(monoid.atom_count, is_cover, sum(u))
+    need = tuple(u[k] for k in support)
+    vectors = [tuple(-a[k] for k in support) for a in monoid.atoms]
+    frontier = {(0,) * monoid.atom_count: (need, 0)}
+    covers, _ = _minimal_solutions(vectors, frontier, 0, sum(u), clip=True)
+    return sorted(covers)
 
 
 def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",

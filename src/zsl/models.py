@@ -24,7 +24,6 @@ from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
     Factorization,
     PresentedMonoid,
-    _minimal_covers,
     catenary_element,
     catenary_from_factorizations,
     elements_up_to,
@@ -224,11 +223,15 @@ class MonextModel:
         return vec, d
 
     def minimal_atom_covers(self, u_idx: int, du, cap: int) -> list[tuple]:
-        """Componentwise-minimal H-atom multisets divisible by ((atom u), du)."""
+        """Componentwise-minimal H-atom multisets of at most ``cap`` atoms
+        divisible by ((atom u), du): breadth-first in nondecreasing atom index
+        order, so each multiset is built once, and kept when it covers and no
+        single removal still covers."""
         if not self.d_is_group:
             raise ValueError("minimal covers need a finite atom list (group D)")
         target = (self.h0.atoms[u_idx], tuple(du))
         atoms = self.h_atoms()
+        n = len(atoms)
 
         def items(counts):
             return tuple((atoms[j], c) for j, c in enumerate(counts) if c)
@@ -236,7 +239,21 @@ class MonextModel:
         def is_cover(counts):
             return self.divides(target, self.atom_product(items(counts)))
 
-        return sorted(items(z) for z in _minimal_covers(len(atoms), is_cover, cap))
+        covers = []
+        frontier = [(0,) * n]
+        for _ in range(cap):
+            nxt = []
+            for z in frontier:
+                start = max((i for i in range(n) if z[i]), default=0)
+                for j in range(start, n):
+                    z2 = z[:j] + (z[j] + 1,) + z[j + 1:]
+                    if not is_cover(z2):
+                        nxt.append(z2)
+                    elif not any(z2[i] and is_cover(z2[:i] + (z2[i] - 1,) + z2[i + 1:])
+                                 for i in range(n)):
+                        covers.append(items(z2))
+            frontier = nxt
+        return sorted(covers)
 
 
 def monext_invariants(model: MonextModel, u_idx: int, dval) -> dict:

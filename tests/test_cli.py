@@ -62,6 +62,10 @@ def test_atoms_bad_json_exit2(capsys, tmp_path):
     ({"mult": 5}, ["lengths", "-i", "H2", "--element", "GROUND"]),
     ({"mult": ["1/0", 0, 0, 0, 0, 0]}, ["lengths", "-i", "H2", "--element", "GROUND"]),
     ({"omega": 3, "c": ["1", "1/0", "1"], "lambda": [[1, 2]]}, ["acm", "--spec", "GROUND"]),
+    (None, ["monext", "--h0", "GROUND", "--d", "group:2", "--check", "thetta"]),
+    (None, ["monext", "--h0", "GROUND", "--d", "group:2", "--samples", "0"]),
+    (None, ["monext", "--h0", "GROUND", "--d", "group:2", "--samples", "-5"]),
+    (None, ["monext", "--h0", "GROUND", "--d", "free:1", "--check", "invariants,catenary"]),
 ])
 def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     path = h2 if ground is None else write(tmp_path, "g.json", ground)
@@ -92,6 +96,27 @@ def test_bounds(capsys, h2):
     report = json.loads(out)
     for key in ("snf_G0", "snf_G1", "hadamard", "dgs", "elm_product"):
         assert report[key] >= 3
+
+
+def test_bounds_budget_truncates(capsys, h2):
+    code, out, _ = run(capsys, "bounds", "-i", h2, "--budget", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["davenport"] is None and report["elm_product_conditional"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["hypercube", "--rank", "2", "--seed", "1"],
+    ["atoms", "-i", "H2", "--seed", "1"],
+    ["fib", "--rank", "3", "--canonicalize"],
+    ["decompose", "-i", "H2", "--seq", "H2", "--budget", "3"],
+    ["certify", "--format", "csv"],
+])
+def test_unread_options_are_not_registered(capsys, h2, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([h2 if a == "H2" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_lengths_and_catenary(capsys, h2, tmp_path):
@@ -155,6 +180,16 @@ def test_fib(capsys):
     assert report["atom_length"] == 5 and report["verified"] is True
 
 
+def test_fib_verify_rank_cap(capsys):
+    code, _, err = run(capsys, "fib", "--rank", "10", "--verify")
+    assert code == 2
+    assert "up to 9" in err
+    code, out, _ = run(capsys, "fib", "--rank", "12")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verified"] is False and report["atom_length"] == 377
+
+
 def test_hypercube_signed(capsys):
     code, out, _ = run(capsys, "hypercube", "--rank", "3", "--signed")
     assert code == 0
@@ -182,6 +217,25 @@ def test_monext_bad_d(capsys, h2):
     code, _, err = run(capsys, "monext", "--h0", h2, "--d", "weird:3")
     assert code == 2
     assert "--d" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--d", "group:2", "--check", "theta,thetta"], "'thetta'"),
+    (["--d", "group:2", "--samples", "0"], "--samples"),
+    (["--d", "free:1", "--check", "catenary"], "group D"),
+])
+def test_monext_rejects_checks_it_would_not_run(capsys, h2, argv, named):
+    code, _, err = run(capsys, "monext", "--h0", h2, *argv)
+    assert code == 2
+    assert named in err
+
+
+def test_monext_all_on_free_d_runs_theta_only(capsys, h2):
+    code, out, _ = run(capsys, "monext", "--h0", h2, "--d", "free:1", "--samples", "20")
+    assert code == 0
+    report = json.loads(out)
+    assert report["theta"]["passed"]
+    assert "atom_invariants" not in report and "catenary_elements_checked" not in report
 
 
 def test_acm(capsys, tmp_path):

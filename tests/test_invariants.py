@@ -222,17 +222,63 @@ def test_minimal_covers_contain_self():
     assert max(sum(z) for z in covers) == 3
 
 
+def predicate_minimal_covers(n, is_cover, cap):
+    """Componentwise-minimal count vectors over n generators that satisfy the
+    upward-closed predicate ``is_cover``, among those of size at most cap:
+    breadth-first over multisets in nondecreasing index order, each recorded
+    once it covers and kept when no single removal still covers.  A reference
+    for the completion search behind ``minimal_covers``."""
+    covers = []
+    frontier = [(0,) * n]
+    for _ in range(cap):
+        nxt = set()
+        for z in frontier:
+            start = max((i for i in range(n) if z[i]), default=0)
+            for j in range(start, n):
+                z2 = z[:j] + (z[j] + 1,) + z[j + 1:]
+                if z2 in nxt:
+                    continue
+                if is_cover(z2):
+                    if not any(z2[i] and is_cover(z2[:i] + (z2[i] - 1,) + z2[i + 1:])
+                               for i in range(n)) and z2 not in covers:
+                        covers.append(z2)
+                else:
+                    nxt.add(z2)
+        frontier = sorted(nxt)
+    return sorted(covers)
+
+
+def divides_predicate_covers(monoid, i):
+    u = monoid.atoms[i]
+    return predicate_minimal_covers(
+        monoid.atom_count, lambda z: monoid.divides(u, monoid.element(z)), sum(u))
+
+
 def test_minimal_covers_match_divides_predicate():
-    # the cover test on supp(u) is the predicate "u divides the product"
     from zsl.certify import ACM_SPEC
-    from zsl.invariants import _minimal_covers
     from zsl.models import AcmModel
     for monoid in (B2, AcmModel(ACM_SPEC).presented()):
-        for i, u in enumerate(monoid.atoms):
-            def divides_product(z, u=u):
-                return monoid.divides(u, monoid.element(z))
-            assert minimal_covers(monoid, i) == \
-                _minimal_covers(monoid.atom_count, divides_product, sum(u))
+        for i in range(monoid.atom_count):
+            assert minimal_covers(monoid, i) == divides_predicate_covers(monoid, i)
+
+
+@st.composite
+def small_block_monoids(draw):
+    # a few vectors of [-2, 2]^r with their negatives: a symmetric ground
+    rank = draw(st.integers(2, 3))
+    base = draw(st.sets(st.tuples(*[st.integers(-2, 2)] * rank).filter(any),
+                        min_size=3, max_size=4))
+    elements = sorted(base | {tuple(-x for x in v) for v in base})
+    atom_set = enumerate_atoms(GroundSet.from_elements(rank, elements), budget=6)
+    assume(atom_set.complete and len(atom_set.atoms) <= 24)
+    return block_monoid(atom_set)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_block_monoids())
+def test_minimal_covers_match_predicate_search_on_random_monoids(monoid):
+    for i in range(monoid.atom_count):
+        assert minimal_covers(monoid, i) == divides_predicate_covers(monoid, i)
 
 
 def test_tau_and_tame_r2():
@@ -332,7 +378,7 @@ def test_omega_oracle_never_calls_minimal_covers(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the omega oracle called the minimal-cover search")
 
-    monkeypatch.setattr(invariants, "_minimal_covers", forbidden)
+    monkeypatch.setattr(invariants, "_minimal_solutions", forbidden)
     monkeypatch.setattr(invariants, "minimal_covers", forbidden)
     assert [omega(monoid, i, "definition-budget")
             for i in range(monoid.atom_count)] == expected
@@ -344,8 +390,9 @@ def test_omega_modes_agree_on_rank3_atoms():
 
     m3 = block_monoid(enumerate_atoms(hypercube_pm(3)))
     lengths = [sum(a) for a in m3.atoms]
-    picked = [i for i, n in enumerate(lengths) if n <= 3] + [lengths.index(4)]
-    assert len(picked) == 20
+    picked = [i for i, n in enumerate(lengths) if n <= 3] + [lengths.index(4),
+                                                             lengths.index(5)]
+    assert len(picked) == 21
     for i in picked:
         assert omega(m3, i, "definition-budget") == omega(m3, i, "minimal-cover") \
             == lengths[i]
