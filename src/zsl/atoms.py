@@ -377,7 +377,10 @@ def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet | None = None) -
     else:
         report["snf_G0"] = None
         report["snf_G1"] = None
-        report["skipped"] = "largest atom length is below 3, augmented bounds do not apply"
+        report["skipped"] = ("largest atom length is below 3, augmented bounds do not apply"
+                             if atom_set.complete else
+                             "atom enumeration truncated before an atom of length 3 was "
+                             "found, augmented bounds not decided")
 
     report["hadamard"] = hypercube_davenport_ceiling(r) if _is_hypercube_subset(ground) else None
 
@@ -458,7 +461,8 @@ class _SupportAtomCache:
             sub = ground.restrict(support)
             sub_atoms = enumerate_atoms(sub)
             if not sub_atoms.complete:
-                raise RuntimeError("restricted atom enumeration truncated")
+                raise ValueError("restricted atom enumeration truncated at the "
+                                 f"default length budget {DEFAULT_BUDGET}")
             lifted = []
             for atom in sub_atoms.atoms:
                 mult = [0] * len(ground)

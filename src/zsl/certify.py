@@ -22,7 +22,7 @@ from .atoms import (
     rational_elementary_decomposition,
 )
 from .constructions import fibonacci_witness, hypercube_pm, r3_extremal_atoms
-from .ground import GroundSet, RationalSequence, Sequence
+from .ground import GroundSet, RationalSequence, Sequence, _require
 from .invariants import (
     block_monoid,
     catenary_element,
@@ -62,15 +62,15 @@ def check_rank2_hypercube() -> dict:
     """Complete atoms, Davenport constant, catenary and tame degree at rank 2."""
     ground = hypercube_pm(2)
     atom_set = enumerate_atoms(ground)
-    assert atom_set.complete
+    _require(atom_set.complete)
     dav = davenport(atom_set)
-    assert dav.value == 3 and dav.exact
-    assert elementary_davenport(ground, "both") == 3
+    _require(dav.value == 3 and dav.exact)
+    _require(elementary_davenport(ground, "both") == 3)
     monoid = block_monoid(atom_set)
     max_c = max(catenary_element(monoid, x) for x in sorted(elements_up_to(monoid, 4)))
-    assert max_c == 3
+    _require(max_c == 3)
     max_t = max(tame_degree(monoid, i) for i in range(monoid.atom_count))
-    assert max_t == 3
+    _require(max_t == 3)
     return {"davenport": 3, "elementary_davenport": 3, "max_catenary": max_c,
             "max_tame": max_t, "certifies": "catenary-tame-davenport-agree-rank2"}
 
@@ -79,26 +79,26 @@ def check_rank3_hypercube() -> dict:
     """Davenport constant 5, the eight longest atoms, and the length unions."""
     ground = hypercube_pm(3)
     atom_set = enumerate_atoms(ground)
-    assert atom_set.complete
-    assert davenport(atom_set).value == 5
+    _require(atom_set.complete)
+    _require(davenport(atom_set).value == 5)
     listed = set()
     for v in r3_extremal_atoms():
         listed.add(v.mult)
         listed.add(v.negated().mult)
     length5 = {a.mult for a in atom_set.atoms if a.length == 5}
-    assert listed == length5 and len(listed) == 8
+    _require(listed == length5 and len(listed) == 8)
     monoid = block_monoid(atom_set)
     v1 = r3_extremal_atoms()[0]
     x = (v1 * v1.negated()).mult
-    assert set_of_lengths(monoid, x) == (2, 5)
-    assert catenary_element(monoid, x) == 5
+    _require(set_of_lengths(monoid, x) == (2, 5))
+    _require(catenary_element(monoid, x) == 5)
     u2 = union_of_lengths(monoid, 2, "exhaustive")
-    assert sorted(u2.values) == [2, 3, 4, 5]
-    assert u2.rho == 5
+    _require(sorted(u2.values) == [2, 3, 4, 5])
+    _require(u2.rho == 5)
     u4 = union_of_lengths(monoid, 4, "extremes")
-    assert u4.rho == 10
+    _require(u4.rho == 10)
     u5 = union_of_lengths(monoid, 5, "extremes")
-    assert u5.rho == 11
+    _require(u5.rho == 11)
     return {"davenport": 5, "length5_atoms": 8, "catenary_witness": 5,
             "u2": sorted(u2.values), "rho4": 10, "rho5": 11,
             "certifies": "rank3-davenport-and-length-unions"}
@@ -109,13 +109,13 @@ def check_fibonacci_witnesses() -> dict:
     lengths = {}
     for r in range(1, 7):
         w = fibonacci_witness(r)
-        assert w.verified
-        assert w.stack.length == w.fib[r + 1]
-        assert w.stack.sum_vector() == (w.fib[r],) * r
-        assert w.atom.length == w.fib[r + 2]
-        assert w.atom.is_zero_sum()
+        _require(w.verified)
+        _require(w.stack.length == w.fib[r + 1])
+        _require(w.stack.sum_vector() == (w.fib[r],) * r)
+        _require(w.atom.length == w.fib[r + 2])
+        _require(w.atom.is_zero_sum())
         lengths[r] = w.atom.length
-    assert lengths == {1: 2, 2: 3, 3: 5, 4: 8, 5: 13, 6: 21}
+    _require(lengths == {1: 2, 2: 3, 3: 5, 4: 8, 5: 13, 6: 21})
     return {"atom_lengths": lengths, "certifies": "fibonacci-davenport-lower-bounds"}
 
 
@@ -126,7 +126,7 @@ def check_davenport_equals_elementary() -> dict:
         ground = hypercube_pm(r)
         d = davenport(ground).value
         delm = elementary_davenport(ground, "both")
-        assert d == delm
+        _require(d == delm)
         out[r] = d
     return {"values": out, "certifies": "elementary-davenport-exhausts-davenport"}
 
@@ -159,14 +159,14 @@ def check_upper_bounds_and_decomposition() -> dict:
         d = davenport(atom_set).value
         report = davenport_upper_bounds(ground, atom_set)
         for key in ("snf_G0", "snf_G1", "hadamard", "dgs", "elm_product"):
-            assert report[key] is not None and report[key] >= d, (key, report[key], d)
+            _require(report[key] is not None and report[key] >= d, (key, report[key], d))
         rng = random.Random(1000 + r)
         for _ in range(100):
             s = _random_rational_zero_sum(ground, atom_set.atoms, rng)
-            assert s.is_zero_sum()
+            _require(s.is_zero_sum())
             dec = rational_elementary_decomposition(s)
-            assert dec.reassemble() == s
-            assert dec.ell <= ell_bound(s)
+            _require(dec.reassemble() == s)
+            _require(dec.ell <= ell_bound(s))
         out[r] = {k: report[k] for k in ("snf_G0", "snf_G1", "hadamard", "dgs",
                                          "elm_product")}
     return {"bounds": out, "samples_per_rank": 100,
@@ -179,12 +179,12 @@ def check_atom_multiplicity_gap() -> dict:
     counts = {}
     for r in (2, 3):
         atom_set = enumerate_atoms(hypercube_pm(r))
-        assert atom_set.complete
+        _require(atom_set.complete)
         checked = 0
         for a in atom_set.atoms:
             if a.length < 3:
                 continue
-            assert 2 * max(a.mult) < a.length
+            _require(2 * max(a.mult) < a.length)
             checked += 1
         counts[r] = checked
     return {"atoms_checked": counts, "certifies": "vertex-multiplicity-below-half-length"}
@@ -197,10 +197,10 @@ def check_finitely_primary_rank1() -> dict:
                           ("Z/2+Z/2", [2, 2])):
         group = FiniteAbelianGroup.from_factors(factors)
         report = fp_rank1_invariants(group, budget=6)
-        assert report["half_factorial"]
-        assert report["factorial"] == group.is_trivial
+        _require(report["half_factorial"])
+        _require(report["factorial"] == group.is_trivial)
         if not group.is_trivial:
-            assert report["catenary"] == 2 and report["tame"] == 2
+            _require(report["catenary"] == 2 and report["tame"] == 2)
         results[name] = {"factorial": report["factorial"],
                          "catenary": report["catenary"], "tame": report["tame"]}
     return {"groups": results, "certifies": "rank1-primary-catenary-tame-two"}
@@ -213,11 +213,11 @@ def check_unit_pinned_product() -> dict:
     group = FiniteAbelianGroup.from_factors([2])
     model = MonextModel(h0, group=group)
     theta = monext_theta_check(model, samples=200, seed=42)
-    assert theta["passed"]
+    _require(theta["passed"])
     for i in range(h0.atom_count):
         for d in group.elements():
             inv = monext_invariants(model, i, d)
-            assert inv["formula"] == inv["oracle"]
+            _require(inv["formula"] == inv["oracle"])
     classified = 0
     for x in sorted(elements_up_to(h0, 3)):
         zs = factorizations(h0, x)
@@ -225,11 +225,11 @@ def check_unit_pinned_product() -> dict:
             continue
         for d in group.elements():
             out = monext_catenary(model, x, d)
-            assert out["observed"] == out["predicted"]
+            _require(out["observed"] == out["predicted"])
             classified += 1
         if classified >= 50:
             break
-    assert classified >= 50
+    _require(classified >= 50)
     return {"theta_splits": theta["splits"], "atoms_checked": 2 * h0.atom_count,
             "catenary_elements": classified,
             "certifies": "class-coordinate-product-transfer-and-invariants"}
@@ -244,24 +244,24 @@ def check_almost_constant_monoid() -> dict:
     """Atom count, half-factoriality, tame degree and class group of the
     two-tower spec with weight sums 2 and 3, plus the one-tower class group."""
     report = acm_report(ACM_SPEC, level_budget=4)
-    assert report["atom_count"] == 12
-    assert report["half_factorial"]
-    assert report["max_catenary_observed"] <= 2
-    assert report["tame"] == 5 and report["omega"] == 5
+    _require(report["atom_count"] == 12)
+    _require(report["half_factorial"])
+    _require(report["max_catenary_observed"] <= 2)
+    _require(report["tame"] == 5 and report["omega"] == 5)
     cg = report["class_group"]
-    assert cg["free_rank"] == 1 and cg["invariant_factors"] == []
+    _require(cg["free_rank"] == 1 and cg["invariant_factors"] == [])
     images = {tuple(c["image"]): c["prime_divisors"]
               for c in cg["classes_with_prime_divisors"]}
-    assert images == {(3,): 2, (-2,): 2}
+    _require(images == {(3,): 2, (-2,): 2})
     model = AcmModel(ACM_SPEC)
     extremal = (1, 2, 0, 3, 0)
     monoid = model.presented()
     idx = model.atoms().index(extremal)
-    assert omega(monoid, idx, "minimal-cover") == 5
+    _require(omega(monoid, idx, "minimal-cover") == 5)
     n1 = acm_class_group(ACM_SPEC_N1)
-    assert n1["group"] == "Z/2"
+    _require(n1["group"] == "Z/2")
     (cls,) = n1["classes_with_prime_divisors"]
-    assert cls["prime_divisors"] == 2
+    _require(cls["prime_divisors"] == 2)
     return {"atoms": 12, "tame": 5, "class_group_rank": 1,
             "one_tower_group": "Z/2",
             "certifies": "tower-constrained-monoid-arithmetic"}
@@ -277,13 +277,13 @@ def check_tower_data_monoids() -> dict:
         "class_group": [],
     })
     report = hnp_report(td)
-    assert report["tame"] == report["omega"] == 5
-    assert report["half_factorial"] and not report["factorial"]
+    _require(report["tame"] == report["omega"] == 5)
+    _require(report["half_factorial"] and not report["factorial"])
     dedekind = TowerData.from_json({
         "udim": 1, "cycle_towers": [], "faithful_towers": [], "class_group": [],
     })
     report2 = hnp_report(dedekind)
-    assert report2["factorial"]
+    _require(report2["factorial"])
     return {"two_towers_tame": report["tame"], "dedekind_factorial": True,
             "certifies": "stable-class-monoid-tame-degree"}
 
@@ -303,7 +303,7 @@ def check_oracle_equivalence() -> dict:
         fast = [a.mult for a in enumerate_atoms(ground, budget=7).atoms
                 if a.length <= 7]
         slow = [a.mult for a in brute_force_atoms(ground, 7)]
-        assert fast == slow, ground.elements
+        _require(fast == slow, ground.elements)
         grounds += 1
     monoids = [block_monoid(enumerate_atoms(hypercube_pm(2))),
                AcmModel(ACM_SPEC).presented()]
@@ -324,8 +324,8 @@ def check_oracle_equivalence() -> dict:
     for monoid in monoids:
         for i in range(monoid.atom_count):
             budget = sum(monoid.atoms[i])
-            assert omega(monoid, i, "minimal-cover") == \
-                omega(monoid, i, "definition-budget", budget)
+            _require(omega(monoid, i, "minimal-cover")
+                     == omega(monoid, i, "definition-budget", budget))
             atoms_checked += 1
     return {"ground_sets": grounds, "omega_atoms_checked": atoms_checked,
             "certifies": "enumeration-and-omega-oracle-equivalence"}

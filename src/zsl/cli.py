@@ -131,6 +131,12 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 _OPTIONS = {
     "input": (("-i", "--input"), {
         "required": True,
@@ -141,7 +147,7 @@ _OPTIONS = {
     "canonicalize": (("--canonicalize",), {
         "action": "store_true",
         "help": "sort ground elements lexicographically before indexing"}),
-    "budget": (("--budget",), {"type": int, "default": None,
+    "budget": (("--budget",), {"type": _positive_int, "default": None,
                                "help": "search length cap where applicable"}),
 }
 # the options of a subcommand that reads a ground set and enumerates its atoms
@@ -281,8 +287,8 @@ def cmd_tame(args) -> dict:
     return report
 
 
-# the partial-sum check behind --verify is exhaustive and grows about 30-fold
-# per rank: on one core rank 8 takes 0.3 s, rank 9 11 s and 390 MB
+# the partial-sum check behind --verify is exhaustive and grows about 20-fold
+# per rank: on one core rank 8 takes 0.16 s, rank 9 3.5 s and 290 MB
 _FIB_VERIFY_MAX_RANK = 9
 
 
@@ -497,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unions", help="union of sets of lengths through k")
     _add_common(p, *_GROUND)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", choices=("auto", "exhaustive", "extremes"),
-                   default="auto")
+    p.add_argument("--strategy", choices=("exhaustive", "extremes"),
+                   default="exhaustive")
     p.set_defaults(handler=cmd_unions)
 
     p = sub.add_parser("catenary", help="catenary degree of an element")

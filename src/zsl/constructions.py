@@ -83,22 +83,16 @@ def _proper_partial_sums_hit_diagonal(seq: Sequence) -> bool:
     """Whether any nonempty proper sub-multiset sums to a multiple of (1,..,1).
 
     Dynamic programming over distinct terms with multiplicities; state is the
-    set of achievable (sum, count) pairs.
+    set of achievable sums.  Every term is a nonzero 0/1 vertex, so only the
+    empty sub-multiset sums to 0 and only the full one to the total.
     """
     items = [(seq.ground.elements[i], seq.mult[i]) for i in seq.support()]
     r = seq.ground.rank
-    states = {((0,) * r, 0)}
+    states = {(0,) * r}
     for v, m in items:
-        new_states = set()
-        for s, c in states:
-            for k in range(m + 1):
-                new_states.add((tuple(x + k * y for x, y in zip(s, v)), c + k))
-        states = new_states
-    total = seq.length
-    for s, c in states:
-        if 0 < c < total and len(set(s)) == 1:
-            return True
-    return False
+        states = {tuple(x + k * y for x, y in zip(s, v)) for s in states for k in range(m + 1)}
+    ends = {(0,) * r, seq.sum_vector()}
+    return any(len(set(s)) == 1 and s not in ends for s in states)
 
 
 def fibonacci_witness(r: int, verify_limit: int = VERIFY_LIMIT) -> FibonacciWitness:

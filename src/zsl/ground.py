@@ -38,6 +38,12 @@ def _int_coord(x) -> int:
     return x
 
 
+def _require(ok, *message) -> None:
+    """An ``assert`` that ``python -O`` does not strip."""
+    if not ok:
+        raise AssertionError(*message)
+
+
 def _json_fields(data, what: str, fields) -> dict:
     """``data`` if it is a JSON object holding every one of ``fields``."""
     if not isinstance(data, dict):

@@ -17,7 +17,6 @@ Everything is deterministic: outputs are canonically sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .atoms import AtomSet, _minimal_solutions
 
@@ -287,73 +286,71 @@ class UnionOfLengths:
 
 
 def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
-    """Distinct sums of k atoms whose total length is at least min_total."""
+    """Yield each distinct sum of k atoms whose total length is at least
+    min_total, once, so that a caller can stop at the first that works.
+
+    Depth-first over nonincreasing atom lengths, with an explicit stack; a
+    branch stops as soon as its remaining picks at the current length can no
+    longer reach min_total.
+    """
     idx = sorted(range(monoid.atom_count), key=lambda i: -sum(monoid.atoms[i]))
-    lens = [sum(monoid.atoms[i]) for i in idx]
-    sums: set[tuple[int, ...]] = set()
-
-    def rec(pos, left, total, acc):
+    atoms = [monoid.atoms[i] for i in idx]
+    lens = [sum(a) for a in atoms]
+    seen: set[tuple[int, ...]] = set()
+    stack = [(0, k, 0, (0,) * monoid.ambient_dim)]
+    while stack:
+        pos, left, total, acc = stack.pop()
         if left == 0:
-            if total >= min_total:
-                sums.add(acc)
-            return
-        for p in range(pos, len(idx)):
-            if total + left * lens[p] < min_total:
-                break
-            rec(p, left - 1, total + lens[p],
-                tuple(x + y for x, y in zip(acc, monoid.atoms[idx[p]])))
+            if total >= min_total and acc not in seen:
+                seen.add(acc)
+                yield acc
+            continue
+        end = pos
+        while end < len(atoms) and total + left * lens[end] >= min_total:
+            end += 1
+        for p in range(end - 1, pos - 1, -1):  # pushed downwards, so pos pops first
+            stack.append((p, left - 1, total + lens[p],
+                          tuple(x + y for x, y in zip(acc, atoms[p]))))
 
-    rec(0, k, 0, (0,) * monoid.ambient_dim)
-    return sums
 
+def union_of_lengths(monoid: PresentedMonoid, k: int,
+                     strategy: str = "exhaustive") -> UnionOfLengths:
+    """The union U_k of all sets of lengths containing k, with its extremes.
 
-def union_of_lengths(monoid: PresentedMonoid, k: int, strategy: str = "auto",
-                     budget: int = 500_000) -> UnionOfLengths:
-    """The union of all sets of lengths containing k, with its extremes.
+    A length l lies in U_k exactly when some element is both a sum of k atoms
+    and a sum of l atoms.  Such an element has total length at least
+    max(k, l) * lmin, lmin and lmax being the shortest and longest atom
+    lengths.  So for l > k it suffices to ask whether some k-fold sum of total
+    length >= l * lmin factors into l atoms, for l < k whether some l-fold sum
+    of total length >= k * lmin factors into k atoms; and l = k always lies in
+    U_k.  Its total length sits between k * lmin and k * lmax and between
+    l * lmin and l * lmax, which confines l to the band
+    max(1, ceil(k * lmin / lmax)) .. floor(k * lmax / lmin).
 
-    A length l lies in the union exactly when some element is simultaneously
-    a sum of k atoms and of l atoms.  strategy='exhaustive' walks every
-    distinct k-fold atom sum and unions its set of lengths; 'extremes'
-    computes the exact maximum (rho_k) and minimum (lambda_k) by a
-    target-length search with total-length pruning, leaving the full value
-    set partial.  'auto' picks by multiset count against the budget.
+    strategy='exhaustive' tests every l of the band; 'extremes' walks in from
+    each end of the band to the first member, which gives rho_k and lambda_k
+    exactly but leaves the value set partial.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if monoid.atom_count == 0:
         raise ValueError("monoid has no atoms")
-    if strategy == "auto":
-        strategy = "exhaustive" if comb(monoid.atom_count + k - 1, k) <= budget else "extremes"
-    if strategy == "exhaustive":
-        values: set[int] = set()
-        for s in _k_fold_sums(monoid, k):
-            values.update(set_of_lengths(monoid, s))
-        return UnionOfLengths(k, frozenset(values), max(values), min(values), True)
-    if strategy != "extremes":
+    if strategy not in ("exhaustive", "extremes"):
         raise ValueError(f"unknown strategy {strategy!r}")
-
     lens = monoid.atom_lengths()
     lmin, lmax = min(lens), max(lens)
-    rho = k
-    for target in range(k * lmax // lmin, k, -1):
-        found = False
-        for s in _k_fold_sums(monoid, k, target * lmin):
-            if exists_length(monoid, s, target):
-                found = True
-                break
-        if found:
-            rho = target
-            break
-    lam = k
-    for target in range(max(1, -(-k * lmin // lmax)), k):
-        found = False
-        for s in _k_fold_sums(monoid, target, k * lmin):
-            if exists_length(monoid, s, k):
-                found = True
-                break
-        if found:
-            lam = target
-            break
+
+    def member(l: int) -> bool:
+        small, big = min(k, l), max(k, l)
+        return l == k or any(exists_length(monoid, s, big)
+                             for s in _k_fold_sums(monoid, small, big * lmin))
+
+    band = range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1)
+    if strategy == "exhaustive":
+        values = {l for l in band if member(l)}
+        return UnionOfLengths(k, frozenset(values), max(values), min(values), True)
+    rho = next(l for l in reversed(band) if member(l))
+    lam = next(l for l in band if member(l))
     return UnionOfLengths(k, frozenset({lam, k, rho}), rho, lam, False)
 
 
@@ -484,7 +481,7 @@ def elements_up_to(monoid: PresentedMonoid, level: int) -> set[tuple[int, ...]]:
     """Distinct sums of at most ``level`` atoms (the identity excluded)."""
     out: set[tuple[int, ...]] = set()
     for k in range(1, level + 1):
-        out |= _k_fold_sums(monoid, k)
+        out.update(_k_fold_sums(monoid, k))
     return out
 
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
-from .ground import GroundSet, Sequence, _json_fields, _json_int, _json_ints, _json_list
+from .ground import (GroundSet, Sequence, _json_fields, _json_int, _json_ints, _json_list,
+                     _require)
 from .atoms import enumerate_atoms
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
@@ -368,7 +369,7 @@ def monext_theta_check(model: MonextModel, samples: int = 100,
     # units map exactly onto units
     for d in d_pool:
         expected = tuple(d) == model.d_identity()
-        assert model.is_member(model.zero_vec(), d) == expected
+        _require(model.is_member(model.zero_vec(), d) == expected)
     checked_splits = 0
     checked_lengths = 0
     for _ in range(samples):
@@ -394,14 +395,14 @@ def monext_theta_check(model: MonextModel, samples: int = 100,
             v = w = (bvec, model.d_identity())
             if tuple(d) != model.d_identity():
                 continue
-        assert model.is_member(*v) and model.is_member(*w)
+        _require(model.is_member(*v) and model.is_member(*w))
         prod_vec = tuple(x + y for x, y in zip(v[0], w[0]))
         prod_d = model.d_add(v[1], w[1])
-        assert (prod_vec, prod_d) == (avec, tuple(d))
-        assert v[0] == bvec and w[0] == cvec
+        _require((prod_vec, prod_d) == (avec, tuple(d)))
+        _require(v[0] == bvec and w[0] == cvec)
         checked_splits += 1
         if model.d_is_group and checked_lengths < samples // 2:
-            assert model.lengths(avec, d) == set_of_lengths(h0, avec)
+            _require(model.lengths(avec, d) == set_of_lengths(h0, avec))
             checked_lengths += 1
     return {"passed": True, "splits": checked_splits, "length_checks": checked_lengths}
 
@@ -440,11 +441,11 @@ def fp_rank1_invariants(group: FiniteAbelianGroup, budget: int = 6) -> dict:
         atom_stats.append(inv["formula"])
     report["atom_invariants"] = atom_stats
     if factorial:
-        assert max_c == 0
-        assert all(s == {"omega": 1, "tau": 0, "tame": 0} for s in atom_stats)
+        _require(max_c == 0)
+        _require(all(s == {"omega": 1, "tau": 0, "tame": 0} for s in atom_stats))
     else:
-        assert max_c == 2
-        assert all(s == {"omega": 2, "tau": 1, "tame": 2} for s in atom_stats)
+        _require(max_c == 2)
+        _require(all(s == {"omega": 2, "tau": 1, "tame": 2} for s in atom_stats))
     report["catenary"] = max_c
     report["tame"] = 0 if factorial else 2
     return report
@@ -598,7 +599,7 @@ class AcmModel:
                 x[i] -= atom[i]
             parts.append(tuple(atom))
         parts.append(tuple(x))
-        assert all(self.is_atom(p) for p in parts)
+        _require(all(self.is_atom(p) for p in parts))
         return parts
 
     def presented(self) -> PresentedMonoid:

@@ -2,10 +2,16 @@
 runtime limit.  Each prints a single pass/fail line; run with -s to see them.
 """
 
+import ast
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import zsl
 from zsl import certify
 
 CRITERIA = {name: (fn, limit) for name, fn, limit in certify.CRITERIA}
@@ -106,3 +112,29 @@ def test_certify_suite_all_green():
     assert len(results) == 11
     for res in results:
         assert res.passed, f"{res.name}: {res.error}"
+
+
+# criterion 01 with davenport patched to report 999; prints PASS or FAIL
+PATCHED_CRITERION_01 = """
+import dataclasses
+from zsl import certify
+real = certify.davenport
+certify.davenport = lambda *a, **kw: dataclasses.replace(real(*a, **kw), value=999)
+(result,) = certify.run_suite(["01"])
+print("PASS" if result.passed else "FAIL", result.error)
+"""
+
+
+def test_failed_check_still_fails_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(zsl.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", PATCHED_CRITERION_01], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("FAIL AssertionError")
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no check may rest on one
+    for path in sorted(Path(zsl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"

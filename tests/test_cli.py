@@ -47,6 +47,9 @@ def test_atoms_bad_json_exit2(capsys, tmp_path):
     assert "JSON" in err
 
 
+ACM_JSON = {"omega": 5, "c": ["1", "1", "1", "3/2", "3/2"], "lambda": [[1, 2], [3, 4]]}
+
+
 @pytest.mark.parametrize("ground,argv", [
     ({"rank": 2, "elements": 5}, ["atoms", "-i", "GROUND"]),
     ({"rank": "2", "elements": [[1, 0], [-1, 0]]}, ["atoms", "-i", "GROUND"]),
@@ -66,14 +69,50 @@ def test_atoms_bad_json_exit2(capsys, tmp_path):
     (None, ["monext", "--h0", "GROUND", "--d", "group:2", "--samples", "0"]),
     (None, ["monext", "--h0", "GROUND", "--d", "group:2", "--samples", "-5"]),
     (None, ["monext", "--h0", "GROUND", "--d", "free:1", "--check", "invariants,catenary"]),
+    (None, ["fp", "--group", "2", "--budget", "0"]),
+    (None, ["probe-r4", "--budget", "0"]),
+    (ACM_JSON, ["acm", "--spec", "GROUND", "--budget", "-1"]),
+    (None, ["atoms", "-i", "GROUND", "--budget", "0"]),
+    (None, ["unions", "-i", "GROUND", "--k", "2", "--strategy", "auto"]),
 ])
 def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     path = h2 if ground is None else write(tmp_path, "g.json", ground)
-    code, _, err = run(capsys, *[path if a == "GROUND" else h2 if a == "H2" else a
-                                 for a in argv])
+    argv = [path if a == "GROUND" else h2 if a == "H2" else a for a in argv]
+    try:
+        code, _, err = run(capsys, *argv)
+    except SystemExit as exc:  # argparse prints its usage, then "zsl <command>: error: ..."
+        code, err = exc.code, capsys.readouterr().err
+        err = err.split(f"zsl {argv[0]}: ", 1)[1]
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_budget_below_one_names_the_flag(capsys, h2):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "atoms", "-i", h2, "--budget", "0")
+    assert exc.value.code == 2
+    assert "argument --budget: must be a positive integer, got '0'" in capsys.readouterr().err
+
+
+# the only atom, [21, 1], is longer than the default enumeration budget of 20
+LONG_ATOM_GROUND = {"rank": 1, "elements": [[21], [-1]]}
+
+
+def test_decompose_truncated_restricted_enumeration_exits2(capsys, tmp_path):
+    ground = write(tmp_path, "g.json", LONG_ATOM_GROUND)
+    seq = write(tmp_path, "s.json", {"mult": [1, 21]})
+    code, _, err = run(capsys, "decompose", "-i", ground, "--seq", seq)
+    assert code == 2
+    assert err.startswith("error: ") and "budget 20" in err
+
+
+def test_bounds_reports_truncation_not_short_atoms(capsys, tmp_path):
+    code, out, _ = run(capsys, "bounds", "-i", write(tmp_path, "g.json", LONG_ATOM_GROUND))
+    assert code == 0
+    report = json.loads(out)
+    assert report["davenport"] is None and report["snf_G0"] is None
+    assert report["skipped"].startswith("atom enumeration truncated")
 
 
 def test_missing_field_named(capsys, tmp_path):

@@ -2,6 +2,7 @@ import pytest
 
 from zsl.atoms import enumerate_atoms
 from zsl.constructions import (
+    _proper_partial_sums_hit_diagonal,
     fibonacci,
     fibonacci_witness,
     flip,
@@ -86,6 +87,18 @@ def test_witness_beyond_limit_unverified():
     w = fibonacci_witness(4, verify_limit=3)
     assert not w.verified
     assert w.atom.length == fibonacci(6)
+
+
+def test_partial_sums_hitting_the_diagonal_are_found():
+    # (1,0) + (0,1) and (1,1) alone are proper partial sums on the diagonal
+    plus = hypercube_plus(2)
+    seq = Sequence.from_terms(plus, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
+    assert _proper_partial_sums_hit_diagonal(seq)
+    # the whole sequence and the empty one do not count
+    assert not _proper_partial_sums_hit_diagonal(
+        Sequence.from_terms(plus, [((1, 1), 1)]))
+    assert not _proper_partial_sums_hit_diagonal(
+        Sequence.from_terms(plus, [((1, 0), 1), ((0, 1), 1)]))
 
 
 def test_witness_atom_not_divisible_by_budgeted_atoms():

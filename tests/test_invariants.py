@@ -145,11 +145,30 @@ def test_union_rho4_r2():
     assert u.lam == 3
 
 
+def walk_union_values(monoid, k):
+    """U_k by the definition: the union of the sets of lengths of every sum
+    of k atoms.  A reference for the membership test behind
+    ``union_of_lengths``."""
+    values = set()
+    sums = {monoid.element([picks.count(i) for i in range(monoid.atom_count)])
+            for picks in combinations_with_replacement(range(monoid.atom_count), k)}
+    for x in sums:
+        values.update(set_of_lengths(monoid, x))
+    return values
+
+
 def test_union_extremes_matches_exhaustive():
     for k in (2, 3, 4):
+        walk = walk_union_values(B2, k)
         full = union_of_lengths(B2, k, "exhaustive")
         ext = union_of_lengths(B2, k, "extremes")
-        assert (full.rho, full.lam) == (ext.rho, ext.lam)
+        assert full.values == walk
+        assert (ext.rho, ext.lam) == (max(walk), min(walk))
+
+
+def test_union_strategy_auto_is_gone():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        union_of_lengths(B2, 2, "auto")
 
 
 def test_exists_length_banding():
@@ -279,6 +298,17 @@ def small_block_monoids(draw):
 def test_minimal_covers_match_predicate_search_on_random_monoids(monoid):
     for i in range(monoid.atom_count):
         assert minimal_covers(monoid, i) == divides_predicate_covers(monoid, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_block_monoids(), st.integers(1, 4))
+def test_unions_match_walk_on_random_monoids(monoid, k):
+    walk = walk_union_values(monoid, k)
+    full = union_of_lengths(monoid, k, "exhaustive")
+    ext = union_of_lengths(monoid, k, "extremes")
+    assert full.values == walk and full.exhaustive
+    assert (full.rho, full.lam) == (ext.rho, ext.lam) == (max(walk), min(walk))
+    assert ext.values == {ext.lam, k, ext.rho} and not ext.exhaustive
 
 
 def test_tau_and_tame_r2():
