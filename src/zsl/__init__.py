@@ -26,6 +26,7 @@ from .invariants import (
     Factorization,
     PresentedMonoid,
     UnionOfLengths,
+    atom_invariants,
     block_monoid,
     catenary_element,
     delta_set,

@@ -27,13 +27,12 @@ from .certify import run_suite
 from .constructions import fibonacci, fibonacci_witness, hypercube_plus, hypercube_pm
 from .ground import GroundSet, RationalSequence, Sequence, _encode_mult
 from .invariants import (
+    atom_invariants,
     block_monoid,
-    catenary_element,
+    catenary_from_factorizations,
+    elements_up_to,
     factorizations,
     omega,
-    set_of_lengths,
-    tame_degree,
-    tau,
     union_of_lengths,
 )
 from .models import (
@@ -48,39 +47,36 @@ from .models import (
     monext_invariants,
     monext_theta_check,
 )
-from .invariants import elements_up_to
 
 
 class InputError(Exception):
     """Malformed input: reported on stderr with exit status 2."""
 
 
-def _load_json(path: str):
+def _parse_file(path: str, parse):
+    """parse(the JSON in the file at path); a file that cannot be read or
+    parsed is malformed input, reported with its path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_ground(args) -> GroundSet:
-    data = _load_json(args.input)
-    try:
-        return GroundSet.from_json(data, canonicalize=args.canonicalize)
-    except ValueError as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
+    return _parse_file(args.input,
+                       lambda data: GroundSet.from_json(data, canonicalize=args.canonicalize))
 
 
 def _load_sequence(ground: GroundSet, path: str, rational: bool = False):
-    data = _load_json(path)
-    try:
-        if rational:
-            return RationalSequence.from_json(ground, data)
-        return Sequence.from_json(ground, data)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    parse = RationalSequence.from_json if rational else Sequence.from_json
+    return _parse_file(path, lambda data: parse(ground, data))
 
 
 def _encode(value):
@@ -231,7 +227,7 @@ def cmd_lengths(args) -> dict:
     seq = _load_sequence(ground, args.element)
     zs = factorizations(monoid, seq.mult)
     return {
-        "lengths": list(set_of_lengths(monoid, seq.mult)),
+        "lengths": sorted({z.length for z in zs}),
         "factorizations": [list(z.counts) for z in zs],
         "in_monoid": bool(zs),
     }
@@ -252,8 +248,8 @@ def cmd_catenary(args) -> dict:
     if not zs:
         raise InputError("element is not a zero-sum sequence over the ground set")
     return {
-        "catenary": catenary_element(monoid, seq.mult),
-        "lengths": list(set_of_lengths(monoid, seq.mult)),
+        "catenary": catenary_from_factorizations(zs),
+        "lengths": sorted({z.length for z in zs}),
         "factorizations": [list(z.counts) for z in zs],
     }
 
@@ -277,22 +273,27 @@ def cmd_tame(args) -> dict:
     monoid = _monoid_for(args, ground)
     if not 0 <= args.atom < monoid.atom_count:
         raise InputError(f"--atom must index the {monoid.atom_count} canonical atoms")
-    w = omega(monoid, args.atom, "minimal-cover")
-    report = {"atom": list(monoid.atoms[args.atom]), "omega": w}
-    if w == 1:
-        report.update({"tame": 0, "tau": 0, "note": "prime atom, tame degree 0"})
-    else:
-        report.update({"tau": tau(monoid, args.atom),
-                       "tame": tame_degree(monoid, args.atom)})
+    report = {"atom": list(monoid.atoms[args.atom]), **atom_invariants(monoid, args.atom)}
+    if report["omega"] == 1:
+        report["note"] = "prime atom, tame degree 0"
     return report
 
 
 # the partial-sum check behind --verify is exhaustive and grows about 20-fold
 # per rank: on one core rank 8 takes 0.16 s, rank 9 3.5 s and 290 MB
 _FIB_VERIFY_MAX_RANK = 9
+# hypercube and fib build the 2 (2^R - 1) signed vertices of rank R; time and
+# memory double per rank: on one core rank 16 takes 1.7 s and 142 MB
+_MAX_RANK = 16
+
+
+def _check_rank(rank: int) -> None:
+    if rank > _MAX_RANK:
+        raise InputError(f"--rank must be at most {_MAX_RANK}, got {rank}")
 
 
 def cmd_fib(args) -> dict:
+    _check_rank(args.rank)
     if args.verify and args.rank > _FIB_VERIFY_MAX_RANK:
         raise InputError(f"--verify checks ranks up to {_FIB_VERIFY_MAX_RANK}, got --rank "
                          f"{args.rank}; drop --verify for the unverified witness")
@@ -306,6 +307,7 @@ def cmd_fib(args) -> dict:
 
 
 def cmd_hypercube(args) -> dict:
+    _check_rank(args.rank)
     ground = hypercube_pm(args.rank) if args.signed else hypercube_plus(args.rank)
     return ground.to_json()
 
@@ -339,11 +341,7 @@ def cmd_monext(args) -> dict:
                              f"got --d {args.d}")
     if "theta" in checks and args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
-    ground = GroundSet.from_json(_load_json(args.h0), canonicalize=args.canonicalize)
-    atom_set = enumerate_atoms(ground, args.budget)
-    if not atom_set.complete:
-        raise InputError("atom enumeration hit the budget; raise --budget")
-    h0 = block_monoid(atom_set)
+    h0 = _monoid_for(args, _load_ground(args))
     model = MonextModel(h0, **d_kwargs)
     report: dict = {"h0_atoms": h0.atom_count, "d": args.d}
     if "theta" in checks:
@@ -369,18 +367,12 @@ def cmd_monext(args) -> dict:
 
 
 def cmd_acm(args) -> dict:
-    try:
-        spec = AcmSpec.from_json(_load_json(args.spec))
-    except ValueError as exc:
-        raise InputError(f"{args.spec}: {exc}") from exc
+    spec = _parse_file(args.spec, AcmSpec.from_json)
     return acm_report(spec, level_budget=args.budget or 4)
 
 
 def cmd_hnp(args) -> dict:
-    try:
-        data = TowerData.from_json(_load_json(args.towers))
-    except ValueError as exc:
-        raise InputError(f"{args.towers}: {exc}") from exc
+    data = _parse_file(args.towers, TowerData.from_json)
     return hnp_report(data, level_budget=args.budget or 4)
 
 
@@ -547,7 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monext", help="unit-pinned product checks")
     _add_common(p, *_REPORT, "seed", "canonicalize", "budget")
-    p.add_argument("--h0", required=True, help="ground set JSON for the base monoid")
+    # stored as input, so that --h0 is read like the -i ground of the other subcommands
+    p.add_argument("--h0", dest="input", metavar="H0", required=True,
+                   help="ground set JSON for the base monoid")
     p.add_argument("--d", required=True, help="group:2,2 or free:1")
     p.add_argument("--check", default="all",
                    help="comma list from theta,invariants,catenary")

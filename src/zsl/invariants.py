@@ -456,25 +456,34 @@ def is_prime(monoid: PresentedMonoid, atom_index: int) -> bool:
     return omega(monoid, atom_index, "minimal-cover") == 1
 
 
-def tau(monoid: PresentedMonoid, atom_index: int) -> int:
-    """Largest minimal factorization length of (product of a minimal cover) / atom."""
+def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
+    """omega, tau and the tame degree of an atom from one minimal-cover search.
+
+    omega is the largest size of a minimal cover; tau the largest minimal
+    factorization length of (product of a minimal cover) / atom; the tame
+    degree max(omega, tau + 1) for a non-prime atom and 0 for a prime one.
+    """
     u = monoid.atoms[atom_index]
-    best = 0
-    for z in minimal_covers(monoid, atom_index):
+    covers = minimal_covers(monoid, atom_index)
+    w = max(sum(z) for z in covers)
+    t = 0
+    for z in covers:
         quotient = tuple(x - y for x, y in zip(monoid.element(z), u))
         ml = min_length(monoid, quotient)
         if ml is None:
             raise AssertionError("cover quotient left the monoid")
-        best = max(best, ml)
-    return best
+        t = max(t, ml)
+    return {"omega": w, "tau": t, "tame": 0 if w <= 1 else max(w, t + 1)}
+
+
+def tau(monoid: PresentedMonoid, atom_index: int) -> int:
+    """Largest minimal factorization length of (product of a minimal cover) / atom."""
+    return atom_invariants(monoid, atom_index)["tau"]
 
 
 def tame_degree(monoid: PresentedMonoid, atom_index: int) -> int:
     """max(omega, tau + 1) for a non-prime atom; 0 for a prime one."""
-    w = omega(monoid, atom_index, "minimal-cover")
-    if w <= 1:
-        return 0
-    return max(w, tau(monoid, atom_index) + 1)
+    return atom_invariants(monoid, atom_index)["tame"]
 
 
 def elements_up_to(monoid: PresentedMonoid, level: int) -> set[tuple[int, ...]]:

@@ -25,16 +25,13 @@ from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
     Factorization,
     PresentedMonoid,
-    catenary_element,
+    atom_invariants,
     catenary_from_factorizations,
     elements_up_to,
     factorizations,
     free_monoid,
-    half_factorial_probe,
     omega,
     set_of_lengths,
-    tame_degree,
-    tau,
 )
 
 
@@ -266,17 +263,12 @@ def monext_invariants(model: MonextModel, u_idx: int, dval) -> dict:
     reported, along with the unbounded-omega flag of the whole monoid.
     """
     h0 = model.h0
-    w0 = omega(h0, u_idx, "minimal-cover")
+    formula = atom_invariants(h0, u_idx)
+    w0 = formula["omega"]
     prime = w0 == 1
     if model.d_is_group:
-        if model.group.is_trivial:
-            formula = {"omega": w0, "tau": tau(h0, u_idx),
-                       "tame": tame_degree(h0, u_idx)}
-        elif prime:
+        if prime and not model.group.is_trivial:
             formula = {"omega": 2, "tau": 1, "tame": 2}
-        else:
-            formula = {"omega": w0, "tau": tau(h0, u_idx),
-                       "tame": tame_degree(h0, u_idx)}
         covers = model.minimal_atom_covers(u_idx, dval, cap=formula["omega"] + 1)
         oracle_omega = max(sum(c for _, c in z) for z in covers)
         oracle_tau = 0
@@ -711,13 +703,14 @@ def acm_tame(spec: AcmSpec, oracle_budget: int | None = None) -> dict:
     factorial = len(sums) == 1 and sums[0] == 1
     per_atom = []
     for idx, atom in enumerate(atoms):
-        w = omega(monoid, idx, "minimal-cover")
+        inv = atom_invariants(monoid, idx)
+        w = inv["omega"]
         lower = sum(cs - min(atom[i] for i in t)
                     for t, cs in zip(spec.towers, sums))
         if not lower <= w <= total:
             raise AssertionError(f"omega {w} outside bracket [{lower}, {total}]")
         per_atom.append({"atom": list(atom), "omega": w, "lower": lower,
-                         "upper": total, "tame": tame_degree(monoid, idx)})
+                         "upper": total, "tame": inv["tame"]})
     extremal = [0] * spec.size
     extremal[0] = 1
     for t, cs in zip(spec.towers, sums):
@@ -760,12 +753,12 @@ def acm_report(spec: AcmSpec, level_budget: int = 4) -> dict:
         return report
     atoms = model.atoms()
     monoid = model.presented()
-    ok, witness = half_factorial_probe(monoid, level_budget)
-    if not ok:
-        raise AssertionError(f"half-factoriality failed at {witness}")
     max_c = 0
     for x in sorted(elements_up_to(monoid, level_budget)):
-        max_c = max(max_c, catenary_element(monoid, x))
+        zs = factorizations(monoid, x)
+        if len({z.length for z in zs}) > 1:
+            raise AssertionError(f"half-factoriality failed at {x}")
+        max_c = max(max_c, catenary_from_factorizations(zs))
     tame = acm_tame(spec)
     report.update({
         "atom_count": len(atoms),
@@ -877,15 +870,15 @@ def hnp_report(td: TowerData, level_budget: int = 4) -> dict:
                                       or single_unit_cycle)
     report["factorial"] = factorial
 
+    # with faithful towers this exercises the free-part realization
+    acm = acm_report(spec, level_budget)
     if faithfuls:
-        acm = acm_report(spec, level_budget)  # exercises the free-part realization
         report["tame"] = "infinite"
         report["omega"] = "infinite"
         report["half_factorial"] = acm["half_factorial"]
         report["catenary"] = acm["catenary"]
         return report
 
-    acm = acm_report(spec, level_budget)
     h0_tame = acm["tame"]
     if group.is_trivial:
         tame = h0_tame

@@ -1,8 +1,15 @@
 import json
+from collections import Counter
 
 import pytest
 
+from zsl import invariants
+from zsl.atoms import enumerate_atoms
+from zsl.certify import ACM_SPEC
 from zsl.cli import main
+from zsl.constructions import hypercube_pm
+from zsl.models import (AcmModel, FiniteAbelianGroup, MonextModel, acm_report, acm_tame,
+                        monext_invariants)
 
 
 def run(capsys, *argv):
@@ -74,6 +81,8 @@ ACM_JSON = {"omega": 5, "c": ["1", "1", "1", "3/2", "3/2"], "lambda": [[1, 2], [
     (ACM_JSON, ["acm", "--spec", "GROUND", "--budget", "-1"]),
     (None, ["atoms", "-i", "GROUND", "--budget", "0"]),
     (None, ["unions", "-i", "GROUND", "--k", "2", "--strategy", "auto"]),
+    (None, ["hypercube", "--rank", "17"]),
+    (None, ["fib", "--rank", "17"]),
 ])
 def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     path = h2 if ground is None else write(tmp_path, "g.json", ground)
@@ -227,12 +236,18 @@ def test_fib_verify_rank_cap(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verified"] is False and report["atom_length"] == 377
+    code, _, err = run(capsys, "fib", "--rank", "17")
+    assert code == 2
+    assert "at most 16" in err
 
 
 def test_hypercube_signed(capsys):
     code, out, _ = run(capsys, "hypercube", "--rank", "3", "--signed")
     assert code == 0
     assert len(json.loads(out)["elements"]) == 14
+    code, _, err = run(capsys, "hypercube", "--rank", "17", "--signed")
+    assert code == 2
+    assert "at most 16" in err
 
 
 def test_fp(capsys):
@@ -267,6 +282,13 @@ def test_monext_rejects_checks_it_would_not_run(capsys, h2, argv, named):
     code, _, err = run(capsys, "monext", "--h0", h2, *argv)
     assert code == 2
     assert named in err
+
+
+def test_monext_bad_h0_names_the_file(capsys, tmp_path):
+    path = write(tmp_path, "bad.json", {"rank": 2, "elements": 5})
+    code, _, err = run(capsys, "monext", "--h0", path, "--d", "group:2")
+    assert code == 2
+    assert err.startswith(f"error: {path}: ")
 
 
 def test_monext_all_on_free_d_runs_theta_only(capsys, h2):
@@ -335,3 +357,55 @@ def test_canonicalize_orders_elements(capsys, tmp_path):
     code, out, _ = run(capsys, "atoms", "-i", path, "--canonicalize")
     assert code == 0
     assert json.loads(out)["atoms"] == [[1, 1]]
+
+
+def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
+    """One minimal-cover search per atom question and one factorization
+    search per element, counted by (monoid, atom) and (monoid, element)."""
+    covers, factored = Counter(), Counter()
+    search_covers = invariants.minimal_covers
+    search_counts = invariants._factorization_counts
+
+    def counted_covers(monoid, atom_index):
+        covers[monoid, atom_index] += 1
+        return search_covers(monoid, atom_index)
+
+    def counted_counts(monoid, x, target=None):
+        if target is None:  # the full search of factorizations(); exists_length sets a target
+            factored[monoid, tuple(x)] += 1
+        return search_counts(monoid, x, target)
+
+    monkeypatch.setattr(invariants, "minimal_covers", counted_covers)
+    monkeypatch.setattr(invariants, "_factorization_counts", counted_counts)
+
+    monoid = AcmModel(ACM_SPEC).presented()
+    for i in range(monoid.atom_count):
+        invariants.tame_degree(monoid, i)
+    assert covers == {(monoid, i): 1 for i in range(monoid.atom_count)}
+    covers.clear()
+    acm_tame(ACM_SPEC)
+    assert covers == {(monoid, i): 1 for i in range(monoid.atom_count)}
+    covers.clear()
+
+    h0 = invariants.block_monoid(enumerate_atoms(hypercube_pm(2)))
+    model = MonextModel(h0, group=FiniteAbelianGroup.from_factors([2]))
+    for i in range(h0.atom_count):
+        for d in model.group.elements():
+            monext_invariants(model, i, d)
+            assert covers == {(h0, i): 1}
+            covers.clear()
+
+    factored.clear()
+    acm_report(ACM_SPEC)
+    elements = invariants.elements_up_to(monoid, 4)
+    assert {x for m, x in factored if m == monoid} == elements
+    assert set(factored.values()) == {1}
+
+    elem = write(tmp_path, "e.json", {"mult": [1, 1, 1, 1, 1, 1]})
+    for argv, searches in ((["tame", "-i", h2, "--atom", "0"], covers),
+                           (["lengths", "-i", h2, "--element", elem], factored),
+                           (["catenary", "-i", h2, "--element", elem], factored)):
+        covers.clear()
+        factored.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert list(searches.values()) == [1]

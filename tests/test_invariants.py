@@ -10,6 +10,7 @@ from zsl.ground import GroundSet, Sequence
 from zsl.invariants import (
     Factorization,
     PresentedMonoid,
+    atom_invariants,
     block_monoid,
     catenary_element,
     delta_set,
@@ -297,7 +298,14 @@ def small_block_monoids(draw):
 @given(small_block_monoids())
 def test_minimal_covers_match_predicate_search_on_random_monoids(monoid):
     for i in range(monoid.atom_count):
-        assert minimal_covers(monoid, i) == divides_predicate_covers(monoid, i)
+        covers = divides_predicate_covers(monoid, i)
+        assert minimal_covers(monoid, i) == covers
+        u = monoid.atoms[i]
+        w = max(sum(z) for z in covers)
+        t = max(min(set_of_lengths(monoid, [x - y for x, y in zip(monoid.element(z), u)]))
+                for z in covers)
+        assert atom_invariants(monoid, i) == {
+            "omega": w, "tau": t, "tame": 0 if w <= 1 else max(w, t + 1)}
 
 
 @settings(max_examples=200, deadline=None)
