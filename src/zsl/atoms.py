@@ -453,16 +453,18 @@ class _SupportAtomCache:
     """
 
     def __init__(self):
-        self._store: dict[tuple[GroundSet, tuple[int, ...]], tuple[Sequence, ...]] = {}
+        self._store: dict[tuple[GroundSet, tuple[int, ...], int], tuple[Sequence, ...]] = {}
 
-    def atoms_on(self, ground: GroundSet, support: tuple[int, ...]) -> tuple[Sequence, ...]:
-        key = (ground, support)
+    def atoms_on(self, ground: GroundSet, support: tuple[int, ...],
+                 budget: int | None = None) -> tuple[Sequence, ...]:
+        budget = DEFAULT_BUDGET if budget is None else budget
+        key = (ground, support, budget)
         if key not in self._store:
             sub = ground.restrict(support)
-            sub_atoms = enumerate_atoms(sub)
+            sub_atoms = enumerate_atoms(sub, budget)
             if not sub_atoms.complete:
                 raise ValueError("restricted atom enumeration truncated at the "
-                                 f"default length budget {DEFAULT_BUDGET}")
+                                 f"length budget {budget}; raise --budget")
             lifted = []
             for atom in sub_atoms.atoms:
                 mult = [0] * len(ground)
@@ -476,14 +478,15 @@ class _SupportAtomCache:
 _support_cache = _SupportAtomCache()
 
 
-def rational_elementary_decomposition(seq) -> ElementaryDecomposition:
+def rational_elementary_decomposition(seq, budget: int | None = None) -> ElementaryDecomposition:
     """Greedy peel of a rational zero-sum sequence into elementary atoms.
 
     After splitting off the balanced part, the reduced sequence always admits
     an elementary atom supported inside its support; peeling with the minimal
     multiplicity ratio empties one support coordinate per step, so the number
     of parts is bounded by half the signed support and by the kernel
-    dimension of the ground columns.
+    dimension of the ground columns.  ``budget`` caps the length of the
+    atoms enumerated on each support (default ``DEFAULT_BUDGET``).
     """
     if not seq.is_zero_sum():
         raise ValueError("decomposition needs a zero-sum sequence")
@@ -493,7 +496,7 @@ def rational_elementary_decomposition(seq) -> ElementaryDecomposition:
     parts: list[tuple[Sequence, Fraction]] = []
     while not current.is_trivial():
         support = current.support()
-        candidates = [a for a in _support_cache.atoms_on(ground, support)
+        candidates = [a for a in _support_cache.atoms_on(ground, support, budget)
                       if set(a.support()) <= set(support) and is_elementary(a)]
         if not candidates:
             raise RuntimeError("no elementary atom inside the support; "

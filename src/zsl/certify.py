@@ -224,7 +224,7 @@ def check_unit_pinned_product() -> dict:
         if not zs or max(z.length for z in zs) < 2:
             continue
         for d in group.elements():
-            out = monext_catenary(model, x, d)
+            out = monext_catenary(model, x, d, zs)
             _require(out["observed"] == out["predicted"])
             classified += 1
         if classified >= 50:

@@ -207,7 +207,7 @@ def cmd_decompose(args) -> dict:
     seq = _load_sequence(ground, args.seq, rational=True)
     if not seq.is_zero_sum():
         raise InputError(f"{args.seq}: the sequence must be zero-sum")
-    dec = rational_elementary_decomposition(seq)
+    dec = rational_elementary_decomposition(seq, args.budget)
     report = dec.to_json()
     report["parts_count"] = dec.ell
     report["reconstructs"] = dec.reassemble() == seq
@@ -360,7 +360,7 @@ def cmd_monext(args) -> dict:
             if not zs or max(z.length for z in zs) < 2:
                 continue
             for d in model.group.elements():
-                monext_catenary(model, x, d)
+                monext_catenary(model, x, d, zs)
                 classified += 1
         report["catenary_elements_checked"] = classified
     return report
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("decompose", help="rational elementary decomposition")
-    _add_common(p, "input", "output", "format", "canonicalize")
+    _add_common(p, *_GROUND)
     p.add_argument("--seq", required=True, help="sequence JSON {\"mult\": [..]}")
     p.set_defaults(handler=cmd_decompose)
 

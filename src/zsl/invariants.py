@@ -6,9 +6,12 @@ zero-sum monoids and for divisor-theory images, which are saturated in the
 ambient free monoid.
 
 A depth-first factorization search over the atoms in decreasing length order,
-with residual-feasibility pruning, carries the length invariants.  The
-minimal atom covers behind omega, tau and the tame degree are minimal
-solutions of a linear system, found by the completion search of
+with residual-feasibility pruning, carries the length invariants.  It holds
+each residual as one int of fixed-width fields with a guard bit on top of
+each field, wide enough that subtracting an atom never borrows across
+fields, so one int subtraction both removes an atom and tells whether it
+fit.  The minimal atom covers behind omega, tau and the tame degree are
+minimal solutions of a linear system, found by the completion search of
 ``atoms._minimal_solutions``.  Set-level invariants (catenary, omega, tau,
 tame degree, unions of sets of lengths) are derived from these two.
 Everything is deterministic: outputs are canonically sorted.
@@ -56,15 +59,31 @@ class PresentedMonoid:
                             raise ValueError("atoms must be pairwise incomparable")
         order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
         object.__setattr__(self, "_search_order", tuple(order))
-        masks = []
-        seen = [False] * self.ambient_dim
-        for pos in range(len(order) - 1, -1, -1):
-            for i, x in enumerate(atoms[order[pos]]):
-                if x:
-                    seen[i] = True
-            masks.append(tuple(seen))
-        masks.reverse()
-        object.__setattr__(self, "_cover_masks", tuple(masks))
+        object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
+        object.__setattr__(self, "_packings", {})
+
+    def _packed(self, width: int):
+        """The atoms in search order packed into ``width``-bit fields, with
+        their lengths, the guard bits and, per search position, the fields
+        of the coordinates that no atom from that position on touches.
+        Built on first use of a width and kept."""
+        packing = self._packings.get(width)
+        if packing is None:
+            shifts = range(0, self.ambient_dim * width, width)
+            field = (1 << (width - 1)) - 1
+            ordered = [self.atoms[i] for i in self._search_order]
+            uncovered = []
+            mask = sum(field << s for s in shifts)
+            for a in reversed(ordered):
+                mask &= ~sum(field << s for v, s in zip(a, shifts) if v)
+                uncovered.append(mask)
+            uncovered.reverse()
+            packing = (tuple(sum(v << s for v, s in zip(a, shifts) if v) for a in ordered),
+                       tuple(sum(a) for a in ordered),
+                       sum(1 << (s + width - 1) for s in shifts),
+                       tuple(uncovered))
+            self._packings[width] = packing
+        return packing
 
     @property
     def atom_count(self) -> int:
@@ -114,7 +133,8 @@ class Factorization:
 
 def _factorization_counts(monoid: PresentedMonoid, x, target: int | None = None):
     """Yield the count vectors of the factorizations of x, of exactly
-    ``target`` atoms when a target is given.
+    ``target`` atoms when a target is given.  x must be a nonnegative
+    element of the ambient dimension.
 
     Depth-first over the atoms in search order, with an explicit stack so
     that the depth is not bounded by the recursion limit.  Each atom takes
@@ -122,43 +142,71 @@ def _factorization_counts(monoid: PresentedMonoid, x, target: int | None = None)
     remaining atoms cannot cover is pruned; with a target, so is one whose
     length does not sit between k * (shortest atom) and k * (longest atom)
     for the k picks left.
+
+    A residual is one int of w-bit fields, coordinate i in bits
+    [i * w, (i + 1) * w), with w = (largest coordinate of x and of the
+    atoms).bit_length() + 1.  Every value held in a field, residual or
+    atom, is below the field's top bit, the guard bit G_i.  Setting the
+    guards and subtracting a packed atom A leaves r_i + G_i - a_i, which
+    lies in [1, 2 G_i), in every field, so no borrow crosses into the next
+    field, and G_i survives exactly when a_i <= r_i: one copy of A fits
+    when every guard survives, and clearing the guards then gives r - A.
+    Residuals only shrink from x, so no field overflows.  The residual is
+    zero exactly when the int is, the cover test is an AND with the fields
+    the remaining atoms never touch, and the residual length is carried on
+    the stack.
     """
-    atoms = monoid.atoms
     order = monoid._search_order
-    masks = monoid._cover_masks
     n = len(order)
-    if target is not None and n:
-        lengths = monoid.atom_lengths()
+    width = max(max(x, default=0), monoid._largest_coordinate).bit_length() + 1
+    atoms, lengths, guards, uncovered = monoid._packed(width)
+    bounded = target is not None
+    if bounded and n:
         lmin, lmax = min(lengths), max(lengths)
+    total = sum(x)
+    residual = sum(v << (i * width) for i, v in enumerate(x))
     path: list[int] = []  # the count chosen at each search position so far
-    stack = [(0, x, target, 0)]
+    # without a target, picks left start at sum(x): every atom has length at
+    # least 1, so that bound never binds
+    stack = [(0, residual, target if bounded else total, 0, total)]
     while stack:
-        pos, residual, left, c = stack.pop()
+        pos, residual, left, c, total = stack.pop()
         if pos:
             del path[pos - 1:]
             path.append(c)
-        if not any(residual):
-            if not left:
+        if not residual:
+            if not bounded or not left:
                 counts = [0] * n
                 for p, k in enumerate(path):
                     counts[order[p]] = k
                 yield tuple(counts)
             continue
-        if pos == n or left == 0:
+        if pos == n or not left:
             continue
-        if left is not None:
-            total = sum(residual)
-            if total < left * lmin or total > left * lmax:
-                continue
-        if any(r and not m for r, m in zip(residual, masks[pos])):
+        if bounded and (total < left * lmin or total > left * lmax):
             continue
-        atom = atoms[order[pos]]
-        cap = min(r // a for r, a in zip(residual, atom) if a)
-        if left is not None:
-            cap = min(cap, left)
-        for c in range(cap + 1):  # pushed upwards, so the largest count pops first
-            stack.append((pos + 1, tuple(r - c * a for r, a in zip(residual, atom)),
-                          None if left is None else left - c, c))
+        if residual & uncovered[pos]:
+            continue
+        atom, length = atoms[pos], lengths[pos]
+        pos += 1
+        stack.append((pos, residual, left, 0, total))
+        c = 0
+        while left:  # pushed upwards, so the largest count pops first
+            fitted = (residual | guards) - atom
+            if fitted & guards != guards:
+                break
+            residual = fitted ^ guards
+            c += 1
+            left -= 1
+            total -= length
+            stack.append((pos, residual, left, c, total))
+
+
+def _element(monoid: PresentedMonoid, x) -> tuple[int, ...]:
+    x = tuple(int(v) for v in x)
+    if len(x) != monoid.ambient_dim:
+        raise ValueError("element dimension mismatch")
+    return x
 
 
 def factorizations(monoid: PresentedMonoid, x) -> list[Factorization]:
@@ -167,9 +215,7 @@ def factorizations(monoid: PresentedMonoid, x) -> list[Factorization]:
     Empty exactly when x is not in the monoid.  Output sorted by count
     vector, so results are schedule-independent.
     """
-    x = tuple(int(v) for v in x)
-    if len(x) != monoid.ambient_dim:
-        raise ValueError("element dimension mismatch")
+    x = _element(monoid, x)
     if any(v < 0 for v in x):
         raise ValueError("element vectors must be nonnegative")
     return [Factorization(c) for c in sorted(_factorization_counts(monoid, x))]
@@ -262,8 +308,11 @@ def max_length(monoid: PresentedMonoid, x) -> int | None:
 
 
 def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
-    """Whether x factors into exactly ``target`` atoms."""
-    x = tuple(int(v) for v in x)
+    """Whether x factors into exactly ``target`` atoms (never, for an x with
+    a negative coordinate)."""
+    x = _element(monoid, x)
+    if any(v < 0 for v in x):
+        return False
     return next(_factorization_counts(monoid, x, target), None) is not None
 
 

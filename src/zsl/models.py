@@ -157,13 +157,14 @@ class MonextModel:
             return False
         return uvec != vvec or du == dv
 
-    def factorizations(self, vec, d) -> list[tuple]:
-        """All factorizations of (vec, d) as sorted ((atom, d-value), count) tuples."""
+    def factorizations(self, vec, d, base=None) -> list[tuple]:
+        """All factorizations of (vec, d) as sorted ((atom, d-value), count)
+        tuples; ``base``, when given, is factorizations(h0, vec)."""
         vec, d = tuple(vec), tuple(d)
         if not self.is_member(vec, d):
             return []
         out = []
-        for z in factorizations(self.h0, vec):
+        for z in factorizations(self.h0, vec) if base is None else base:
             positions = [i for i, c in enumerate(z.counts) for _ in range(c)]
             if not positions:
                 if d == self.d_identity():
@@ -197,8 +198,8 @@ class MonextModel:
     def lengths(self, vec, d) -> tuple[int, ...]:
         return tuple(sorted({sum(c for _, c in z) for z in self.factorizations(vec, d)}))
 
-    def catenary(self, vec, d) -> int:
-        zs = self.factorizations(vec, d)
+    def catenary(self, vec, d, base=None) -> int:
+        zs = self.factorizations(vec, d, base)
         if not zs:
             raise ValueError("element is not in the product monoid")
         keys = sorted({key for z in zs for key, _ in z})
@@ -300,16 +301,18 @@ def monext_invariants(model: MonextModel, u_idx: int, dval) -> dict:
     return report
 
 
-def monext_catenary(model: MonextModel, vec, dval) -> dict:
+def monext_catenary(model: MonextModel, vec, dval, base=None) -> dict:
     """Catenary degree of ((non-atom a), d), classified and cross-checked.
 
     The zero cases: |D| = 2 with d nontrivial and a = u^2 uniquely; D
     reduced with d = 1 and a uniquely factorable; D reduced with d an atom
     of D and a a unique atom power.  Otherwise max(2, catenary of a).
+    ``base``, when given, is factorizations(h0, vec), which a caller
+    classifying vec under several d then searches once.
     """
     h0 = model.h0
     vec, dval = tuple(vec), tuple(dval)
-    z0 = factorizations(h0, vec)
+    z0 = factorizations(h0, vec) if base is None else base
     if not z0:
         raise ValueError("base element is not in H0")
     if len(z0) == 1 and z0[0].length <= 1:
@@ -336,7 +339,7 @@ def monext_catenary(model: MonextModel, vec, dval) -> dict:
         else:
             predicted = max(2, c0)
 
-    observed = model.catenary(vec, dval)
+    observed = model.catenary(vec, dval, z0)
     if observed != predicted:
         raise AssertionError(f"catenary classification failed: "
                              f"predicted={predicted} observed={observed}")

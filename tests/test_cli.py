@@ -113,7 +113,20 @@ def test_decompose_truncated_restricted_enumeration_exits2(capsys, tmp_path):
     seq = write(tmp_path, "s.json", {"mult": [1, 21]})
     code, _, err = run(capsys, "decompose", "-i", ground, "--seq", seq)
     assert code == 2
-    assert err.startswith("error: ") and "budget 20" in err
+    assert err.startswith("error: ") and "budget 20; raise --budget" in err
+
+
+def test_decompose_budget_reaches_long_restricted_atoms(capsys, tmp_path):
+    ground = write(tmp_path, "g.json", LONG_ATOM_GROUND)
+    seq = write(tmp_path, "s.json", {"mult": [1, 21]})
+    code, out, _ = run(capsys, "decompose", "-i", ground, "--seq", seq, "--budget", "30")
+    assert code == 0
+    report = json.loads(out)
+    assert report["parts_count"] == 1 and report["reconstructs"] is True
+    assert report["parts"][0]["atom"] == [1, 21]
+    # the atom has length 22, and the restricted atoms are cached per budget
+    code, _, err = run(capsys, "decompose", "-i", ground, "--seq", seq, "--budget", "21")
+    assert code == 2 and "length budget 21; raise --budget" in err
 
 
 def test_bounds_reports_truncation_not_short_atoms(capsys, tmp_path):
@@ -157,7 +170,7 @@ def test_bounds_budget_truncates(capsys, h2):
     ["hypercube", "--rank", "2", "--seed", "1"],
     ["atoms", "-i", "H2", "--seed", "1"],
     ["fib", "--rank", "3", "--canonicalize"],
-    ["decompose", "-i", "H2", "--seq", "H2", "--budget", "3"],
+    ["decompose", "-i", "H2", "--seq", "H2", "--seed", "3"],
     ["certify", "--format", "csv"],
 ])
 def test_unread_options_are_not_registered(capsys, h2, argv):
@@ -409,3 +422,11 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
         factored.clear()
         assert run(capsys, *argv)[0] == 0
         assert list(searches.values()) == [1]
+
+    # the monext catenary check factors each base element once, for every d
+    factored.clear()
+    argv = ["monext", "--h0", h2, "--d", "group:2", "--check", "catenary"]
+    assert run(capsys, *argv)[0] == 0
+    [base] = {m for m, _ in factored}
+    assert {x for _, x in factored} == invariants.elements_up_to(base, 2)
+    assert set(factored.values()) == {1}

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zsl.atoms import enumerate_atoms
+from zsl import invariants
 from zsl.ground import GroundSet, Sequence
 from zsl.invariants import (
     Factorization,
@@ -317,6 +318,142 @@ def test_unions_match_walk_on_random_monoids(monoid, k):
     assert full.values == walk and full.exhaustive
     assert (full.rho, full.lam) == (ext.rho, ext.lam) == (max(walk), min(walk))
     assert ext.values == {ext.lam, k, ext.rho} and not ext.exhaustive
+
+
+def tuple_factorization_counts(monoid, x, target=None):
+    """The factorization search with each residual held as a tuple and
+    every node test done coordinate by coordinate: a reference for the
+    packed residuals of ``_factorization_counts``, with the same search
+    order, child order and pruning."""
+    atoms = monoid.atoms
+    order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
+    masks = []
+    seen = [False] * monoid.ambient_dim
+    for pos in range(len(order) - 1, -1, -1):
+        for i, v in enumerate(atoms[order[pos]]):
+            if v:
+                seen[i] = True
+        masks.append(tuple(seen))
+    masks.reverse()
+    n = len(order)
+    if target is not None and n:
+        lengths = monoid.atom_lengths()
+        lmin, lmax = min(lengths), max(lengths)
+    path = []
+    stack = [(0, tuple(x), target, 0)]
+    while stack:
+        pos, residual, left, c = stack.pop()
+        if pos:
+            del path[pos - 1:]
+            path.append(c)
+        if not any(residual):
+            if not left:
+                counts = [0] * n
+                for p, k in enumerate(path):
+                    counts[order[p]] = k
+                yield tuple(counts)
+            continue
+        if pos == n or left == 0:
+            continue
+        if left is not None:
+            total = sum(residual)
+            if total < left * lmin or total > left * lmax:
+                continue
+        if any(r and not m for r, m in zip(residual, masks[pos])):
+            continue
+        atom = atoms[order[pos]]
+        cap = min(r // a for r, a in zip(residual, atom) if a)
+        if left is not None:
+            cap = min(cap, left)
+        for c in range(cap + 1):
+            stack.append((pos + 1, tuple(r - c * a for r, a in zip(residual, atom)),
+                          None if left is None else left - c, c))
+
+
+def assert_packed_search_matches_reference(monoid, x):
+    """Same count vectors, in the same order, with no target and at every
+    target of the length band and one beyond each end of it."""
+    x = tuple(x)
+    searches = [None]
+    band = invariants._length_band(monoid, x)
+    lo, hi = band if band is not None else (0, 0)
+    searches += range(lo - 1, hi + 2)
+    for target in searches:
+        got = list(invariants._factorization_counts(monoid, x, target))
+        assert got == list(tuple_factorization_counts(monoid, x, target)), (x, target)
+
+
+@st.composite
+def monoid_elements(draw):
+    """A small symmetric block monoid with elements of every kind the packed
+    residual has to handle: sums of atoms, arbitrary vectors (mostly
+    non-members), the zero element, and vectors with a coordinate at a field
+    edge, 2^k - 1 or 2^k, up to above every atom coordinate."""
+    monoid = draw(small_block_monoids())
+    dim, n = monoid.ambient_dim, monoid.atom_count
+    elements = [(0,) * dim]
+    for _ in range(3):
+        counts = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=5)):
+            counts[i] += 1
+        elements.append(monoid.element(counts))
+    elements.append(tuple(draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))))
+    top = max(map(max, monoid.atoms)).bit_length() + 2
+    base = elements[draw(st.integers(0, len(elements) - 1))]
+    k = draw(st.integers(1, top))
+    edge = (1 << k) - draw(st.integers(0, 1))
+    i = draw(st.integers(0, dim - 1))
+    elements.append(base[:i] + (edge,) + base[i + 1:])
+    return monoid, elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(monoid_elements())
+def test_packed_search_matches_tuple_reference_on_random_monoids(case):
+    monoid, elements = case
+    for x in elements:
+        assert_packed_search_matches_reference(monoid, x)
+
+
+def test_packed_search_matches_tuple_reference_on_free_monoid_600():
+    f = free_monoid(600)
+    assert_packed_search_matches_reference(f, tuple(i % 3 for i in range(600)))
+
+
+def test_field_edge_coordinates_factor_exactly():
+    # a coordinate of 2^k - 1 or 2^k, above every atom coordinate, sets the
+    # field width; both sides of each power of two must factor exactly
+    m = PresentedMonoid(2, [(3, 0), (1, 1), (0, 2)])
+    for k in range(1, 9):
+        for v in ((1 << k) - 1, 1 << k):
+            x = (v, 2)
+            assert_packed_search_matches_reference(m, x)
+            want = sorted((a, b, c) for b, c in ((0, 1), (2, 0)) for a in range(v + 1)
+                          if 3 * a + b == v)
+            assert [z.counts for z in factorizations(m, x)] == want
+
+
+def test_negative_coordinates_never_reach_the_search(monkeypatch):
+    # no factorization has a negative coordinate: exists_length says so,
+    # min/max_length find no length, factorizations rejects the input
+    def unreachable(*args):
+        raise AssertionError("the search was given a negative coordinate")
+
+    monkeypatch.setattr(invariants, "_factorization_counts", unreachable)
+    x = (-1, 2, 0, 0, 1, 0)
+    for target in range(0, 4):
+        assert exists_length(B2, x, target) is False
+    assert min_length(B2, x) is None and max_length(B2, x) is None
+    with pytest.raises(ValueError, match="nonnegative"):
+        factorizations(B2, x)
+
+
+def test_element_dimension_mismatch_raises():
+    for short in ((1, 1), (0,) * 7):
+        with pytest.raises(ValueError, match="dimension"):
+            factorizations(B2, short)
+        with pytest.raises(ValueError, match="dimension"):
+            exists_length(B2, short, 1)
 
 
 def test_tau_and_tame_r2():
