@@ -408,14 +408,25 @@ def _augmented_columns(ground: GroundSet, both_signs: bool) -> list[tuple[int, .
 
 
 def _max_last_divisor(columns) -> int:
-    """Largest final elementary divisor over nonsingular square column choices."""
+    """Largest final elementary divisor over nonsingular square column choices.
+
+    Negating a column multiplies the matrix on the right by a unimodular
+    matrix, which leaves the Smith form unchanged, so each column is taken
+    once up to sign: zero columns are dropped and the rest are normalised to
+    a positive first nonzero entry and deduplicated.  A choice this skips is
+    a sign variant of a kept one, or is singular (it holds a zero column, a
+    repeated column, or c and -c) and has no nonzero last divisor.  Since
+    |det| = d_1 ... d_k with every d_i >= 1 on a nonsingular choice,
+    d_k <= |det|; a choice whose |det| does not exceed the best so far (a
+    singular one included) cannot raise it, and gets no Smith form.
+    """
     dim = len(columns[0])
+    kept = dict.fromkeys(c if lex_positive(c) else negate(c) for c in columns if any(c))
     best = 0
-    for combo in combinations(columns, dim):
+    for combo in combinations(kept, dim):
         matrix = [[combo[j][i] for j in range(dim)] for i in range(dim)]
-        diag = smith_normal_form(matrix)
-        if diag[-1]:
-            best = max(best, diag[-1])
+        if abs(det_bareiss(matrix)) > best:
+            best = max(best, smith_normal_form(matrix)[-1])
     return best
 
 

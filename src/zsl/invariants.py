@@ -241,29 +241,35 @@ def distance(z: Factorization, w: Factorization) -> int:
 
 def catenary_from_factorizations(zs) -> int:
     """Least N whose distance-at-most-N graph on the given factorizations is
-    connected: the bottleneck edge of a minimum spanning tree."""
+    connected: the largest edge of a minimum spanning tree.
+
+    The tree is grown by Prim's algorithm, so no edge list is built or
+    sorted.  Each vertex added to the tree updates the least distance from
+    every vertex outside it, with d(z, w) = max(|z|, |w|) - sum_i min(z_i, w_i)
+    summed over the support of the added z only; the lengths are computed
+    once.  Every distance is at most the largest length, which therefore
+    serves as the initial bound.
+    """
     k = len(zs)
     if k <= 1:
         return 0
-    edges = sorted((distance(zs[i], zs[j]), i, j)
-                   for i in range(k) for j in range(i + 1, k))
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    remaining = k - 1
-    for d, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            remaining -= 1
-            if not remaining:
-                return d
-    raise AssertionError("distance graph must be connected")
+    counts = [z.counts for z in zs]
+    lengths = [sum(c) for c in counts]
+    outside = list(range(1, k))
+    link = [max(lengths)] * (k - 1)
+    u, bottleneck = 0, 0
+    while outside:
+        lu = lengths[u]
+        support = [(i, c) for i, c in enumerate(counts[u]) if c]
+        for j, v in enumerate(outside):
+            cv = counts[v]
+            d = max(lu, lengths[v]) - sum(min(c, cv[i]) for i, c in support)
+            if d < link[j]:
+                link[j] = d
+        j = min(range(len(outside)), key=link.__getitem__)
+        bottleneck = max(bottleneck, link.pop(j))
+        u = outside.pop(j)
+    return bottleneck
 
 
 def catenary_element(monoid: PresentedMonoid, x) -> int:

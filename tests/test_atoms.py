@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from zsl.atoms import (
     AtomSet,
+    _augmented_columns,
+    _max_last_divisor,
     brute_force_atoms,
     circuit_length,
     davenport,
@@ -23,7 +25,8 @@ from zsl.atoms import (
     unique_elementary_atom,
 )
 from zsl.constructions import hypercube_pm
-from zsl.ground import GroundSet, Sequence
+from zsl.ground import GroundSet, Sequence, negate
+from zsl.intlinalg import smith_normal_form
 
 
 def pm_ground(r):
@@ -372,6 +375,47 @@ def test_upper_bounds_r3_hadamard_27():
     assert report["hadamard"] == 27
     for key in ("snf_G0", "snf_G1", "hadamard", "dgs", "elm_product"):
         assert report[key] >= 5
+
+
+@pytest.mark.parametrize("r, g0, g1", [(2, 6, 3), (3, 10, 5)])
+def test_upper_bounds_snf_values_on_signed_hypercube(r, g0, g1):
+    report = davenport_upper_bounds(hypercube_pm(r))
+    assert (report["snf_G0"], report["snf_G1"]) == (g0, g1)
+
+
+def all_choices_last_divisor(columns):
+    """A Smith form for every square choice of the columns, signs, zero and
+    repeated columns included: a reference for ``_max_last_divisor``."""
+    dim = len(columns[0])
+    best = 0
+    for combo in combinations(columns, dim):
+        matrix = [[combo[j][i] for j in range(dim)] for i in range(dim)]
+        diag = smith_normal_form(matrix)
+        if diag[-1]:
+            best = max(best, diag[-1])
+    return best
+
+
+@st.composite
+def divisor_grounds(draw):
+    """2 to 7 distinct vectors of [-3, 3]^r, r = 1..3, often holding the
+    zero vector or a vector together with its negative."""
+    rank = draw(st.integers(1, 3))
+    zero = (0,) * rank
+    nonzero = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    elems = draw(st.sets(nonzero, min_size=2, max_size=6 if rank == 1 else 7))
+    for v in draw(st.lists(st.sampled_from(sorted(elems)), max_size=2)):
+        elems.add(negate(v))
+    if draw(st.booleans()):
+        elems.add(zero)
+    return GroundSet.from_elements(rank, draw(st.permutations(sorted(elems)))[:7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor_grounds(), st.booleans())
+def test_max_last_divisor_matches_all_choices(ground, both_signs):
+    columns = _augmented_columns(ground, both_signs)
+    assert _max_last_divisor(columns) == all_choices_last_divisor(columns)
 
 
 def test_upper_bounds_skip_without_long_atom():

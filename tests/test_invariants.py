@@ -14,6 +14,7 @@ from zsl.invariants import (
     atom_invariants,
     block_monoid,
     catenary_element,
+    catenary_from_factorizations,
     delta_set,
     distance,
     exists_length,
@@ -128,6 +129,18 @@ def test_catenary_pair_product():
 def test_catenary_outside_monoid_raises():
     with pytest.raises(ValueError):
         catenary_element(B2, vec([((1, 1), 1)]))
+
+
+def test_catenary_from_zero_one_and_two_factorizations():
+    assert catenary_from_factorizations([]) == 0
+    assert catenary_from_factorizations([Factorization((2, 1))]) == 0
+    a = Factorization((2, 0, 0))
+    b = Factorization((0, 1, 4))
+    assert catenary_from_factorizations([a, b]) == 5
+    assert catenary_from_factorizations([b, a]) == 5
+    c = Factorization((1, 1, 0))
+    d = Factorization((1, 0, 1))
+    assert catenary_from_factorizations([c, d]) == 1
 
 
 def test_union_k1_trivial():
@@ -418,6 +431,63 @@ def test_packed_search_matches_tuple_reference_on_random_monoids(case):
 def test_packed_search_matches_tuple_reference_on_free_monoid_600():
     f = free_monoid(600)
     assert_packed_search_matches_reference(f, tuple(i % 3 for i in range(600)))
+
+
+def kruskal_catenary(zs):
+    """Every pairwise ``distance`` sorted, then joined by union-find until
+    the graph is connected: a reference for the Prim tree of
+    ``catenary_from_factorizations``."""
+    k = len(zs)
+    if k <= 1:
+        return 0
+    edges = sorted((distance(zs[i], zs[j]), i, j)
+                   for i in range(k) for j in range(i + 1, k))
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    remaining = k - 1
+    for d, i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            remaining -= 1
+            if not remaining:
+                return d
+    raise AssertionError("distance graph must be connected")
+
+
+@st.composite
+def factorization_lists(draw):
+    """The factorizations of an element S or S(-S) of a small symmetric block
+    monoid, in search order and shuffled.  S is a sum of atoms, of length
+    at least 3 where there are any, so that S(-S) has several
+    factorizations.  The ground is sorted and closed under negation, so -S
+    is S reversed."""
+    monoid = draw(small_block_monoids())
+    long = [i for i, a in enumerate(monoid.atoms) if sum(a) >= 3]
+    counts = [0] * monoid.atom_count
+    for i in draw(st.lists(st.sampled_from(long or range(monoid.atom_count)),
+                           min_size=1, max_size=4)):
+        counts[i] += 1
+    x = monoid.element(counts)
+    if draw(st.booleans()):
+        x = tuple(a + b for a, b in zip(x, reversed(x)))
+    zs = factorizations(monoid, x)
+    return zs, draw(st.permutations(zs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factorization_lists())
+def test_catenary_matches_kruskal_reference_on_random_monoids(case):
+    zs, shuffled = case
+    c = kruskal_catenary(zs)
+    assert catenary_from_factorizations(zs) == c
+    assert catenary_from_factorizations(shuffled) == c
 
 
 def test_field_edge_coordinates_factor_exactly():
