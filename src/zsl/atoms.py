@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
 
-from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, lex_positive, negate
+from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, negate, up_to_sign
 from .intlinalg import (
     det_bareiss,
     primitive_kernel_vector,
@@ -159,29 +160,18 @@ def davenport(source, budget: int | None = None) -> DavenportResult:
     return DavenportResult(best, atom_set.complete, witnesses)
 
 
-def _signed_support_representatives(seq) -> list:
-    """One vector per {g, -g} pair of the signed support, chosen canonically."""
-    reps = {}
-    for v in seq.signed_support():
-        key = v if lex_positive(v) else negate(v)
-        reps[key] = key
-    return sorted(reps)
-
-
 def _is_circuit(vectors) -> bool:
-    """Dependent over Q, with every proper subset independent."""
-    k = len(vectors)
-    if k == 0:
-        return False
-    cols = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
-    if rank_over_q(cols) != k - 1:
-        return False
-    for drop in range(k):
-        sub = [v for i, v in enumerate(vectors) if i != drop]
-        subcols = [[v[i] for v in sub] for i in range(len(vectors[0]))]
-        if rank_over_q(subcols) != k - 1:
-            return False
-    return True
+    """Dependent over Q, with every proper subset independent (never for no
+    vectors).
+
+    That holds exactly when the relations among the vectors form a lattice
+    of rank one whose generator has full support.  A circuit has rank k - 1,
+    and a relation that misses vector i would make the others dependent.
+    Conversely, a dependent proper subset would give a relation with a zero
+    coordinate, which is no nonzero multiple of a full-support generator.
+    """
+    z = primitive_kernel_vector(vectors)
+    return z is not None and all(z)
 
 
 def is_elementary(seq) -> bool:
@@ -194,10 +184,7 @@ def is_elementary(seq) -> bool:
     """
     if not seq.is_zero_sum():
         raise ValueError("is_elementary needs a zero-sum sequence")
-    reps = _signed_support_representatives(seq)
-    if not reps:
-        return False
-    return _is_circuit(reps)
+    return _is_circuit(sorted(set(map(up_to_sign, seq.signed_support()))))
 
 
 def is_elementary_by_search(seq, atom_set: AtomSet | None = None) -> bool:
@@ -240,14 +227,9 @@ def circuit_length(vectors) -> int:
     for v in vecs:
         if len(v) != r:
             raise ValueError("vector dimension mismatch")
-    dets = []
-    for drop in range(r + 1):
-        cols = [v for i, v in enumerate(vecs) if i != drop]
-        matrix = [[cols[j][i] for j in range(r)] for i in range(r)]
-        dets.append(abs(det_bareiss(matrix)))
-    g = 0
-    for d in dets:
-        g = gcd(g, d)
+    dets = [abs(det_bareiss([v for i, v in enumerate(vecs) if i != drop]))
+            for drop in range(r + 1)]
+    g = gcd(*dets)
     if g == 0:
         return 0
     return sum(dets) // g
@@ -288,40 +270,34 @@ def elementary_davenport(ground: GroundSet, method: str = "enumerate",
         raise ValueError(f"unknown method {method!r}")
 
     r = ground.rank
-    cols = [[v[i] for v in ground.elements] for i in range(r)]
-    actual_rank = rank_over_q(cols)
+    actual_rank = rank_over_q(ground.elements)
     if actual_rank < r:
         raise ValueError(
             f"ground set spans rank {actual_rank} < {r}; re-embed it into "
             f"Z^{actual_rank} before using the determinant formula")
-    symmetric = ground.is_symmetric()
-    if symmetric:
-        pool = sorted({v if lex_positive(v) else negate(v)
-                       for v in ground.elements if any(v)})
-    else:
-        pool = [v for v in ground.elements if any(v)]
-    candidates = []
-    for combo in combinations(pool, r + 1):
-        d = circuit_length(combo)
-        if d >= 3:
-            candidates.append((d, combo))
-    candidates.sort(key=lambda t: -t[0])
+    pool = [v for v in ground.elements if any(v)]
+    if ground.is_symmetric():
+        return longest_circuit(r, sorted(set(map(up_to_sign, pool))))[0]
+    return longest_circuit(r, pool, side_condition=True)[0]
+
+
+def longest_circuit(rank: int, pool, side_condition: bool = False) -> tuple[int, tuple]:
+    """Largest ``circuit_length`` >= 3 over the (rank+1)-tuples of ``pool``,
+    with the first tuple in ``combinations`` order that attains it; (0, ())
+    when there is none.
+
+    The tuples are tried longest first, ties in ``combinations`` order.  With
+    ``side_condition`` a tuple counts only when it carries an atom of length
+    >= 3 on its own, which ``has_elementary_atom`` decides on the tuple as a
+    ground set within a length budget one above the tuple's circuit length.
+    """
+    candidates = sorted(((d, combo) for combo in combinations(pool, rank + 1)
+                         if (d := circuit_length(combo)) >= 3), key=lambda t: -t[0])
     for d, combo in candidates:
-        if symmetric or _tuple_supports_long_atom(ground.rank, combo, d):
-            return d
-    return 0
-
-
-def _tuple_supports_long_atom(rank: int, combo, delta: int) -> bool:
-    """Side condition of the determinant formula: the tuple carries an atom of
-    length >= 3 on its own."""
-    sub = GroundSet.from_elements(rank, sorted(set(combo)))
-    atom_set = enumerate_atoms(sub, budget=max(delta, 2) + 1)
-    if any(a.length >= 3 for a in atom_set.atoms):
-        return True
-    if not atom_set.complete:
-        raise ValueError("sub-enumeration truncated while checking a tuple")
-    return False
+        if not side_condition or has_elementary_atom(
+                GroundSet.from_elements(rank, combo), budget=d + 1):
+            return d, combo
+    return 0, ()
 
 
 def _is_hypercube_subset(ground: GroundSet) -> bool:
@@ -360,8 +336,7 @@ def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet | None = None) -
     elementary-Davenport bound for the Davenport constant itself).
     """
     r = ground.rank
-    cols = [[v[i] for v in ground.elements] for i in range(r)]
-    if rank_over_q(cols) != r:
+    if rank_over_q(ground.elements) != r:
         raise ValueError("upper bounds need a ground set of full rank; re-embed first")
     report: dict = {"rank": r, "certifies": "davenport-upper-bounds"}
 
@@ -387,8 +362,7 @@ def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet | None = None) -
     plus_cols = [ground.elements[i] for i in ground.plus_indices]
     best = 0
     for combo in combinations(plus_cols, r):
-        matrix = [[combo[j][i] for j in range(r)] for i in range(r)]
-        best = max(best, abs(det_bareiss(matrix)))
+        best = max(best, abs(det_bareiss(combo)))
     report["dgs"] = (2 * r) ** r * (r + 1) ** (r + 1) * best
 
     delm = max((a.length for a in atom_set.atoms if is_elementary(a)), default=0)
@@ -421,12 +395,11 @@ def _max_last_divisor(columns) -> int:
     singular one included) cannot raise it, and gets no Smith form.
     """
     dim = len(columns[0])
-    kept = dict.fromkeys(c if lex_positive(c) else negate(c) for c in columns if any(c))
+    kept = dict.fromkeys(up_to_sign(c) for c in columns if any(c))
     best = 0
     for combo in combinations(kept, dim):
-        matrix = [[combo[j][i] for j in range(dim)] for i in range(dim)]
-        if abs(det_bareiss(matrix)) > best:
-            best = max(best, smith_normal_form(matrix)[-1])
+        if abs(det_bareiss(combo)) > best:
+            best = max(best, smith_normal_form(combo)[-1])
     return best
 
 
@@ -456,37 +429,26 @@ class ElementaryDecomposition:
         }
 
 
-class _SupportAtomCache:
-    """Atoms of the zero-sum monoid restricted to a support, memoized.
+@cache
+def _elementary_atoms_on(ground: GroundSet, support: tuple[int, ...],
+                         budget: int) -> tuple[Sequence, ...]:
+    """The elementary atoms of the zero-sum monoid restricted to the sorted
+    positions ``support``, lifted back to ``ground``.
 
-    Decomposing many sequences over the same ground set re-enumerates the
-    same restricted Hilbert bases; keying by support keeps that linear.
+    Memoized: decomposing many sequences over one ground set meets the same
+    supports again and again.
     """
-
-    def __init__(self):
-        self._store: dict[tuple[GroundSet, tuple[int, ...], int], tuple[Sequence, ...]] = {}
-
-    def atoms_on(self, ground: GroundSet, support: tuple[int, ...],
-                 budget: int | None = None) -> tuple[Sequence, ...]:
-        budget = DEFAULT_BUDGET if budget is None else budget
-        key = (ground, support, budget)
-        if key not in self._store:
-            sub = ground.restrict(support)
-            sub_atoms = enumerate_atoms(sub, budget)
-            if not sub_atoms.complete:
-                raise ValueError("restricted atom enumeration truncated at the "
-                                 f"length budget {budget}; raise --budget")
-            lifted = []
-            for atom in sub_atoms.atoms:
-                mult = [0] * len(ground)
-                for i, m in zip(sorted(support), atom.mult):
-                    mult[i] = m
-                lifted.append(Sequence(ground, tuple(mult)))
-            self._store[key] = tuple(lifted)
-        return self._store[key]
-
-
-_support_cache = _SupportAtomCache()
+    sub_atoms = enumerate_atoms(ground.restrict(support), budget)
+    if not sub_atoms.complete:
+        raise ValueError("restricted atom enumeration truncated at the "
+                         f"length budget {budget}; raise --budget")
+    lifted = []
+    for atom in sub_atoms.atoms:
+        mult = [0] * len(ground)
+        for i, m in zip(support, atom.mult):
+            mult[i] = m
+        lifted.append(Sequence(ground, tuple(mult)))
+    return tuple(a for a in lifted if is_elementary(a))
 
 
 def rational_elementary_decomposition(seq, budget: int | None = None) -> ElementaryDecomposition:
@@ -505,10 +467,10 @@ def rational_elementary_decomposition(seq, budget: int | None = None) -> Element
     balanced, current = s.split_balanced()
     ground = s.ground
     parts: list[tuple[Sequence, Fraction]] = []
+    if budget is None:
+        budget = DEFAULT_BUDGET
     while not current.is_trivial():
-        support = current.support()
-        candidates = [a for a in _support_cache.atoms_on(ground, support, budget)
-                      if set(a.support()) <= set(support) and is_elementary(a)]
+        candidates = _elementary_atoms_on(ground, current.support(), budget)
         if not candidates:
             raise RuntimeError("no elementary atom inside the support; "
                                "the input was not a zero-sum sequence over its ground set")
@@ -524,8 +486,7 @@ def rational_elementary_decomposition(seq, budget: int | None = None) -> Element
 def ell_bound(seq) -> int:
     """Cap on the number of parts in an elementary decomposition of seq."""
     ground = seq.ground
-    r_cols = [[v[i] for v in ground.elements] for i in range(ground.rank)]
-    kernel_dim = len(ground.plus_indices) - rank_over_q(r_cols)
+    kernel_dim = len(ground.plus_indices) - rank_over_q(ground.elements)
     return min(len(seq.signed_support()) // 2, kernel_dim)
 
 
@@ -547,11 +508,9 @@ def unique_elementary_atom(ground: GroundSet, signed_set):
             raise ValueError("signed supports never contain the zero vector")
     if not x:
         return None
-    reps = sorted({v if lex_positive(v) else negate(v) for v in x})
-    if not _is_circuit(reps):
-        return None
-    kernel = primitive_kernel_vector([list(v) for v in reps])
-    if kernel is None:
+    reps = sorted(set(map(up_to_sign, x)))
+    kernel = primitive_kernel_vector(reps)
+    if kernel is None or not all(kernel):
         return None
 
     def realize(coeffs):

@@ -13,14 +13,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 from .atoms import (
     davenport,
     davenport_upper_bounds,
-    circuit_length,
     elementary_davenport,
     enumerate_atoms,
+    longest_circuit,
     rational_elementary_decomposition,
 )
 from .certify import run_suite
@@ -408,14 +407,7 @@ def cmd_probe_r4(args) -> dict:
     Davenport constant exactly; whether the full Davenport constant exceeds
     it stays open and is not claimed either way.
     """
-    plus = hypercube_plus(4)
-    best = 0
-    witness = None
-    for combo in combinations(plus.elements, 5):
-        d = circuit_length(combo)
-        if d > best:
-            best = d
-            witness = combo
+    best, witness = longest_circuit(4, hypercube_plus(4).elements)
     fib_lb = fibonacci(6)
     budget = args.budget or 4
     partial = enumerate_atoms(hypercube_pm(4), budget=budget)

@@ -32,6 +32,11 @@ def negate(v: Vector) -> Vector:
     return tuple(-x for x in v)
 
 
+def up_to_sign(v: Vector) -> Vector:
+    """The lexicographically positive member of {v, -v} (v itself when zero)."""
+    return v if lex_positive(v) else negate(v)
+
+
 def _int_coord(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"coordinates must be integers, got {x!r}")
@@ -350,15 +355,11 @@ class RationalSequence(_SequenceOps):
     def __post_init__(self):
         if len(self.mult) != len(self.ground):
             raise ValueError("multiplicity vector length does not match ground set")
-        object.__setattr__(self, "mult",
-                           tuple(Fraction(m) for m in self.mult))
+        object.__setattr__(self, "mult", tuple(
+            m if isinstance(m, Fraction) else Fraction(m) for m in self.mult))
         for m in self.mult:
-            if m < 0:
+            if m.numerator < 0:
                 raise ValueError("rational sequence multiplicities must be >= 0")
-
-    @staticmethod
-    def empty(ground: GroundSet) -> "RationalSequence":
-        return RationalSequence(ground, (Fraction(0),) * len(ground))
 
     @staticmethod
     def from_json(ground: GroundSet, data: dict) -> "RationalSequence":
@@ -370,14 +371,6 @@ class RationalSequence(_SequenceOps):
         if alpha < 0:
             raise ValueError("scaling factor must be >= 0")
         return RationalSequence(self.ground, tuple(alpha * m for m in self.mult))
-
-    def is_integral(self) -> bool:
-        return all(m.denominator == 1 for m in self.mult)
-
-    def integral(self) -> Sequence:
-        if not self.is_integral():
-            raise ValueError("sequence has fractional multiplicities")
-        return Sequence(self.ground, tuple(int(m) for m in self.mult))
 
 
 def is_subsequence(t, s) -> bool:

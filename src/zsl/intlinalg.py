@@ -1,16 +1,20 @@
-"""Exact integer linear algebra: determinants, rank, Smith normal form.
+"""Exact integer linear algebra: determinants, rank, Smith normal form,
+lattice quotients and primitive kernel relations.
 
 Everything here works on plain nested lists/tuples of Python ints, so all
 arithmetic is arbitrary precision and no floating point ever enters.  The
-routines are deliberately dense-and-small: matrices in this package have at
-most a few dozen rows/columns.
+eliminations are fraction-free: integer row operations, with each row
+divided by its content where entries could grow, so no ``Fraction`` is
+formed either.  Rank, |det| and the Smith form do not change under
+transposition, so callers pass their vectors as rows.  The routines are
+deliberately dense-and-small: matrices in this package have at most a few
+dozen rows/columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntMatrix = list[list[int]]
 
@@ -58,6 +62,15 @@ def det_bareiss(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _eliminate(row, pivot, col: int) -> list[int]:
+    """row * pivot[col] - row[col] * pivot, which is 0 at ``col``, divided by
+    the content of its entries."""
+    f = row[col]
+    out = [x * pivot[col] - f * y for x, y in zip(row, pivot)]
+    content = gcd(*out)
+    return [x // content for x in out] if content > 1 else out
+
+
 def rank_over_q(m) -> int:
     """Rank of the matrix over the rationals, computed fraction-free.
 
@@ -72,17 +85,9 @@ def rank_over_q(m) -> int:
         if pivot_row is None:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][col]
         for i in range(rank + 1, rows):
-            if a[i][col] == 0:
-                continue
-            f = a[i][col]
-            a[i] = [x * pivot - f * y for x, y in zip(a[i], a[rank])]
-            content = 0
-            for x in a[i]:
-                content = gcd(content, x)
-            if content > 1:
-                a[i] = [x // content for x in a[i]]
+            if a[i][col]:
+                a[i] = _eliminate(a[i], a[rank], col)
         rank += 1
         if rank == rows:
             break
@@ -191,45 +196,47 @@ def lattice_quotient(gens, ambient_dim: int | None = None) -> QuotientStructure:
     return QuotientStructure(factors, ambient_dim - len(nonzero))
 
 
-def primitive_kernel_vector(columns) -> list[int] | None:
-    """Primitive integer kernel vector of the matrix with the given columns.
+def primitive_kernel_vector(vectors) -> list[int] | None:
+    """Primitive integer relation z with sum_j z_j * vectors[j] = 0.
 
-    Returns None unless the kernel has dimension exactly one.  The result has
-    coprime entries; its overall sign is not normalized.
+    Returns None unless the relations form a lattice of rank exactly one;
+    otherwise z is the generator of that lattice whose free coordinate (the
+    one column without a pivot) is positive.
+
+    Integer Gauss-Jordan on the matrix with the vectors as columns, each
+    row divided by its content after every step, leaves pivot row i with
+    p_i at its pivot column, c_i at the free column f and 0 elsewhere, so
+    a relation satisfies p_i * z_pivot(i) + c_i * z_f = 0 for every i.
+    Taking z_f = L = lcm(|p_i|) makes every z_pivot(i) = -c_i * L / p_i an
+    integer; dividing by the content of z leaves the primitive relation
+    with z_f > 0.
     """
-    if not columns:
+    if not vectors:
         return None
-    r = len(columns[0])
-    k = len(columns)
-    a = [[Fraction(columns[j][i]) for j in range(k)] for i in range(r)]
+    k = len(vectors)
+    rows = len(vectors[0])
+    a = [[v[i] for v in vectors] for i in range(rows)]
     pivots: list[int] = []
-    row = 0
+    free = None
     for col in range(k):
-        pr = next((i for i in range(row, r) if a[i][col]), None)
-        if pr is None:
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, rows) if a[i][col]), None)
+        if pivot_row is None:
+            if free is not None:
+                return None
+            free = col
             continue
-        a[row], a[pr] = a[pr], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for i in range(r):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        for i in range(rows):
+            if i != rank and a[i][col]:
+                a[i] = _eliminate(a[i], a[rank], col)
         pivots.append(col)
-        row += 1
-    free = [j for j in range(k) if j not in pivots]
-    if len(free) != 1:
+    if free is None:
         return None
-    f = free[0]
-    sol = [Fraction(0)] * k
-    sol[f] = Fraction(1)
+    scale = lcm(*(a[i][col] for i, col in enumerate(pivots)))
+    z = [0] * k
+    z[free] = scale
     for i, col in enumerate(pivots):
-        sol[col] = -a[i][f]
-    denom = 1
-    for x in sol:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in sol]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    return [x // content for x in ints]
+        z[col] = -a[i][free] * scale // a[i][col]
+    content = gcd(*z)
+    return [x // content for x in z]

@@ -348,8 +348,7 @@ def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
     branch stops as soon as its remaining picks at the current length can no
     longer reach min_total.
     """
-    idx = sorted(range(monoid.atom_count), key=lambda i: -sum(monoid.atoms[i]))
-    atoms = [monoid.atoms[i] for i in idx]
+    atoms = [monoid.atoms[i] for i in monoid._search_order]
     lens = [sum(a) for a in atoms]
     seen: set[tuple[int, ...]] = set()
     stack = [(0, k, 0, (0,) * monoid.ambient_dim)]

@@ -679,7 +679,7 @@ def acm_class_group(spec: AcmSpec) -> dict:
         basis[t[0] - 1] = 1
         images.append({"image": list(phi_star(basis)), "prime_divisors": len(t)})
     image_vectors = [im["image"] for im in images]
-    if rank_over_q([list(v) for v in zip(*image_vectors)]) != n - 1:
+    if rank_over_q(image_vectors) != n - 1:
         raise AssertionError("prime-divisor classes do not span full rank")
     report["group"] = f"Z^{n - 1}"
     report["classes_with_prime_divisors"] = images

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from zsl.atoms import (
     AtomSet,
     _augmented_columns,
+    _is_circuit,
     _max_last_divisor,
     brute_force_atoms,
     circuit_length,
@@ -21,12 +23,13 @@ from zsl.atoms import (
     hypercube_davenport_ceiling,
     is_elementary,
     is_elementary_by_search,
+    longest_circuit,
     rational_elementary_decomposition,
     unique_elementary_atom,
 )
 from zsl.constructions import hypercube_pm
 from zsl.ground import GroundSet, Sequence, negate
-from zsl.intlinalg import smith_normal_form
+from zsl.intlinalg import primitive_kernel_vector, rank_over_q, smith_normal_form
 
 
 def pm_ground(r):
@@ -315,8 +318,6 @@ def test_formula_agrees_on_random_symmetric_sets():
         elems = sorted(half | {tuple(-x for x in v) for v in half})
         g = GroundSet.from_elements(r, elems)
         cols = [[v[i] for v in elems] for i in range(r)]
-        from zsl.intlinalg import rank_over_q
-
         if rank_over_q(cols) < r:
             continue
         assert elementary_davenport(g, "enumerate") == elementary_davenport(g, "formula")
@@ -345,8 +346,6 @@ def test_hypercube_ceiling_values():
 def test_circuit_length_equals_kernel_vector_one_norm():
     # for r+1 vectors of full rank the determinant-sum index is the 1-norm of
     # the primitive kernel relation; two independent code paths must agree
-    from zsl.intlinalg import primitive_kernel_vector, rank_over_q
-
     rng = random.Random(4242)
     checked = 0
     while checked < 60:
@@ -360,6 +359,93 @@ def test_circuit_length_equals_kernel_vector_one_norm():
         assert kernel is not None
         assert circuit_length(vecs) == sum(abs(c) for c in kernel)
         checked += 1
+
+
+def fraction_kernel_vector(vectors):
+    """Reference relation kernel: Gauss-Jordan over the rationals, pivots
+    scaled to 1, the free coordinate set to 1 and the denominators cleared."""
+    if not vectors:
+        return None
+    r, k = len(vectors[0]), len(vectors)
+    a = [[Fraction(vectors[j][i]) for j in range(k)] for i in range(r)]
+    pivots = []
+    for col in range(k):
+        row = len(pivots)
+        pivot_row = next((i for i in range(row, r) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[row], a[pivot_row] = a[pivot_row], a[row]
+        a[row] = [x / a[row][col] for x in a[row]]
+        for i in range(r):
+            if i != row and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+    free = [j for j in range(k) if j not in pivots]
+    if len(free) != 1:
+        return None
+    sol = [Fraction(0)] * k
+    sol[free[0]] = Fraction(1)
+    for i, col in enumerate(pivots):
+        sol[col] = -a[i][free[0]]
+    denom = 1
+    for x in sol:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in sol]
+    content = 0
+    for x in ints:
+        content = gcd(content, x)
+    return [x // content for x in ints]
+
+
+def rank_circuit(vectors):
+    """Reference circuit test: rank k - 1, also after dropping any one vector."""
+    k = len(vectors)
+    if k == 0 or rank_over_q(vectors) != k - 1:
+        return False
+    return all(rank_over_q([v for i, v in enumerate(vectors) if i != drop]) == k - 1
+               for drop in range(k))
+
+
+@st.composite
+def vector_lists(draw):
+    """1-6 vectors of rank 1-4 with entries in [-3, 3], among them negations
+    and repeats of earlier vectors and zero vectors."""
+    r = draw(st.integers(1, 4))
+    vecs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "negated", "repeated", "zero")))
+        if kind == "zero":
+            vecs.append((0,) * r)
+        elif kind == "fresh" or not vecs:
+            vecs.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))))
+        else:
+            v = draw(st.sampled_from(vecs))
+            vecs.append(negate(v) if kind == "negated" else v)
+    return vecs
+
+
+@settings(max_examples=500, deadline=None)
+@given(vector_lists())
+def test_primitive_kernel_vector_matches_rational_reference(vecs):
+    assert primitive_kernel_vector(vecs) == fraction_kernel_vector(vecs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(vector_lists())
+def test_is_circuit_matches_rank_reference(vecs):
+    assert _is_circuit(vecs) == rank_circuit(vecs)
+
+
+def test_formula_passes_over_a_longest_tuple_without_an_atom():
+    # (3), (5) has the largest circuit length, 8, but no zero-sum of its own;
+    # (5), (-1) carries the atom 5 (-1)^5 of length 6
+    pool = [(3,), (5,), (-1,)]
+    assert longest_circuit(1, pool) == (8, ((3,), (5,)))
+    assert longest_circuit(1, pool, side_condition=True) == (6, ((5,), (-1,)))
+    g = GroundSet.from_elements(1, pool)
+    assert not g.is_symmetric()
+    assert elementary_davenport(g, "both") == 6
 
 
 def test_upper_bounds_r2():
@@ -496,6 +582,14 @@ def test_unique_elementary_atom_recovers_triple():
 
 def test_unique_elementary_atom_rejects_independent_set():
     assert unique_elementary_atom(PM2, {(1, 0), (-1, 0), (0, 1), (0, -1)}) is None
+
+
+def test_unique_elementary_atom_rejects_dependent_proper_subset():
+    # the relation (1, 0)^2 (-2, 0) misses (0, 1): a kernel of dimension one
+    # without full support, so no circuit
+    g = GroundSet.from_elements(2, [(1, 0), (-2, 0), (0, 1), (0, -1)])
+    x = {(1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1)}
+    assert unique_elementary_atom(g, x) is None
 
 
 def test_unique_elementary_atom_asymmetric_input_rejected():

@@ -97,6 +97,18 @@ def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     assert "Traceback" not in err
 
 
+def test_probe_r4_report(capsys):
+    code, out, _ = run(capsys, "probe-r4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["elementary_davenport"] == 9
+    # the first longest 5-tuple of positive vertices in combinations order
+    assert report["elementary_witness_support"] == [
+        [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0]]
+    assert report["davenport_lower_bound"] == 9
+    assert report["davenport_exact"] is None
+
+
 def test_budget_below_one_names_the_flag(capsys, h2):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "atoms", "-i", h2, "--budget", "0")
