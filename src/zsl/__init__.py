@@ -7,7 +7,7 @@ constants with certified bounds, evaluates sets-of-lengths invariants
 and models three abstract monoid constructions with closed-form arithmetic.
 """
 
-from .ground import GroundSet, RationalSequence, Sequence, is_subsequence
+from .ground import GroundSet, RationalSequence, Sequence
 from .atoms import (
     AtomSet,
     DavenportResult,
@@ -20,7 +20,6 @@ from .atoms import (
     enumerate_atoms,
     is_elementary,
     rational_elementary_decomposition,
-    unique_elementary_atom,
 )
 from .invariants import (
     Factorization,
@@ -29,11 +28,9 @@ from .invariants import (
     atom_invariants,
     block_monoid,
     catenary_element,
-    delta_set,
     distance,
     factorizations,
     free_monoid,
-    half_factorial_probe,
     omega,
     set_of_lengths,
     tame_degree,
@@ -62,8 +59,6 @@ from .models import (
     monext_catenary,
     monext_invariants,
     monext_theta_check,
-    torsion_single_atom,
-    weighted_axes_atom,
 )
 
 __version__ = "0.1.0"

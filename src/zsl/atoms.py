@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
 
-from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, negate, up_to_sign
+from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, up_to_sign
 from .intlinalg import (
     det_bareiss,
     primitive_kernel_vector,
@@ -326,7 +326,7 @@ def hypercube_davenport_ceiling(r: int) -> int:
     return isqrt(b * b * (r + 2)) >> r
 
 
-def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet | None = None) -> dict:
+def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet) -> dict:
     """Certified upper bounds for the (elementary) Davenport constant.
 
     Returns a report with keys ``snf_G0``, ``snf_G1`` (largest elementary
@@ -334,14 +334,13 @@ def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet | None = None) -
     Davenport constant), ``hadamard`` (hypercube ground sets only), ``dgs``
     (the lattice-geometry bound), and ``elm_product`` (elementary-count times
     elementary-Davenport bound for the Davenport constant itself).
+    ``atom_set`` is the atom enumeration of ``ground``, complete or not.
     """
     r = ground.rank
     if rank_over_q(ground.elements) != r:
         raise ValueError("upper bounds need a ground set of full rank; re-embed first")
     report: dict = {"rank": r, "certifies": "davenport-upper-bounds"}
 
-    if atom_set is None:
-        atom_set = enumerate_atoms(ground)
     dav = davenport(atom_set)
     report["davenport"] = dav.value if dav.exact else None
 
@@ -488,52 +487,6 @@ def ell_bound(seq) -> int:
     ground = seq.ground
     kernel_dim = len(ground.plus_indices) - rank_over_q(ground.elements)
     return min(len(seq.signed_support()) // 2, kernel_dim)
-
-
-def unique_elementary_atom(ground: GroundSet, signed_set):
-    """The atom (unique up to sign) carried by a candidate signed support.
-
-    ``signed_set`` must be symmetric and contained in G0 union -G0.  Returns
-    None when the set is not the signed support of any elementary zero-sum
-    sequence over the ground set.  The sign is normalized so the first
-    positive-part element of the set gets positive net multiplicity.
-    """
-    x = {tuple(c for c in v) for v in signed_set}
-    if {negate(v) for v in x} != x:
-        raise ValueError("signed support candidates must be symmetric")
-    for v in x:
-        if not (ground.contains(v) or ground.contains(negate(v))):
-            raise ValueError(f"{v} is outside the ground set and its negation")
-        if not any(v):
-            raise ValueError("signed supports never contain the zero vector")
-    if not x:
-        return None
-    reps = sorted(set(map(up_to_sign, x)))
-    kernel = primitive_kernel_vector(reps)
-    if kernel is None or not all(kernel):
-        return None
-
-    def realize(coeffs):
-        mult = [0] * len(ground)
-        for v, c in zip(reps, coeffs):
-            if c > 0:
-                if not ground.contains(v):
-                    return None
-                mult[ground.position(v)] += c
-            elif c < 0:
-                if not ground.contains(negate(v)):
-                    return None
-                mult[ground.position(negate(v))] += -c
-        return Sequence(ground, tuple(mult))
-
-    options = [s for s in (realize(kernel), realize([-c for c in kernel])) if s]
-    if not options:
-        return None
-    anchor = next(i for i, v in enumerate(ground.elements)
-                  if ground.plus[i] and (v in x))
-    preferred = [s for s in options
-                 if s.net_multiplicities()[ground.plus_indices.index(anchor)] > 0]
-    return (preferred or options)[0]
 
 
 def brute_force_atoms(ground: GroundSet, max_length: int) -> list[Sequence]:

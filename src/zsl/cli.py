@@ -23,7 +23,8 @@ from .atoms import (
     rational_elementary_decomposition,
 )
 from .certify import run_suite
-from .constructions import fibonacci, fibonacci_witness, hypercube_plus, hypercube_pm
+from .constructions import (VERIFY_LIMIT, fibonacci, fibonacci_witness, hypercube_plus,
+                            hypercube_pm)
 from .ground import GroundSet, RationalSequence, Sequence, _encode_mult
 from .invariants import (
     atom_invariants,
@@ -83,9 +84,7 @@ def _encode(value):
         return _encode_mult(value)
     if isinstance(value, frozenset):
         return sorted(value)
-    if isinstance(value, (set, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (set, tuple, list)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
@@ -188,12 +187,11 @@ def cmd_davenport(args) -> dict:
 
 def cmd_delm(args) -> dict:
     ground = _load_ground(args)
+    report = {"elementary_davenport": elementary_davenport(ground, args.method, args.budget),
+              "method": args.method}
     if args.method == "both":
-        value = elementary_davenport(ground, "both", args.budget)
-        return {"elementary_davenport": value, "method": "both",
-                "certifies": "determinant-formula-matches-enumeration"}
-    value = elementary_davenport(ground, args.method, args.budget)
-    return {"elementary_davenport": value, "method": args.method}
+        report["certifies"] = "determinant-formula-matches-enumeration"
+    return report
 
 
 def cmd_bounds(args) -> dict:
@@ -258,12 +256,10 @@ def cmd_omega(args) -> dict:
     monoid = _monoid_for(args, ground)
     if not 0 <= args.atom < monoid.atom_count:
         raise InputError(f"--atom must index the {monoid.atom_count} canonical atoms")
-    report = {"atom": list(monoid.atoms[args.atom]), "mode": args.mode}
+    report = {"atom": list(monoid.atoms[args.atom]), "mode": args.mode,
+              "omega": omega(monoid, args.atom, args.mode, args.budget)}
     if args.mode == "both":
-        report["omega"] = omega(monoid, args.atom, "both", args.budget)
         report["modes_agree"] = True
-    else:
-        report["omega"] = omega(monoid, args.atom, args.mode, args.budget)
     return report
 
 
@@ -296,8 +292,8 @@ def cmd_fib(args) -> dict:
     if args.verify and args.rank > _FIB_VERIFY_MAX_RANK:
         raise InputError(f"--verify checks ranks up to {_FIB_VERIFY_MAX_RANK}, got --rank "
                          f"{args.rank}; drop --verify for the unverified witness")
-    limit = args.rank if args.verify else None
-    witness = fibonacci_witness(args.rank, verify_limit=limit or 8)
+    witness = fibonacci_witness(args.rank,
+                                verify_limit=args.rank if args.verify else VERIFY_LIMIT)
     report = witness.to_json()
     report["stack"] = witness.stack.to_json()
     report["atom"] = witness.atom.to_json()

@@ -142,9 +142,6 @@ class GroundSet:
         except KeyError:
             raise ValueError(f"vector {v} is not a ground element") from None
 
-    def contains(self, v) -> bool:
-        return tuple(_int_coord(x) for x in v) in self.index
-
     def is_symmetric(self) -> bool:
         return all(j is not None for i, j in enumerate(self.neg_index)
                    if any(self.elements[i]))
@@ -204,9 +201,6 @@ class _SequenceOps:
     def is_trivial(self) -> bool:
         return not any(self.mult)
 
-    def multiplicity(self, v):
-        return self.mult[self.ground.position(v)]
-
     def sum_vector(self) -> tuple:
         """Sum of the sequence: sum over g of v_g(S) * g, exactly."""
         total = [0] * self.ground.rank
@@ -225,13 +219,10 @@ class _SequenceOps:
     def signed_support(self) -> frozenset[Vector]:
         """Elements g (and -g) whose net multiplicity v_g - v_{-g} is nonzero."""
         out = set()
-        for i, m in enumerate(self.mult):
-            j = self.ground.neg_index[i]
-            net = m - (self.mult[j] if j is not None else 0)
+        for i, net in zip(self.ground.plus_indices, self.net_multiplicities()):
             if net:
                 v = self.ground.elements[i]
-                out.add(v)
-                out.add(negate(v))
+                out.update((v, negate(v)))
         return frozenset(out)
 
     def net_multiplicities(self) -> tuple:
@@ -341,9 +332,6 @@ class Sequence(_SequenceOps):
     def rational(self) -> "RationalSequence":
         return RationalSequence(self.ground, tuple(Fraction(m) for m in self.mult))
 
-    def power(self, k: int) -> "Sequence":
-        return Sequence(self.ground, tuple(k * m for m in self.mult))
-
 
 @dataclass(frozen=True)
 class RationalSequence(_SequenceOps):
@@ -371,8 +359,3 @@ class RationalSequence(_SequenceOps):
         if alpha < 0:
             raise ValueError("scaling factor must be >= 0")
         return RationalSequence(self.ground, tuple(alpha * m for m in self.mult))
-
-
-def is_subsequence(t, s) -> bool:
-    """Divisibility in the free monoid over the ground set."""
-    return t.divides(s)

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-IntMatrix = list[list[int]]
-
 
 def matrix_dims(m) -> tuple[int, int]:
     """Return (rows, cols) after checking the matrix is rectangular."""
@@ -163,28 +161,14 @@ class QuotientStructure:
     invariant_factors: tuple[int, ...]
     free_rank: int
 
-    def order(self) -> int | None:
-        """Group order, or None when the quotient is infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
 
+def lattice_quotient(gens, ambient_dim: int) -> QuotientStructure:
+    """Structure of Z^ambient_dim / <gens> via the Smith normal form.
 
-def lattice_quotient(gens, ambient_dim: int | None = None) -> QuotientStructure:
-    """Structure of Z^n / <gens> via the Smith normal form.
-
-    ``gens`` is a list of integer vectors; ``ambient_dim`` may be omitted when
-    at least one generator is present.  Invariant factors equal to 1 are
+    ``gens`` is a list of integer vectors.  Invariant factors equal to 1 are
     dropped.
     """
     gens = [list(g) for g in gens]
-    if ambient_dim is None:
-        if not gens:
-            raise ValueError("ambient_dim required when no generators are given")
-        ambient_dim = len(gens[0])
     for g in gens:
         if len(g) != ambient_dim:
             raise ValueError("generator dimension mismatch")

@@ -225,12 +225,6 @@ def set_of_lengths(monoid: PresentedMonoid, x) -> tuple[int, ...]:
     return tuple(sorted({z.length for z in factorizations(monoid, x)}))
 
 
-def delta_set(lengths) -> set[int]:
-    """Gaps between consecutive members of a set of lengths."""
-    ls = sorted(set(lengths))
-    return {b - a for a, b in zip(ls, ls[1:])}
-
-
 def distance(z: Factorization, w: Factorization) -> int:
     """max of the two reduced lengths after cancelling the common part."""
     common = tuple(min(a, b) for a, b in zip(z.counts, w.counts))
@@ -297,17 +291,6 @@ def min_length(monoid: PresentedMonoid, x) -> int | None:
     if band is None:
         return 0
     for target in range(band[0], band[1] + 1):
-        if exists_length(monoid, x, target):
-            return target
-    return None
-
-
-def max_length(monoid: PresentedMonoid, x) -> int | None:
-    """Longest factorization length, by a descending exists-length scan."""
-    band = _length_band(monoid, x)
-    if band is None:
-        return 0
-    for target in range(band[1], band[0] - 1, -1):
         if exists_length(monoid, x, target):
             return target
     return None
@@ -506,10 +489,6 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",
     return worst
 
 
-def is_prime(monoid: PresentedMonoid, atom_index: int) -> bool:
-    return omega(monoid, atom_index, "minimal-cover") == 1
-
-
 def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     """omega, tau and the tame degree of an atom from one minimal-cover search.
 
@@ -546,15 +525,3 @@ def elements_up_to(monoid: PresentedMonoid, level: int) -> set[tuple[int, ...]]:
     for k in range(1, level + 1):
         out.update(_k_fold_sums(monoid, k))
     return out
-
-
-def half_factorial_probe(monoid: PresentedMonoid, level: int = 4):
-    """Check |L(x)| = 1 for every sum of at most ``level`` atoms.
-
-    Returns (verdict, witness): witness is an element with at least two
-    factorization lengths when the verdict is False.
-    """
-    for x in sorted(elements_up_to(monoid, level)):
-        if len(set_of_lengths(monoid, x)) > 1:
-            return False, x
-    return True, None

@@ -16,11 +16,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import gcd
 
-from .ground import (GroundSet, Sequence, _json_fields, _json_int, _json_ints, _json_list,
-                     _require)
-from .atoms import enumerate_atoms
+from .ground import _json_fields, _json_int, _json_ints, _json_list, _require
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
     Factorization,
@@ -30,7 +28,6 @@ from .invariants import (
     elements_up_to,
     factorizations,
     free_monoid,
-    omega,
     set_of_lengths,
 )
 
@@ -80,12 +77,6 @@ class FiniteAbelianGroup:
 
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % f for x, f in zip(a, self.factors))
-
-    def element_order(self, a) -> int:
-        n = 1
-        for x, f in zip(a, self.factors):
-            n = lcm(n, f // gcd(x, f))
-        return n
 
 
 class MonextModel:
@@ -301,31 +292,29 @@ def monext_invariants(model: MonextModel, u_idx: int, dval) -> dict:
     return report
 
 
-def monext_catenary(model: MonextModel, vec, dval, base=None) -> dict:
+def monext_catenary(model: MonextModel, vec, dval, base) -> dict:
     """Catenary degree of ((non-atom a), d), classified and cross-checked.
 
     The zero cases: |D| = 2 with d nontrivial and a = u^2 uniquely; D
     reduced with d = 1 and a uniquely factorable; D reduced with d an atom
     of D and a a unique atom power.  Otherwise max(2, catenary of a).
-    ``base``, when given, is factorizations(h0, vec), which a caller
-    classifying vec under several d then searches once.
+    ``base`` is factorizations(h0, vec), which a caller classifying vec
+    under several d then searches once.
     """
-    h0 = model.h0
     vec, dval = tuple(vec), tuple(dval)
-    z0 = factorizations(h0, vec) if base is None else base
-    if not z0:
+    if not base:
         raise ValueError("base element is not in H0")
-    if len(z0) == 1 and z0[0].length <= 1:
+    if len(base) == 1 and base[0].length <= 1:
         raise ValueError("classification needs a non-atom, non-unit base element")
-    c0 = catenary_from_factorizations(z0)
-    unique = len(z0) == 1
-    unique_prime_power = unique and sum(1 for c in z0[0].counts if c) == 1
+    c0 = catenary_from_factorizations(base)
+    unique = len(base) == 1
+    unique_prime_power = unique and sum(1 for c in base[0].counts if c) == 1
 
     if model.d_is_group and model.group.is_trivial:
         predicted = c0
     elif model.d_is_group:
         if model.group.order() == 2 and dval != model.group.zero():
-            square = unique_prime_power and z0[0].length == 2
+            square = unique_prime_power and base[0].length == 2
             predicted = 0 if square else max(2, c0)
         else:
             predicted = max(2, c0)
@@ -339,7 +328,7 @@ def monext_catenary(model: MonextModel, vec, dval, base=None) -> dict:
         else:
             predicted = max(2, c0)
 
-    observed = model.catenary(vec, dval, z0)
+    observed = model.catenary(vec, dval, base)
     if observed != predicted:
         raise AssertionError(f"catenary classification failed: "
                              f"predicted={predicted} observed={observed}")
@@ -354,8 +343,10 @@ def monext_theta_check(model: MonextModel, samples: int = 100,
     to splittings in the product, and the equality of sets of lengths, all
     on seeded random samples.
     """
-    rng = random.Random(seed)
     h0 = model.h0
+    if not h0.atom_count:
+        raise ValueError("h0 has no atoms, so there is no element to sample")
+    rng = random.Random(seed)
     if model.d_is_group:
         d_pool = model.group.elements()
     else:
@@ -518,7 +509,7 @@ class AcmSpec:
     def to_json(self) -> dict:
         return {
             "omega": self.size,
-            "c": [str(w) if w.denominator != 1 else str(int(w)) for w in self.weights],
+            "c": [str(w) for w in self.weights],
             "lambda": [list(t) for t in self.towers],
         }
 
@@ -541,9 +532,6 @@ class AcmModel:
             return False
         return all(sum(x[i] for i in t) == cs * x[0]
                    for t, cs in zip(self.spec.towers, self.spec.tower_sums()))
-
-    def level(self, x) -> int:
-        return x[0]
 
     def is_atom(self, x) -> bool:
         return self.contains(x) and x[0] == 1
@@ -688,7 +676,7 @@ def acm_class_group(spec: AcmSpec) -> dict:
     return report
 
 
-def acm_tame(spec: AcmSpec, oracle_budget: int | None = None) -> dict:
+def acm_tame(spec: AcmSpec) -> dict:
     """Per-atom omega values with their tower brackets, and the tame degree.
 
     For every atom u the exact omega (minimal covers) must sit between
@@ -719,10 +707,6 @@ def acm_tame(spec: AcmSpec, oracle_budget: int | None = None) -> dict:
     for t, cs in zip(spec.towers, sums):
         extremal[t[0]] = cs
     extremal_idx = atoms.index(tuple(extremal))
-    if oracle_budget is not None:
-        w_oracle = omega(monoid, extremal_idx, "definition-budget", oracle_budget)
-        if w_oracle != per_atom[extremal_idx]["omega"]:
-            raise AssertionError("extremal atom omega oracle mismatch")
     report = {
         "per_atom": per_atom,
         "extremal_atom": list(atoms[extremal_idx]),
@@ -899,54 +883,3 @@ def hnp_report(td: TowerData, level_budget: int = 4) -> dict:
         model = MonextModel(AcmModel(spec).presented(), group=group)
         monext_theta_check(model, samples=40, seed=1)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Ground sets with exactly one atom
-# ---------------------------------------------------------------------------
-
-
-def torsion_single_atom(order: int) -> dict:
-    """The zero-sum monoid on one torsion element: a single atom g^order."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    hits = [k for k in range(1, order + 1) if (k * 1) % order == 0]
-    if hits != [order]:
-        raise AssertionError("cyclic scan disagrees with the order")
-    return {"atom_exponent": order, "factorial": True}
-
-
-def weighted_axes_atom(a_coeffs, b_coeffs) -> tuple[GroundSet, Sequence]:
-    """Ground set {A_i e_i} plus -(sum B_i e_i) and its unique atom.
-
-    Requires gcd(A_i, B_i) = 1 for each i.  The atom takes each axis
-    generator to exponent B_i * L / A_i and the mixed negative generator to
-    exponent L, where L is the lcm of the A_i; a full enumeration
-    cross-checks that nothing else is an atom.
-    """
-    a_coeffs = [int(a) for a in a_coeffs]
-    b_coeffs = [int(b) for b in b_coeffs]
-    if len(a_coeffs) != len(b_coeffs) or not a_coeffs:
-        raise ValueError("need matching nonempty coefficient lists")
-    for a, b in zip(a_coeffs, b_coeffs):
-        if a < 1 or b < 1:
-            raise ValueError("coefficients must be positive")
-        if gcd(a, b) != 1:
-            raise ValueError(f"gcd({a}, {b}) != 1")
-    dim = len(a_coeffs)
-    axes = [tuple(a_coeffs[i] if j == i else 0 for j in range(dim))
-            for i in range(dim)]
-    mixed = tuple(-b for b in b_coeffs)
-    ground = GroundSet.from_elements(dim, axes + [mixed])
-    big_l = 1
-    for a in a_coeffs:
-        big_l = lcm(big_l, a)
-    terms = [(axes[i], b_coeffs[i] * big_l // a_coeffs[i]) for i in range(dim)]
-    terms.append((mixed, big_l))
-    atom = Sequence.from_terms(ground, terms)
-    if not atom.is_zero_sum():
-        raise AssertionError("closed-form atom is not zero-sum")
-    enumerated = enumerate_atoms(ground, budget=atom.length + 1)
-    if not enumerated.complete or [s.mult for s in enumerated.atoms] != [atom.mult]:
-        raise AssertionError("enumeration found a different atom set")
-    return ground, atom

@@ -157,3 +157,41 @@ def test_no_unused_imports_in_the_package():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = {name: line for name, line in imported.items() if name not in used}
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# public names that nothing else in the package needs, each kept on purpose
+UNREFERENCED_ON_PURPOSE = {
+    "is_elementary_by_search": "the direct-search oracle the tests check is_elementary against",
+    "distance": "the catenary definition the tests compare the spanning-tree route with",
+    "tau": "perfbench wraps and calls it",
+}
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public top-level function or class that no other code in the package
+    # names is reached by the tests alone; the package __init__ only
+    # re-exports, so its imports count for nothing
+    defined = {}
+    referenced = set()
+    for path in sorted(Path(zsl.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                own = top.name
+                defined[own] = path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                else:
+                    continue
+                referenced |= names - {own}  # a recursive call is no use elsewhere
+    unreferenced = {name: module for name, module in defined.items()
+                    if name not in referenced and name not in UNREFERENCED_ON_PURPOSE}
+    assert not unreferenced, f"public names only the tests reach: {unreferenced}"
+    assert set(UNREFERENCED_ON_PURPOSE) <= set(defined)

@@ -25,7 +25,6 @@ from zsl.atoms import (
     is_elementary_by_search,
     longest_circuit,
     rational_elementary_decomposition,
-    unique_elementary_atom,
 )
 from zsl.constructions import hypercube_pm
 from zsl.ground import GroundSet, Sequence, negate
@@ -255,17 +254,25 @@ def test_elementary_atoms_unique_per_signed_support():
                 assert a.negated() == b
 
 
+def carriers(atom_set, signed_set):
+    """The atoms whose signed support is ``signed_set``, as multiplicity
+    vectors: by the uniqueness theorem, the elementary atom of that support
+    and its negative, or nothing."""
+    assert atom_set.complete
+    return {a.mult for a in atom_set.atoms if a.signed_support() == frozenset(signed_set)}
+
+
 def test_elementary_powers_characterization():
-    # every elementary zero-sum with support disjoint from its negation is a
-    # power of the unique atom of its signed support
+    # every power of an elementary atom is elementary, and its signed support
+    # carries that atom and its negative and no other atom
     atom_set = enumerate_atoms(PM2)
     elems = [a for a in atom_set.atoms if a.length >= 3 and is_elementary(a)]
+    assert elems
     for a in elems:
         for k in (1, 2, 3):
-            s = a.power(k)
+            s = Sequence(PM2, tuple(k * m for m in a.mult))
             assert is_elementary(s)
-            u = unique_elementary_atom(PM2, s.signed_support())
-            assert u is not None and (u == a or u.negated() == a)
+            assert carriers(atom_set, s.signed_support()) == {a.mult, a.negated().mult}
 
 
 def test_circuit_length_rank1():
@@ -449,7 +456,7 @@ def test_formula_passes_over_a_longest_tuple_without_an_atom():
 
 
 def test_upper_bounds_r2():
-    report = davenport_upper_bounds(PM2)
+    report = davenport_upper_bounds(PM2, enumerate_atoms(PM2))
     d = 3
     for key in ("snf_G0", "snf_G1", "hadamard", "dgs", "elm_product"):
         assert report[key] is not None and report[key] >= d
@@ -457,7 +464,7 @@ def test_upper_bounds_r2():
 
 
 def test_upper_bounds_r3_hadamard_27():
-    report = davenport_upper_bounds(PM3)
+    report = davenport_upper_bounds(PM3, enumerate_atoms(PM3))
     assert report["hadamard"] == 27
     for key in ("snf_G0", "snf_G1", "hadamard", "dgs", "elm_product"):
         assert report[key] >= 5
@@ -465,7 +472,8 @@ def test_upper_bounds_r3_hadamard_27():
 
 @pytest.mark.parametrize("r, g0, g1", [(2, 6, 3), (3, 10, 5)])
 def test_upper_bounds_snf_values_on_signed_hypercube(r, g0, g1):
-    report = davenport_upper_bounds(hypercube_pm(r))
+    ground = hypercube_pm(r)
+    report = davenport_upper_bounds(ground, enumerate_atoms(ground))
     assert (report["snf_G0"], report["snf_G1"]) == (g0, g1)
 
 
@@ -505,14 +513,14 @@ def test_max_last_divisor_matches_all_choices(ground, both_signs):
 
 
 def test_upper_bounds_skip_without_long_atom():
-    report = davenport_upper_bounds(PM1)
+    report = davenport_upper_bounds(PM1, enumerate_atoms(PM1))
     assert report["snf_G0"] is None
     assert "below 3" in report["skipped"]
 
 
 def test_upper_bounds_non_hypercube_ground():
     g = GroundSet.from_elements(1, [(2,), (-3,)])
-    report = davenport_upper_bounds(g)
+    report = davenport_upper_bounds(g, enumerate_atoms(g))
     d = davenport(g).value
     assert d == 5
     assert report["hadamard"] is None  # closed form applies to 0/1 vertices only
@@ -567,21 +575,22 @@ def test_decomposition_random_rational_zero_sums():
 
 
 def test_unique_elementary_atom_cancelling_pair_is_none():
-    assert unique_elementary_atom(PM1, {(1,), (-1,)}) is None
+    # the one atom over {1, -1} cancels to an empty signed support
+    atom_set = enumerate_atoms(PM1)
+    assert carriers(atom_set, {(1,), (-1,)}) == set()
+    (pair,) = atom_set.atoms
+    assert not pair.signed_support() and not is_elementary(pair)
 
 
 def test_unique_elementary_atom_recovers_triple():
-    triple = next(a for a in enumerate_atoms(PM2).atoms if a.length == 3)
-    u = unique_elementary_atom(PM2, triple.signed_support())
-    assert u in (triple, triple.negated())
-    # sign normalization: first positive-part member of the set has positive net
-    anchor = next(i for i in range(len(PM2)) if PM2.plus[i]
-                  and PM2.elements[i] in triple.signed_support())
-    assert u.net_multiplicities()[PM2.plus_indices.index(anchor)] > 0
+    atom_set = enumerate_atoms(PM2)
+    triple = next(a for a in atom_set.atoms if a.length == 3)
+    assert carriers(atom_set, triple.signed_support()) == {triple.mult,
+                                                           triple.negated().mult}
 
 
 def test_unique_elementary_atom_rejects_independent_set():
-    assert unique_elementary_atom(PM2, {(1, 0), (-1, 0), (0, 1), (0, -1)}) is None
+    assert carriers(enumerate_atoms(PM2), {(1, 0), (-1, 0), (0, 1), (0, -1)}) == set()
 
 
 def test_unique_elementary_atom_rejects_dependent_proper_subset():
@@ -589,25 +598,20 @@ def test_unique_elementary_atom_rejects_dependent_proper_subset():
     # without full support, so no circuit
     g = GroundSet.from_elements(2, [(1, 0), (-2, 0), (0, 1), (0, -1)])
     x = {(1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1)}
-    assert unique_elementary_atom(g, x) is None
-
-
-def test_unique_elementary_atom_asymmetric_input_rejected():
-    with pytest.raises(ValueError):
-        unique_elementary_atom(PM2, {(1, 0)})
+    assert carriers(enumerate_atoms(g), x) == set()
 
 
 def test_unique_elementary_atom_sign_infeasible_circuit():
     # {2, 3} in Z^1: the pair is a circuit, but the kernel relation needs one
     # negative coefficient and neither negation is a ground element, so no
     # zero-sum sequence carries the candidate signed support
+    x = {(2,), (-2,), (3,), (-3,)}
     g = GroundSet.from_elements(1, [(2,), (3,)])
-    assert unique_elementary_atom(g, {(2,), (-2,), (3,), (-3,)}) is None
-    # adding -3 makes the relation 3*(2) + 2*(-3) realizable
+    assert carriers(enumerate_atoms(g), x) == set()
+    # adding -3 makes the relation 3*(2) + 2*(-3) realizable, and its atom
+    # (2)^3 (-3)^2 is the only one
     g2 = GroundSet.from_elements(1, [(2,), (3,), (-3,)])
-    u = unique_elementary_atom(g2, {(2,), (-2,), (3,), (-3,)})
-    assert u is not None
-    assert u.multiplicity((2,)) == 3 and u.multiplicity((-3,)) == 2
+    assert carriers(enumerate_atoms(g2), x) == {(3, 0, 2)}
 
 
 def random_symmetric_ground(rng, r):

@@ -55,6 +55,8 @@ def test_atoms_bad_json_exit2(capsys, tmp_path):
 
 
 ACM_JSON = {"omega": 5, "c": ["1", "1", "1", "3/2", "3/2"], "lambda": [[1, 2], [3, 4]]}
+# a ground set without atoms: as H0 it leaves monext nothing to sample
+ATOMLESS = {"rank": 1, "elements": []}
 
 
 @pytest.mark.parametrize("ground,argv", [
@@ -83,6 +85,7 @@ ACM_JSON = {"omega": 5, "c": ["1", "1", "1", "3/2", "3/2"], "lambda": [[1, 2], [
     (None, ["unions", "-i", "GROUND", "--k", "2", "--strategy", "auto"]),
     (None, ["hypercube", "--rank", "17"]),
     (None, ["fib", "--rank", "17"]),
+    (ATOMLESS, ["monext", "--h0", "GROUND", "--d", "group:2"]),
 ])
 def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     path = h2 if ground is None else write(tmp_path, "g.json", ground)
@@ -95,6 +98,8 @@ def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if ground is ATOMLESS:
+        assert "h0" in err
 
 
 def test_probe_r4_report(capsys):

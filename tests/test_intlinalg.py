@@ -124,13 +124,13 @@ def test_snf_square_full_rank_product_is_abs_det():
 
 
 def test_lattice_quotient_single_even_generator():
-    q = lattice_quotient([[2]])
+    q = lattice_quotient([[2]], 1)
     assert q.invariant_factors == (2,)
     assert q.free_rank == 0
 
 
 def test_lattice_quotient_no_generators():
-    q = lattice_quotient([], ambient_dim=2)
+    q = lattice_quotient([], 2)
     assert q.invariant_factors == ()
     assert q.free_rank == 2
 
@@ -139,10 +139,10 @@ def test_lattice_quotient_det_six_matches_snf():
     # full-rank lattice with determinant -6 and coprime entries
     gens = [[1, 2], [-2, 2]]
     assert abs(det_bareiss(gens)) == 6
-    q = lattice_quotient(gens)
+    q = lattice_quotient(gens, 2)
     assert q.free_rank == 0
     assert q.invariant_factors == tuple(d for d in smith_normal_form(gens) if d > 1)
-    assert q.order() == 6
+    assert q.invariant_factors == (6,)  # the quotient has order |det| = 6
 
 
 def test_primitive_kernel_vector_circuit():

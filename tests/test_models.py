@@ -4,13 +4,14 @@ import pytest
 
 from zsl.atoms import enumerate_atoms
 from zsl.constructions import hypercube_pm
-from zsl.ground import Sequence
+from zsl.ground import GroundSet, Sequence
 from zsl.invariants import (
     block_monoid,
     catenary_element,
     elements_up_to,
     factorizations,
     free_monoid,
+    omega,
     set_of_lengths,
 )
 from zsl.models import (
@@ -28,8 +29,6 @@ from zsl.models import (
     monext_catenary,
     monext_invariants,
     monext_theta_check,
-    torsion_single_atom,
-    weighted_axes_atom,
 )
 
 Z1 = FiniteAbelianGroup.from_factors([])
@@ -45,7 +44,7 @@ def test_group_canonicalization():
     assert Z22.order() == 4
     assert Z2.add((1,), (1,)) == (0,)
     assert Z3.neg((1,)) == (2,)
-    assert Z3.element_order((1,)) == 3
+    assert Z3.add(Z3.add((1,), (1,)), (1,)) == Z3.zero()  # (1,) has order 3
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +155,31 @@ def test_monext_catenary_group_of_order_two():
     h0 = free_monoid(2)
     model = MonextModel(h0, group=Z2)
     # a = u^2 with unique factorization, d the involution: zero catenary
-    out = monext_catenary(model, (2, 0), (1,))
+    out = monext_catenary(model, (2, 0), (1,), factorizations(h0, (2, 0)))
     assert out["predicted"] == 0
     # a = uv with two distinct atom types: catenary 2 despite unique z in H0
-    out = monext_catenary(model, (1, 1), (1,))
+    out = monext_catenary(model, (1, 1), (1,), factorizations(h0, (1, 1)))
     assert out["predicted"] == 2
     # d trivial but |D| = 2: still 2 (a nontrivial unit exists)
-    out = monext_catenary(model, (1, 1), (0,))
+    out = monext_catenary(model, (1, 1), (0,), factorizations(h0, (1, 1)))
     assert out["predicted"] == 2
 
 
 def test_monext_catenary_reduced_free_d():
     h0 = free_monoid(2)
     model = MonextModel(h0, free_rank=1)
+
+    def predicted(vec, d):
+        return monext_catenary(model, vec, d, factorizations(h0, vec))["predicted"]
+
     # d identity, unique factorization in H0: zero
-    assert monext_catenary(model, (2, 1), (0,))["predicted"] == 0
+    assert predicted((2, 1), (0,)) == 0
     # d an atom of D, prime power base: zero
-    assert monext_catenary(model, (3, 0), (1,))["predicted"] == 0
+    assert predicted((3, 0), (1,)) == 0
     # d an atom, two distinct base atoms: two factorizations appear
-    assert monext_catenary(model, (1, 1), (1,))["predicted"] == 2
+    assert predicted((1, 1), (1,)) == 2
     # d composite: two factorizations appear
-    assert monext_catenary(model, (2, 0), (2,))["predicted"] == 2
+    assert predicted((2, 0), (2,)) == 2
 
 
 def test_monext_catenary_block_base():
@@ -184,9 +187,10 @@ def test_monext_catenary_block_base():
     model = MonextModel(h0, group=Z2)
     checked = 0
     for x in sorted(elements_up_to(h0, 2)):
-        if len(factorizations(h0, x)) and max(z.length for z in factorizations(h0, x)) >= 2:
+        zs = factorizations(h0, x)
+        if zs and max(z.length for z in zs) >= 2:
             for d in Z2.elements():
-                out = monext_catenary(model, x, d)
+                out = monext_catenary(model, x, d, zs)
                 assert out["observed"] == out["predicted"]
                 checked += 1
     assert checked >= 10
@@ -252,14 +256,15 @@ def test_acm_membership_and_level():
     assert m.contains((2, 3, 1))
     assert not m.contains((1, 1, 0))
     assert not m.contains((0, 1, 1))
-    assert m.level((2, 3, 1)) == 2
+    # the level coordinate counts the atoms of every factorization
+    assert len(m.split((2, 3, 1))) == 2
 
 
 def test_acm_atom_criterion_level_one():
     m = AcmModel(SPEC_2_3)
     for atom in m.atoms():
         assert m.is_atom(atom)
-        assert m.level(atom) == 1
+        assert atom[0] == 1
     assert len(m.atoms()) == 12  # compositions: 3 of weight 2 times 4 of weight 3
 
 
@@ -314,10 +319,13 @@ def test_acm_class_group_n1():
 
 
 def test_acm_tame_2_3():
-    report = acm_tame(SPEC_2_3, oracle_budget=5)
+    report = acm_tame(SPEC_2_3)
     assert report["tame"] == 5 and report["omega_monoid"] == 5
     assert report["extremal_omega"] == 5
     assert report["extremal_atom"] == [1, 2, 0, 3, 0]
+    model = AcmModel(SPEC_2_3)
+    extremal = model.atoms().index((1, 2, 0, 3, 0))
+    assert omega(model.presented(), extremal, "definition-budget", 5) == 5
 
 
 def test_acm_half_factorial_omega_tau_relation():
@@ -336,9 +344,8 @@ def test_acm_prime_divisor_classes_realize_single_atom_monoid():
     report = acm_class_group(SPEC_2_3)
     images = sorted(tuple(c["image"]) for c in report["classes_with_prime_divisors"])
     assert images == [(-2,), (3,)]
-    ground, atom = weighted_axes_atom([3], [2])
-    assert atom.length == 5
-    assert atom.multiplicity((3,)) == 2 and atom.multiplicity((-2,)) == 3
+    atom = single_atom(GroundSet.from_elements(1, images))
+    assert atom.length == 5 and atom.mult == (3, 2)  # (-2)^3 (3)^2
 
 
 def test_acm_report_2_3():
@@ -434,22 +441,23 @@ def test_tower_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_torsion_single_atom():
-    assert torsion_single_atom(4) == {"atom_exponent": 4, "factorial": True}
+def single_atom(ground):
+    """The one atom of a ground set whose complete enumeration finds one."""
+    atom_set = enumerate_atoms(ground)
+    assert atom_set.complete
+    (atom,) = atom_set.atoms
+    return atom
 
 
 def test_weighted_axes_atom_2_3():
-    ground, atom = weighted_axes_atom([2], [3])
+    # {A e1, -B e1} with gcd(A, B) = 1: the one atom is (A)^B (-B)^A
+    atom = single_atom(GroundSet.from_elements(1, [(2,), (-3,)]))
     assert atom.length == 5
-    assert atom.multiplicity((2,)) == 3 and atom.multiplicity((-3,)) == 2
+    assert atom.mult == (3, 2)
 
 
 def test_weighted_axes_atom_unit_units():
-    ground, atom = weighted_axes_atom([1, 1], [1, 1])
+    # {e1, e2, -(e1 + e2)}: the one atom takes each generator once
+    atom = single_atom(GroundSet.from_elements(2, [(1, 0), (0, 1), (-1, -1)]))
     assert atom.length == 3
-    assert atom.multiplicity((-1, -1)) == 1
-
-
-def test_weighted_axes_gcd_validation():
-    with pytest.raises(ValueError):
-        weighted_axes_atom([2], [4])
+    assert atom.mult == (1, 1, 1)
