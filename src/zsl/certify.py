@@ -221,7 +221,7 @@ def check_unit_pinned_product() -> dict:
     classified = 0
     for x in sorted(elements_up_to(h0, 3)):
         zs = factorizations(h0, x)
-        if not zs or max(z.length for z in zs) < 2:
+        if not zs or max(map(sum, zs)) < 2:
             continue
         for d in group.elements():
             out = monext_catenary(model, x, d, zs)

@@ -122,15 +122,6 @@ def free_monoid(k: int) -> PresentedMonoid:
     return PresentedMonoid(k, basis)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    counts: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return sum(self.counts)
-
-
 def _factorization_counts(monoid: PresentedMonoid, x, target: int | None = None):
     """Yield the count vectors of the factorizations of x, of exactly
     ``target`` atoms when a target is given.  x must be a nonnegative
@@ -209,8 +200,9 @@ def _element(monoid: PresentedMonoid, x) -> tuple[int, ...]:
     return x
 
 
-def factorizations(monoid: PresentedMonoid, x) -> list[Factorization]:
-    """All ways to write x as a nonnegative combination of the atoms.
+def factorizations(monoid: PresentedMonoid, x) -> list[tuple[int, ...]]:
+    """All ways to write x as a nonnegative combination of the atoms, as
+    count vectors (the length of a factorization is the sum of its vector).
 
     Empty exactly when x is not in the monoid.  Output sorted by count
     vector, so results are schedule-independent.
@@ -218,24 +210,25 @@ def factorizations(monoid: PresentedMonoid, x) -> list[Factorization]:
     x = _element(monoid, x)
     if any(v < 0 for v in x):
         raise ValueError("element vectors must be nonnegative")
-    return [Factorization(c) for c in sorted(_factorization_counts(monoid, x))]
+    return sorted(_factorization_counts(monoid, x))
 
 
 def set_of_lengths(monoid: PresentedMonoid, x) -> tuple[int, ...]:
-    return tuple(sorted({z.length for z in factorizations(monoid, x)}))
+    return tuple(sorted(set(map(sum, factorizations(monoid, x)))))
 
 
-def distance(z: Factorization, w: Factorization) -> int:
-    """max of the two reduced lengths after cancelling the common part."""
-    common = tuple(min(a, b) for a, b in zip(z.counts, w.counts))
-    dz = sum(a - c for a, c in zip(z.counts, common))
-    dw = sum(b - c for b, c in zip(w.counts, common))
+def distance(z, w) -> int:
+    """max of the two reduced lengths after cancelling the common part of
+    the count vectors z and w."""
+    common = tuple(min(a, b) for a, b in zip(z, w))
+    dz = sum(a - c for a, c in zip(z, common))
+    dw = sum(b - c for b, c in zip(w, common))
     return max(dz, dw)
 
 
 def catenary_from_factorizations(zs) -> int:
-    """Least N whose distance-at-most-N graph on the given factorizations is
-    connected: the largest edge of a minimum spanning tree.
+    """Least N whose distance-at-most-N graph on the given factorization
+    count vectors is connected: the largest edge of a minimum spanning tree.
 
     The tree is grown by Prim's algorithm, so no edge list is built or
     sorted.  Each vertex added to the tree updates the least distance from
@@ -247,16 +240,15 @@ def catenary_from_factorizations(zs) -> int:
     k = len(zs)
     if k <= 1:
         return 0
-    counts = [z.counts for z in zs]
-    lengths = [sum(c) for c in counts]
+    lengths = [sum(z) for z in zs]
     outside = list(range(1, k))
     link = [max(lengths)] * (k - 1)
     u, bottleneck = 0, 0
     while outside:
         lu = lengths[u]
-        support = [(i, c) for i, c in enumerate(counts[u]) if c]
+        support = [(i, c) for i, c in enumerate(zs[u]) if c]
         for j, v in enumerate(outside):
-            cv = counts[v]
+            cv = zs[v]
             d = max(lu, lengths[v]) - sum(min(c, cv[i]) for i, c in support)
             if d < link[j]:
                 link[j] = d

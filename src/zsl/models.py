@@ -21,7 +21,6 @@ from math import gcd
 from .ground import _json_fields, _json_int, _json_ints, _json_list, _require
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
-    Factorization,
     PresentedMonoid,
     atom_invariants,
     catenary_from_factorizations,
@@ -156,12 +155,12 @@ class MonextModel:
             return []
         out = []
         for z in factorizations(self.h0, vec) if base is None else base:
-            positions = [i for i, c in enumerate(z.counts) for _ in range(c)]
+            positions = [i for i, c in enumerate(z) for _ in range(c)]
             if not positions:
                 if d == self.d_identity():
                     out.append(())
                 continue
-            per_type = [(i, c) for i, c in enumerate(z.counts) if c]
+            per_type = [(i, c) for i, c in enumerate(z) if c]
             choices = []
             for i, c in per_type:
                 opts = []
@@ -200,7 +199,7 @@ class MonextModel:
             counts = [0] * len(keys)
             for key, c in z:
                 counts[index[key]] = c
-            vecs.append(Factorization(tuple(counts)))
+            vecs.append(counts)
         return catenary_from_factorizations(vecs)
 
     def atom_product(self, multiset) -> tuple[tuple[int, ...], tuple]:
@@ -304,17 +303,17 @@ def monext_catenary(model: MonextModel, vec, dval, base) -> dict:
     vec, dval = tuple(vec), tuple(dval)
     if not base:
         raise ValueError("base element is not in H0")
-    if len(base) == 1 and base[0].length <= 1:
+    if len(base) == 1 and sum(base[0]) <= 1:
         raise ValueError("classification needs a non-atom, non-unit base element")
     c0 = catenary_from_factorizations(base)
     unique = len(base) == 1
-    unique_prime_power = unique and sum(1 for c in base[0].counts if c) == 1
+    unique_prime_power = unique and sum(1 for c in base[0] if c) == 1
 
     if model.d_is_group and model.group.is_trivial:
         predicted = c0
     elif model.d_is_group:
         if model.group.order() == 2 and dval != model.group.zero():
-            square = unique_prime_power and base[0].length == 2
+            square = unique_prime_power and sum(base[0]) == 2
             predicted = 0 if square else max(2, c0)
         else:
             predicted = max(2, c0)
@@ -515,26 +514,10 @@ class AcmSpec:
 
 
 class AcmModel:
-    """Membership, atoms, transfer splitting and presentation for an AcmSpec."""
+    """Atoms and presentation for an AcmSpec."""
 
     def __init__(self, spec: AcmSpec):
         self.spec = spec
-
-    def contains(self, x) -> bool:
-        x = tuple(int(v) for v in x)
-        if len(x) != self.spec.size:
-            raise ValueError("vector length mismatch")
-        if any(v < 0 for v in x):
-            return False
-        if not any(x):
-            return True
-        if x[0] < 1:
-            return False
-        return all(sum(x[i] for i in t) == cs * x[0]
-                   for t, cs in zip(self.spec.towers, self.spec.tower_sums()))
-
-    def is_atom(self, x) -> bool:
-        return self.contains(x) and x[0] == 1
 
     def atoms(self) -> list[tuple[int, ...]]:
         """The full atom list; finite exactly in the fully covered case."""
@@ -555,36 +538,6 @@ class AcmModel:
             out.append(tuple(x))
         return sorted(out)
 
-    def split(self, x) -> list[tuple[int, ...]]:
-        """Write a member as a sum of level(x) atoms (transfer surjectivity).
-
-        One atom is peeled per step by water-filling each tower up to its
-        weight sum; the residual keeps every tower constraint because the
-        constraints are linear in the level.
-        """
-        if not self.contains(x):
-            raise ValueError("vector is not in the monoid")
-        x = list(x)
-        parts = []
-        sums = self.spec.tower_sums()
-        while x[0] > 1:
-            atom = [0] * self.spec.size
-            atom[0] = 1
-            for t, cs in zip(self.spec.towers, sums):
-                need = cs
-                for i in t:
-                    take = min(need, x[i])
-                    atom[i] = take
-                    need -= take
-                if need:
-                    raise AssertionError("greedy split failed to fill a tower")
-            for i in range(self.spec.size):
-                x[i] -= atom[i]
-            parts.append(tuple(atom))
-        parts.append(tuple(x))
-        _require(all(self.is_atom(p) for p in parts))
-        return parts
-
     def presented(self) -> PresentedMonoid:
         """Image of the level-dropping embedding, saturated in N0^(size-1)."""
         if self.spec.case() == 1:
@@ -593,18 +546,6 @@ class AcmModel:
             raise ValueError("only the fully covered case embeds with finitely many atoms")
         return PresentedMonoid(self.spec.size - 1,
                                tuple(a[1:] for a in self.atoms()))
-
-    def free_part(self) -> "MonextModel":
-        """Case-3 realization as (covered sub-monoid) |x N0^(uncovered)."""
-        if self.spec.case() != 3:
-            raise ValueError("free part exists only with uncovered coordinates")
-        covered = sorted(self.spec.covered())
-        relabel = {old: new + 1 for new, old in enumerate(covered)}
-        sub = AcmSpec(len(covered) + 1,
-                      (Fraction(1),) + tuple(self.spec.weights[i] for i in covered),
-                      tuple(tuple(relabel[i] for i in t) for t in self.spec.towers))
-        free = self.spec.size - 1 - len(covered)
-        return MonextModel(AcmModel(sub).presented(), free_rank=free)
 
 
 def _compositions(total: int, parts: int):
@@ -731,8 +672,7 @@ def acm_report(spec: AcmSpec, level_budget: int = 4) -> dict:
                        "tame": 0, "catenary": 0})
         return report
     if spec.case() == 3:
-        sub = model.free_part()
-        report["free_coordinates"] = sub.free_rank
+        report["free_coordinates"] = spec.size - 1 - len(spec.covered())
         report["half_factorial"] = True
         report["catenary"] = 2
         report["tame"] = "infinite"
@@ -743,7 +683,7 @@ def acm_report(spec: AcmSpec, level_budget: int = 4) -> dict:
     max_c = 0
     for x in sorted(elements_up_to(monoid, level_budget)):
         zs = factorizations(monoid, x)
-        if len({z.length for z in zs}) > 1:
+        if len(set(map(sum, zs))) > 1:
             raise AssertionError(f"half-factoriality failed at {x}")
         max_c = max(max_c, catenary_from_factorizations(zs))
     tame = acm_tame(spec)
@@ -857,7 +797,6 @@ def hnp_report(td: TowerData, level_budget: int = 4) -> dict:
                                       or single_unit_cycle)
     report["factorial"] = factorial
 
-    # with faithful towers this exercises the free-part realization
     acm = acm_report(spec, level_budget)
     if faithfuls:
         report["tame"] = "infinite"

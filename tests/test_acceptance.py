@@ -5,6 +5,7 @@ runtime limit.  Each prints a single pass/fail line; run with -s to see them.
 import ast
 import os
 import subprocess
+import symtable
 import sys
 import time
 from pathlib import Path
@@ -141,11 +142,8 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_unused_imports_in_the_package():
-    # a deletion must not leave its imports behind; the package __init__
-    # imports only to re-export, so it is exempt
+    # a deletion must not leave its imports behind
     for path in sorted(Path(zsl.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):
@@ -159,6 +157,77 @@ def test_no_unused_imports_in_the_package():
         assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _names_nothing_uses(sources: dict[str, str]) -> dict[str, str]:
+    """The public top-level functions and classes, and the public methods
+    and properties of the top-level classes, that nothing else in the given
+    modules (name -> source) uses, each mapped to its module.
+
+    A top-level name counts as used by a load that resolves to the module
+    global (by symtable, so a local or a parameter of the same name does
+    not count), either where it is defined or where a sibling module binds
+    it with ``from .module import name``, at the top or inside a function;
+    a load inside its own definition (a recursive call) does not count.  A method counts as used by an
+    attribute load of its name outside its own body: without types, any
+    receiver may be its class.
+    """
+    defined: dict[str, str] = {}
+    methods: list[tuple[str, str, ast.FunctionDef]] = []
+    attribute_loads: list[tuple[str, set[int]]] = []  # (attr, ids of enclosing defs)
+    origin: dict[tuple[str, str], tuple[str, str]] = {}  # import binding -> definition
+    loads: set[tuple[str, str]] = set()  # (module, global name) loaded outside its own def
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attribute_loads.append((node.attr, enclosing))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {id(node)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    def global_loads(module, table, owner):
+        for symbol in table.get_symbols():
+            bound = table.get_type() == "module" or symbol.is_global() or symbol.is_imported()
+            if symbol.is_referenced() and bound and symbol.get_name() != owner:
+                loads.add((module, symbol.get_name()))
+        for child in table.get_children():
+            global_loads(module, child, child.get_name() if owner is None else owner)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    origin[module, alias.asname or alias.name] = (node.module or "__init__",
+                                                                  alias.name)
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not top.name.startswith("_"):
+                defined[top.name] = module
+            if isinstance(top, ast.ClassDef):
+                methods += [(module, f"{top.name}.{item.name}", item) for item in top.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+        visit(tree, set())
+        global_loads(module, symtable.symtable(source, module, "exec"), None)
+
+    used = set()
+    for binding in loads:
+        while binding in origin:
+            binding = origin[binding]
+        used.add(binding)
+    unused = {name: module for name, module in defined.items() if (module, name) not in used}
+    for module, label, node in methods:
+        if not any(attr == node.name and id(node) not in enclosing
+                   for attr, enclosing in attribute_loads):
+            unused[label] = module
+    return unused
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(Path(zsl.__file__).parent.glob("*.py"))}
+
+
 # public names that nothing else in the package needs, each kept on purpose
 UNREFERENCED_ON_PURPOSE = {
     "is_elementary_by_search": "the direct-search oracle the tests check is_elementary against",
@@ -168,30 +237,54 @@ UNREFERENCED_ON_PURPOSE = {
 
 
 def test_every_public_name_is_used_in_the_package():
-    # a public top-level function or class that no other code in the package
-    # names is reached by the tests alone; the package __init__ only
-    # re-exports, so its imports count for nothing
-    defined = {}
-    referenced = set()
-    for path in sorted(Path(zsl.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = None
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
-                own = top.name
-                defined[own] = path.name
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    names = {node.id}
-                elif isinstance(node, ast.Attribute):
-                    names = {node.attr}
-                elif isinstance(node, ast.ImportFrom):
-                    names = {alias.name for alias in node.names}
-                else:
-                    continue
-                referenced |= names - {own}  # a recursive call is no use elsewhere
-    unreferenced = {name: module for name, module in defined.items()
-                    if name not in referenced and name not in UNREFERENCED_ON_PURPOSE}
-    assert not unreferenced, f"public names only the tests reach: {unreferenced}"
-    assert set(UNREFERENCED_ON_PURPOSE) <= set(defined)
+    # a public function, class, method or property that no other code in the
+    # package uses is reached by the tests alone
+    unused = _names_nothing_uses(_package_sources())
+    assert set(unused) >= set(UNREFERENCED_ON_PURPOSE)
+    unexpected = {name: module for name, module in unused.items()
+                  if name not in UNREFERENCED_ON_PURPOSE}
+    assert not unexpected, f"public names only the tests reach: {unexpected}"
+
+
+PLANTED_FUNCTION = """
+
+def planted_function():
+    return planted_function()
+
+
+def _shadows_the_planted_function(planted_function):
+    return [planted_function for planted_function in planted_function]
+"""
+PLANTED_METHOD = """    def planted_method(self):
+        return self.planted_method()
+"""
+LATE_IMPORT = """
+
+def _imports_the_planted_function_late():
+    from .{module} import planted_function
+    return planted_function()
+"""
+
+
+@pytest.mark.parametrize("module", sorted(_package_sources()))
+def test_used_name_check_reports_planted_names(module):
+    # a method planted in a class of the module (in a new class where the
+    # module has none) and a function that only it and same-named locals
+    # mention are reported, even though their names occur elsewhere
+    sources = _package_sources()
+    lines = sources[module].splitlines(keepends=True)
+    classes = [top for top in ast.parse(sources[module]).body if isinstance(top, ast.ClassDef)]
+    if classes:
+        cls = classes[0].name
+        lines.insert(classes[0].end_lineno, PLANTED_METHOD)
+    else:
+        cls = "Planted"
+        lines.append(f"\n\nclass Planted:\n{PLANTED_METHOD}")
+    sources[module] = "".join(lines) + PLANTED_FUNCTION
+    unused = _names_nothing_uses(sources)
+    assert unused.get(f"{cls}.planted_method") == module
+    assert unused.get("planted_function") == module
+    # a sibling that imports and calls it inside a function uses it
+    other = "cli" if module != "cli" else "certify"
+    sources[other] += LATE_IMPORT.format(module="" if module == "__init__" else module)
+    assert "planted_function" not in _names_nothing_uses(sources)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from zsl import invariants
+from zsl import cli, invariants
 from zsl.atoms import enumerate_atoms
 from zsl.certify import ACM_SPEC
 from zsl.cli import main
@@ -225,6 +225,35 @@ def test_omega_and_tame(capsys, h2):
     assert code == 0
     report = json.loads(out)
     assert report["tame"] == max(report["omega"], report["tau"] + 1)
+
+
+def test_omega_budget_caps_the_enumeration_only(capsys, monkeypatch, tmp_path):
+    # the definition replay is exact at the atom's coordinate sum, so a larger
+    # --budget may raise the enumeration cap but never the replay's
+    ground = write(tmp_path, "g3.json", hypercube_pm(3).to_json())
+    argv = ["omega", "-i", ground, "--atom", "0", "--mode", "both"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    real = invariants.omega
+
+    def capped(monoid, atom_index, mode="minimal-cover", budget=None):
+        if budget is not None and budget > sum(monoid.atoms[atom_index]):
+            raise ValueError(f"replay budget {budget} requested")
+        return real(monoid, atom_index, mode, budget)
+
+    monkeypatch.setattr(invariants, "omega", capped)
+    monkeypatch.setattr(cli, "omega", capped)
+    assert run(capsys, *argv, "--budget", "16") == (0, plain, "")
+
+
+@pytest.mark.parametrize("argv", [["davenport", "-i", "H2"], ["certify", "--suite", "01"]])
+def test_unwritable_output_exits2_naming_the_path(capsys, h2, tmp_path, argv):
+    target = str(tmp_path / "missing" / "x.json")
+    argv = [h2 if a == "H2" else a for a in argv]
+    code, _, err = run(capsys, *argv, "-o", target)
+    assert code == 2
+    assert err.startswith("error: cannot write " + target)
+    assert "Traceback" not in err
 
 
 def test_omega_bad_atom_index(capsys, h2):

@@ -9,7 +9,6 @@ from zsl.atoms import enumerate_atoms
 from zsl import invariants
 from zsl.ground import GroundSet, Sequence
 from zsl.invariants import (
-    Factorization,
     PresentedMonoid,
     atom_invariants,
     block_monoid,
@@ -73,12 +72,12 @@ def test_free_monoid_of_600_atoms_builds():
 
 def test_single_atom_unique_factorization():
     z = factorizations(B2, TRIPLE)
-    assert len(z) == 1 and z[0].length == 1
+    assert len(z) == 1 and sum(z[0]) == 1
 
 
 def test_factorizations_of_identity():
     z = factorizations(B2, (0,) * 6)
-    assert len(z) == 1 and z[0].length == 0
+    assert len(z) == 1 and sum(z[0]) == 0
 
 
 def test_factorizations_empty_outside_monoid():
@@ -96,14 +95,14 @@ def test_distance_identical_zero():
 
 
 def test_distance_disjoint():
-    a = Factorization((2, 0, 0))
-    b = Factorization((0, 1, 4))
+    a = (2, 0, 0)
+    b = (0, 1, 4)
     assert distance(a, b) == 5
 
 
 def test_distance_one_atom_swap():
-    a = Factorization((1, 1, 0))
-    b = Factorization((1, 0, 1))
+    a = (1, 1, 0)
+    b = (1, 0, 1)
     assert distance(a, b) == 1
 
 
@@ -124,13 +123,13 @@ def test_catenary_outside_monoid_raises():
 
 def test_catenary_from_zero_one_and_two_factorizations():
     assert catenary_from_factorizations([]) == 0
-    assert catenary_from_factorizations([Factorization((2, 1))]) == 0
-    a = Factorization((2, 0, 0))
-    b = Factorization((0, 1, 4))
+    assert catenary_from_factorizations([(2, 1)]) == 0
+    a = (2, 0, 0)
+    b = (0, 1, 4)
     assert catenary_from_factorizations([a, b]) == 5
     assert catenary_from_factorizations([b, a]) == 5
-    c = Factorization((1, 1, 0))
-    d = Factorization((1, 0, 1))
+    c = (1, 1, 0)
+    d = (1, 0, 1)
     assert catenary_from_factorizations([c, d]) == 1
 
 
@@ -218,7 +217,7 @@ def test_factorization_search_depth_not_bounded_by_recursion_limit():
         miss = exists_length(f, ones, 149)
     finally:
         sys.setrecursionlimit(limit)
-    assert [z.counts for z in zs] == [ones]
+    assert zs == [ones]
     assert hit and not miss
 
 
@@ -490,7 +489,7 @@ def test_field_edge_coordinates_factor_exactly():
             assert_packed_search_matches_reference(m, x)
             want = sorted((a, b, c) for b, c in ((0, 1), (2, 0)) for a in range(v + 1)
                           if 3 * a + b == v)
-            assert [z.counts for z in factorizations(m, x)] == want
+            assert factorizations(m, x) == want
 
 
 def test_negative_coordinates_never_reach_the_search(monkeypatch):

@@ -188,7 +188,7 @@ def test_monext_catenary_block_base():
     checked = 0
     for x in sorted(elements_up_to(h0, 2)):
         zs = factorizations(h0, x)
-        if zs and max(z.length for z in zs) >= 2:
+        if zs and max(map(sum, zs)) >= 2:
             for d in Z2.elements():
                 out = monext_catenary(model, x, d, zs)
                 assert out["observed"] == out["predicted"]
@@ -248,23 +248,22 @@ def test_acm_case1_is_n0():
 
 
 def test_acm_membership_and_level():
+    # x is in the monoid exactly when its level-dropped image factors into
+    # x[0] atoms: the level coordinate counts the atoms of every factorization
     spec = AcmSpec(3, (Fraction(1),) * 3, ((1, 2),))
-    m = AcmModel(spec)
-    assert m.contains((0, 0, 0))
-    assert m.contains((1, 1, 1))   # tower sum 2 = C * level
-    assert m.contains((1, 2, 0))
-    assert m.contains((2, 3, 1))
-    assert not m.contains((1, 1, 0))
-    assert not m.contains((0, 1, 1))
-    # the level coordinate counts the atoms of every factorization
-    assert len(m.split((2, 3, 1))) == 2
+    monoid = AcmModel(spec).presented()
+    for x in ((0, 0, 0), (1, 1, 1), (1, 2, 0), (2, 3, 1)):  # tower sum 2 = C * level
+        assert set_of_lengths(monoid, x[1:]) == (x[0],)
+    assert set_of_lengths(monoid, (1, 0)) == ()  # (1, 1, 0): tower sum 1
+    assert set_of_lengths(monoid, (1, 1)) == (1,)  # so (0, 1, 1) is not a member
 
 
 def test_acm_atom_criterion_level_one():
     m = AcmModel(SPEC_2_3)
+    monoid = m.presented()
     for atom in m.atoms():
-        assert m.is_atom(atom)
         assert atom[0] == 1
+        assert set_of_lengths(monoid, atom[1:]) == (1,)
     assert len(m.atoms()) == 12  # compositions: 3 of weight 2 times 4 of weight 3
 
 
@@ -280,16 +279,11 @@ def test_acm_factorial_case_primes():
 
 
 def test_acm_split_transfer():
-    m = AcmModel(SPEC_2_3)
-    x = (3, 4, 2, 6, 3)
-    assert m.contains(x)
-    parts = m.split(x)
-    assert len(parts) == 3
-    total = [0] * 5
-    for p in parts:
-        for i, v in enumerate(p):
-            total[i] += v
-    assert tuple(total) == x
+    # a member of level 3 is a sum of exactly 3 atoms, in every factorization
+    monoid = AcmModel(SPEC_2_3).presented()
+    x = (4, 2, 6, 3)  # (3, 4, 2, 6, 3) with the level dropped
+    zs = factorizations(monoid, x)
+    assert zs and all(sum(z) == 3 and monoid.element(z) == x for z in zs)
 
 
 def test_acm_lengths_equal_level():
