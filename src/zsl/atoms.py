@@ -152,9 +152,8 @@ class DavenportResult:
         }
 
 
-def davenport(source, budget: int | None = None) -> DavenportResult:
-    """Davenport constant of a ground set (or of a precomputed atom set)."""
-    atom_set = source if isinstance(source, AtomSet) else enumerate_atoms(source, budget)
+def davenport(atom_set: AtomSet) -> DavenportResult:
+    """Davenport constant of the ground set of an atom enumeration."""
     best = atom_set.max_length()
     witnesses = tuple(a for a in atom_set.atoms if a.length == best and best > 0)
     return DavenportResult(best, atom_set.complete, witnesses)

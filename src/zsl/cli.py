@@ -185,7 +185,7 @@ def cmd_atoms(args) -> dict:
 
 def cmd_davenport(args) -> dict:
     ground = _load_ground(args)
-    return davenport(ground, args.budget).to_json()
+    return davenport(enumerate_atoms(ground, args.budget)).to_json()
 
 
 def cmd_delm(args) -> dict:
@@ -259,9 +259,6 @@ def cmd_omega(args) -> dict:
     monoid = _monoid_for(args, ground)
     if not 0 <= args.atom < monoid.atom_count:
         raise InputError(f"--atom must index the {monoid.atom_count} canonical atoms")
-    # --budget caps the enumeration only: the definition replay is exact at
-    # the atom's coordinate sum, which a complete enumeration's budget already
-    # reaches, so a longer replay would add work and never change omega
     report = {"atom": list(monoid.atoms[args.atom]), "mode": args.mode,
               "omega": omega(monoid, args.atom, args.mode)}
     if args.mode == "both":
@@ -379,6 +376,8 @@ def cmd_hnp(args) -> dict:
 
 def cmd_certify(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
+    if args.output:
+        _emit({}, args)  # an unwritable -o fails here, before the suite runs
     results = run_suite(names)
     if not results:
         raise InputError(f"no criteria match {args.suite!r}")
@@ -410,8 +409,7 @@ def cmd_probe_r4(args) -> dict:
     best, witness = longest_circuit(4, hypercube_plus(4).elements)
     fib_lb = fibonacci(6)
     budget = args.budget or 4
-    partial = enumerate_atoms(hypercube_pm(4), budget=budget)
-    longest = max((a.length for a in partial.atoms), default=0)
+    longest = enumerate_atoms(hypercube_pm(4), budget=budget).max_length()
     return {
         "rank": 4,
         "elementary_davenport": best,

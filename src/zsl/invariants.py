@@ -407,17 +407,16 @@ def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, 
     return sorted(covers)
 
 
-def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",
-          budget: int | None = None):
+def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover"):
     """Distance-from-prime measure of an atom.
 
     mode='minimal-cover': the maximum size of a componentwise-minimal atom
     multiset whose product the atom divides.  mode='definition-budget'
-    replays the defining property over all atom products of size <= budget
-    as an independent oracle (exact whenever budget >= coordinate sum of the
-    atom).  mode='both' cross-checks them.
+    replays the defining property over all atom products of size at most
+    the atom's coordinate sum, as an independent oracle.  mode='both'
+    cross-checks them.
 
-    The replay visits every atom multiset z with 1 <= |z| <= budget, in
+    The replay visits every atom multiset z with 1 <= |z| <= sum(u), in
     increasing size, and over those whose product u divides it takes the
     largest f(z), the least size of a sub-multiset of z that u still
     divides.  It computes f level by level from
@@ -434,7 +433,7 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",
     """
     if mode == "both":
         a = omega(monoid, atom_index, "minimal-cover")
-        b = omega(monoid, atom_index, "definition-budget", budget)
+        b = omega(monoid, atom_index, "definition-budget")
         if a != b:
             raise AssertionError(f"omega mismatch: minimal-cover={a} definition-budget={b}")
         return a
@@ -443,15 +442,13 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover",
     if mode != "definition-budget":
         raise ValueError(f"unknown omega mode {mode!r}")
     u = monoid.atoms[atom_index]
-    if budget is None:
-        budget = sum(u)
     support = [k for k, x in enumerate(u) if x]
     need = tuple(u[k] for k in support)
     proj = [tuple(a[k] for k in support) for a in monoid.atoms]
     n = monoid.atom_count
     worst = 0
     prev: dict[tuple[int, ...], int] = {}  # f of the covering multisets one size down
-    for size in range(1, budget + 1):
+    for size in range(1, sum(u) + 1):
         cur: dict[tuple[int, ...], int] = {}
         # nondecreasing index prefixes of length size - 1 with what u still lacks
         stack = [((), need)]

@@ -153,24 +153,19 @@ class MonextModel:
         vec, d = tuple(vec), tuple(d)
         if not self.is_member(vec, d):
             return []
+        # the d-values an atom may carry: all of D, or the divisors of d in N0^k
+        if self.d_is_group:
+            pool = self.group.elements()
+        else:
+            pool = list(product(*(range(t + 1) for t in d)))
         out = []
         for z in factorizations(self.h0, vec) if base is None else base:
-            positions = [i for i, c in enumerate(z) for _ in range(c)]
-            if not positions:
+            if not any(z):
                 if d == self.d_identity():
                     out.append(())
                 continue
-            per_type = [(i, c) for i, c in enumerate(z) if c]
-            choices = []
-            for i, c in per_type:
-                opts = []
-                if self.d_is_group:
-                    pool = self.group.elements()
-                else:
-                    pool = [tuple(x) for x in product(*(range(t + 1) for t in d))]
-                for combo in combinations_with_replacement(pool, c):
-                    opts.append(combo)
-                choices.append((i, opts))
+            choices = [(i, list(combinations_with_replacement(pool, c)))
+                       for i, c in enumerate(z) if c]
             for assignment in product(*(opts for _, opts in choices)):
                 total = self.d_identity()
                 for combo in assignment:
@@ -188,8 +183,9 @@ class MonextModel:
     def lengths(self, vec, d) -> tuple[int, ...]:
         return tuple(sorted({sum(c for _, c in z) for z in self.factorizations(vec, d)}))
 
-    def catenary(self, vec, d, base=None) -> int:
-        zs = self.factorizations(vec, d, base)
+    @staticmethod
+    def catenary(zs) -> int:
+        """Catenary degree of an element from its list of factorizations."""
         if not zs:
             raise ValueError("element is not in the product monoid")
         keys = sorted({key for z in zs for key, _ in z})
@@ -327,7 +323,7 @@ def monext_catenary(model: MonextModel, vec, dval, base) -> dict:
         else:
             predicted = max(2, c0)
 
-    observed = model.catenary(vec, dval, base)
+    observed = model.catenary(model.factorizations(vec, dval, base))
     if observed != predicted:
         raise AssertionError(f"catenary classification failed: "
                              f"predicted={predicted} observed={observed}")
@@ -409,21 +405,19 @@ def fp_rank1_invariants(group: FiniteAbelianGroup, budget: int = 6) -> dict:
     max_c = 0
     for n in range(1, budget + 1):
         for g in group.elements():
-            ls = model.lengths((n,), g)
+            zs = model.factorizations((n,), g)
+            ls = tuple(sorted({sum(c for _, c in z) for z in zs}))
             if ls != (n,):
                 raise AssertionError(f"level {n} element has lengths {ls}")
             if n >= 2:
-                max_c = max(max_c, model.catenary((n,), g))
-            if factorial and len(model.factorizations((n,), g)) != 1:
+                max_c = max(max_c, model.catenary(zs))
+            if factorial and len(zs) != 1:
                 raise AssertionError("trivial group must give unique factorization")
     report["certifies"] = "rank1-primary-catenary-tame-two"
     report["half_factorial"] = True
     report["factorial"] = factorial
     report["max_catenary"] = max_c
-    atom_stats = []
-    for g in group.elements():
-        inv = monext_invariants(model, 0, g)
-        atom_stats.append(inv["formula"])
+    atom_stats = [monext_invariants(model, 0, g)["formula"] for g in group.elements()]
     report["atom_invariants"] = atom_stats
     if factorial:
         _require(max_c == 0)
@@ -514,38 +508,29 @@ class AcmSpec:
 
 
 class AcmModel:
-    """Atoms and presentation for an AcmSpec."""
+    """Atoms and presentation of a finite-atom AcmSpec (case 1 or 2), built once."""
 
     def __init__(self, spec: AcmSpec):
-        self.spec = spec
-
-    def atoms(self) -> list[tuple[int, ...]]:
-        """The full atom list; finite exactly in the fully covered case."""
-        if self.spec.case() == 3:
+        if spec.case() == 3:
             raise ValueError("uncovered coordinates leave infinitely many atoms")
-        if self.spec.case() == 1:
-            return [(1,)]
-        blocks: list[list[tuple[int, ...]]] = []
-        for t, cs in zip(self.spec.towers, self.spec.tower_sums()):
-            blocks.append([c for c in _compositions(cs, len(t))])
-        out = []
+        self.spec = spec
+        blocks = [list(_compositions(cs, len(t)))
+                  for t, cs in zip(spec.towers, spec.tower_sums())]
+        atoms = []
         for picks in product(*blocks):
-            x = [0] * self.spec.size
+            x = [0] * spec.size
             x[0] = 1
-            for t, comp in zip(self.spec.towers, picks):
+            for t, comp in zip(spec.towers, picks):
                 for i, v in zip(t, comp):
                     x[i] = v
-            out.append(tuple(x))
-        return sorted(out)
+            atoms.append(tuple(x))
+        self.atoms: list[tuple[int, ...]] = sorted(atoms)
+        # the image of the level-dropping embedding, saturated in N0^(size-1)
+        self._monoid = free_monoid(1) if spec.case() == 1 else PresentedMonoid(
+            spec.size - 1, tuple(a[1:] for a in self.atoms))
 
     def presented(self) -> PresentedMonoid:
-        """Image of the level-dropping embedding, saturated in N0^(size-1)."""
-        if self.spec.case() == 1:
-            return free_monoid(1)
-        if self.spec.case() == 3:
-            raise ValueError("only the fully covered case embeds with finitely many atoms")
-        return PresentedMonoid(self.spec.size - 1,
-                               tuple(a[1:] for a in self.atoms()))
+        return self._monoid
 
 
 def _compositions(total: int, parts: int):
@@ -557,17 +542,16 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def acm_class_group(spec: AcmSpec) -> dict:
+def acm_class_group(model: AcmModel) -> dict:
     """Divisor class group of the fully covered almost-constant monoid.
 
     Computed two ways: the cokernel of the atom lattice via the Smith normal
     form, and the explicit homomorphism built from the tower sums; the two
     must agree on rank and torsion.
     """
-    model = AcmModel(spec)
+    spec, atoms = model.spec, model.atoms
     if spec.case() != 2:
         raise ValueError("class group computed only in the fully covered case")
-    atoms = model.atoms()
     j_atoms = [list(a[1:]) for a in atoms]
     quotient = lattice_quotient(j_atoms, spec.size - 1)
     sums = spec.tower_sums()
@@ -617,54 +601,13 @@ def acm_class_group(spec: AcmSpec) -> dict:
     return report
 
 
-def acm_tame(spec: AcmSpec) -> dict:
-    """Per-atom omega values with their tower brackets, and the tame degree.
-
-    For every atom u the exact omega (minimal covers) must sit between
-    sum(C_I - min_I u) and sum(C_I); the atom concentrating each tower on
-    one coordinate attains the top, which is the tame degree of the whole
-    monoid unless it is factorial.
-    """
-    model = AcmModel(spec)
-    if spec.case() != 2:
-        raise ValueError("tame report needs the fully covered case")
-    atoms = model.atoms()
-    monoid = model.presented()
-    sums = spec.tower_sums()
-    total = sum(sums)
-    factorial = len(sums) == 1 and sums[0] == 1
-    per_atom = []
-    for idx, atom in enumerate(atoms):
-        inv = atom_invariants(monoid, idx)
-        w = inv["omega"]
-        lower = sum(cs - min(atom[i] for i in t)
-                    for t, cs in zip(spec.towers, sums))
-        if not lower <= w <= total:
-            raise AssertionError(f"omega {w} outside bracket [{lower}, {total}]")
-        per_atom.append({"atom": list(atom), "omega": w, "lower": lower,
-                         "upper": total, "tame": inv["tame"]})
-    extremal = [0] * spec.size
-    extremal[0] = 1
-    for t, cs in zip(spec.towers, sums):
-        extremal[t[0]] = cs
-    extremal_idx = atoms.index(tuple(extremal))
-    report = {
-        "per_atom": per_atom,
-        "extremal_atom": list(atoms[extremal_idx]),
-        "extremal_omega": per_atom[extremal_idx]["omega"],
-        "factorial": factorial,
-        "tame": 0 if factorial else max(p["tame"] for p in per_atom),
-        "omega_monoid": max(p["omega"] for p in per_atom),
-    }
-    if not factorial:
-        if report["tame"] != total or report["omega_monoid"] != total:
-            raise AssertionError("tame degree does not equal the tower-sum total")
-    return report
-
-
 def acm_report(spec: AcmSpec, level_budget: int = 4) -> dict:
-    """Summary report: atoms, half-factoriality, catenary, class group, tame."""
-    model = AcmModel(spec)
+    """Summary report: atoms, half-factoriality, catenary, class group, tame.
+
+    In the fully covered case the omega of every atom u must lie in its
+    tower bracket [sum(C_I - min_I u), sum(C_I)], and unless the monoid is
+    factorial its tame degree and omega must both equal sum(C_I).
+    """
     report: dict = {"case": spec.case(), "spec": spec.to_json(),
                     "certifies": "tower-constrained-monoid-arithmetic"}
     if spec.case() == 1:
@@ -678,29 +621,39 @@ def acm_report(spec: AcmSpec, level_budget: int = 4) -> dict:
         report["tame"] = "infinite"
         report["omega"] = "infinite"
         return report
-    atoms = model.atoms()
+    model = AcmModel(spec)
     monoid = model.presented()
+    sums = spec.tower_sums()
+    total = sum(sums)
+    factorial = len(sums) == 1 and sums[0] == 1
     max_c = 0
     for x in sorted(elements_up_to(monoid, level_budget)):
         zs = factorizations(monoid, x)
         if len(set(map(sum, zs))) > 1:
             raise AssertionError(f"half-factoriality failed at {x}")
         max_c = max(max_c, catenary_from_factorizations(zs))
-    tame = acm_tame(spec)
+    if factorial and max_c != 0:
+        raise AssertionError("factorial case must have catenary 0")
+    if max_c > 2:
+        raise AssertionError("catenary exceeded 2 in the covered case")
+    invs = [atom_invariants(monoid, idx) for idx in range(monoid.atom_count)]
+    for atom, inv in zip(model.atoms, invs):
+        lower = sum(cs - min(atom[i] for i in t) for t, cs in zip(spec.towers, sums))
+        if not lower <= inv["omega"] <= total:
+            raise AssertionError(f"omega {inv['omega']} outside bracket [{lower}, {total}]")
+    tame = 0 if factorial else max(inv["tame"] for inv in invs)
+    omega = max(inv["omega"] for inv in invs)
+    if not factorial and (tame != total or omega != total):
+        raise AssertionError("tame degree does not equal the tower-sum total")
     report.update({
-        "atom_count": len(atoms),
+        "atom_count": len(model.atoms),
         "half_factorial": True,
         "max_catenary_observed": max_c,
-        "factorial": tame["factorial"],
-        "tame": tame["tame"],
-        "omega": tame["omega_monoid"],
-        "class_group": acm_class_group(spec),
+        "factorial": factorial,
+        "tame": tame,
+        "omega": omega,
+        "class_group": acm_class_group(model),
     })
-    if tame["factorial"]:
-        if max_c != 0:
-            raise AssertionError("factorial case must have catenary 0")
-    elif max_c > 2:
-        raise AssertionError("catenary exceeded 2 in the covered case")
     return report
 
 
@@ -798,21 +751,16 @@ def hnp_report(td: TowerData, level_budget: int = 4) -> dict:
     report["factorial"] = factorial
 
     acm = acm_report(spec, level_budget)
+    report["half_factorial"] = acm["half_factorial"]
     if faithfuls:
         report["tame"] = "infinite"
         report["omega"] = "infinite"
-        report["half_factorial"] = acm["half_factorial"]
         report["catenary"] = acm["catenary"]
         return report
 
-    h0_tame = acm["tame"]
-    if group.is_trivial:
-        tame = h0_tame
-    else:
-        tame = max(2, h0_tame)
+    tame = acm["tame"] if group.is_trivial else max(2, acm["tame"])
     report["tame"] = tame
     report["omega"] = tame
-    report["half_factorial"] = acm["half_factorial"]
     report["catenary"] = 0 if factorial else max(2, acm.get("max_catenary_observed", 0))
     if not factorial and tame != tower_total:
         report["tame_formula_note"] = (

@@ -70,7 +70,7 @@ def test_enumerate_detects_zero_element_atom():
 
 def test_no_atoms_davenport_zero():
     g = GroundSet.from_elements(1, [(1,)])
-    res = davenport(g)
+    res = davenport(enumerate_atoms(g))
     assert res.value == 0 and res.exact and res.witnesses == ()
 
 
@@ -303,7 +303,7 @@ def test_elementary_davenport_r3_both_methods():
 def test_elementary_davenport_no_elementary_atom():
     assert elementary_davenport(PM1, "enumerate") == 0
     assert not has_elementary_atom(PM1)
-    assert davenport(PM1).value < 3
+    assert davenport(enumerate_atoms(PM1)).value < 3
 
 
 def test_elementary_davenport_formula_needs_full_rank():
@@ -520,8 +520,9 @@ def test_upper_bounds_skip_without_long_atom():
 
 def test_upper_bounds_non_hypercube_ground():
     g = GroundSet.from_elements(1, [(2,), (-3,)])
-    report = davenport_upper_bounds(g, enumerate_atoms(g))
-    d = davenport(g).value
+    atom_set = enumerate_atoms(g)
+    report = davenport_upper_bounds(g, atom_set)
+    d = davenport(atom_set).value
     assert d == 5
     assert report["hadamard"] is None  # closed form applies to 0/1 vertices only
     for key in ("snf_G0", "snf_G1", "dgs", "elm_product"):

@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
-from zsl import cli, invariants
+from zsl import invariants, models
 from zsl.atoms import enumerate_atoms
 from zsl.certify import ACM_SPEC
 from zsl.cli import main
 from zsl.constructions import hypercube_pm
-from zsl.models import (AcmModel, FiniteAbelianGroup, MonextModel, acm_report, acm_tame,
-                        monext_invariants)
+from zsl.models import (AcmModel, FiniteAbelianGroup, MonextModel, TowerData, acm_report,
+                        fp_rank1_invariants, hnp_report, monext_invariants)
 
 
 def run(capsys, *argv):
@@ -227,22 +227,13 @@ def test_omega_and_tame(capsys, h2):
     assert report["tame"] == max(report["omega"], report["tau"] + 1)
 
 
-def test_omega_budget_caps_the_enumeration_only(capsys, monkeypatch, tmp_path):
-    # the definition replay is exact at the atom's coordinate sum, so a larger
-    # --budget may raise the enumeration cap but never the replay's
+def test_omega_budget_caps_the_enumeration_only(capsys, tmp_path):
+    # the definition replay always stops at the atom's coordinate sum, so a
+    # larger --budget may raise the enumeration cap but never changes omega
     ground = write(tmp_path, "g3.json", hypercube_pm(3).to_json())
     argv = ["omega", "-i", ground, "--atom", "0", "--mode", "both"]
     code, plain, _ = run(capsys, *argv)
     assert code == 0
-    real = invariants.omega
-
-    def capped(monoid, atom_index, mode="minimal-cover", budget=None):
-        if budget is not None and budget > sum(monoid.atoms[atom_index]):
-            raise ValueError(f"replay budget {budget} requested")
-        return real(monoid, atom_index, mode, budget)
-
-    monkeypatch.setattr(invariants, "omega", capped)
-    monkeypatch.setattr(cli, "omega", capped)
     assert run(capsys, *argv, "--budget", "16") == (0, plain, "")
 
 
@@ -250,10 +241,11 @@ def test_omega_budget_caps_the_enumeration_only(capsys, monkeypatch, tmp_path):
 def test_unwritable_output_exits2_naming_the_path(capsys, h2, tmp_path, argv):
     target = str(tmp_path / "missing" / "x.json")
     argv = [h2 if a == "H2" else a for a in argv]
-    code, _, err = run(capsys, *argv, "-o", target)
+    code, out, err = run(capsys, *argv, "-o", target)
     assert code == 2
     assert err.startswith("error: cannot write " + target)
     assert "Traceback" not in err
+    assert "PASS" not in out and "FAIL" not in out  # certify fails before its suite runs
 
 
 def test_omega_bad_atom_index(capsys, h2):
@@ -420,7 +412,9 @@ def test_canonicalize_orders_elements(capsys, tmp_path):
 
 def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
     """One minimal-cover search per atom question and one factorization
-    search per element, counted by (monoid, atom) and (monoid, element)."""
+    search per element, counted by (monoid, atom) and (monoid, element); one
+    acm atom enumeration per acm_report; one product factorization per level
+    element of fp_rank1_invariants."""
     covers, factored = Counter(), Counter()
     search_covers = invariants.minimal_covers
     search_counts = invariants._factorization_counts
@@ -442,9 +436,6 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
         invariants.tame_degree(monoid, i)
     assert covers == {(monoid, i): 1 for i in range(monoid.atom_count)}
     covers.clear()
-    acm_tame(ACM_SPEC)
-    assert covers == {(monoid, i): 1 for i in range(monoid.atom_count)}
-    covers.clear()
 
     h0 = invariants.block_monoid(enumerate_atoms(hypercube_pm(2)))
     model = MonextModel(h0, group=FiniteAbelianGroup.from_factors([2]))
@@ -454,11 +445,53 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
             assert covers == {(h0, i): 1}
             covers.clear()
 
+    # AcmModel enumerates its atoms in its constructor and nowhere else
+    built = []
+    build = AcmModel.__init__
+
+    def counted_build(model, spec):
+        built.append(spec)
+        build(model, spec)
+
+    monkeypatch.setattr(AcmModel, "__init__", counted_build)
     factored.clear()
     acm_report(ACM_SPEC)
+    assert covers == {(monoid, i): 1 for i in range(monoid.atom_count)}
     elements = invariants.elements_up_to(monoid, 4)
     assert {x for m, x in factored if m == monoid} == elements
     assert set(factored.values()) == {1}
+    assert built == [ACM_SPEC]
+    built.clear()
+    # acm_report's model, and a second one for the class-group theta check
+    towers = [{"ranks": [1, 1]}, {"ranks": [2, 1]}]
+    hnp_report(TowerData.from_json({"udim": 1, "cycle_towers": towers,
+                                    "faithful_towers": [], "class_group": [2]}))
+    assert len(built) == 2
+
+    # MonextModel.factorizations calls from the level loop of fp_rank1_invariants,
+    # not from the monext_invariants oracle it runs on the atoms afterwards
+    product_factored = Counter()
+    in_oracle = []
+    search_product = MonextModel.factorizations
+    run_oracle = models.monext_invariants
+
+    def counted_product(model, vec, d, base=None):
+        if not in_oracle:
+            product_factored[tuple(vec), tuple(d)] += 1
+        return search_product(model, vec, d, base)
+
+    def oracle(*args):
+        in_oracle.append(True)
+        try:
+            return run_oracle(*args)
+        finally:
+            in_oracle.pop()
+
+    monkeypatch.setattr(MonextModel, "factorizations", counted_product)
+    monkeypatch.setattr(models, "monext_invariants", oracle)
+    group = FiniteAbelianGroup.from_factors([2, 2])
+    fp_rank1_invariants(group, budget=4)
+    assert product_factored == {((n,), g): 1 for n in range(1, 5) for g in group.elements()}
 
     elem = write(tmp_path, "e.json", {"mult": [1, 1, 1, 1, 1, 1]})
     for argv, searches in ((["tame", "-i", h2, "--atom", "0"], covers),

@@ -200,7 +200,7 @@ def test_free_monoid_atoms_prime():
 def test_omega_triple_atom():
     i = atom_index(B2, TRIPLE)
     assert omega(B2, i, "minimal-cover") == 3
-    assert omega(B2, i, "both", budget=6) == 3
+    assert omega(B2, i, "both") == 3
 
 
 def test_factorization_search_depth_not_bounded_by_recursion_limit():
@@ -234,7 +234,7 @@ def test_exists_length_agrees_with_set_of_lengths(picks, target):
 def test_omega_pair_atom():
     pair = vec([((1, 0), 1), ((-1, 0), 1)])
     i = atom_index(B2, pair)
-    assert omega(B2, i, "both", budget=6) == 2
+    assert omega(B2, i, "both") == 2
 
 
 def test_minimal_covers_contain_self():
@@ -562,9 +562,7 @@ def test_catenary_bounded_by_davenport_on_samples():
 
 def test_omega_modes_agree_on_all_r2_atoms():
     for i in range(B2.atom_count):
-        u = B2.atoms[i]
-        assert omega(B2, i, "minimal-cover") == omega(B2, i, "definition-budget",
-                                                      budget=sum(u))
+        assert omega(B2, i, "minimal-cover") == omega(B2, i, "definition-budget")
 
 
 def omega_definition_replay(monoid, atom_index, budget):
@@ -586,7 +584,7 @@ def omega_definition_replay(monoid, atom_index, budget):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
                 .filter(lambda v: v > (0, 0)), min_size=2, max_size=3, unique=True))
-def test_omega_oracle_matches_literal_replay_at_every_budget(vectors):
+def test_omega_oracle_matches_literal_replay(vectors):
     # lexicographically positive vectors with their negatives: a symmetric
     # ground, whose atoms reach length 6
     elements = sorted(set(vectors) | {(-x, -y) for x, y in vectors})
@@ -594,9 +592,8 @@ def test_omega_oracle_matches_literal_replay_at_every_budget(vectors):
     assume(atom_set.complete)
     monoid = block_monoid(atom_set)
     for i in range(monoid.atom_count):
-        for budget in range(sum(monoid.atoms[i]) + 2):
-            assert omega(monoid, i, "definition-budget", budget) == \
-                omega_definition_replay(monoid, i, budget)
+        assert omega(monoid, i, "definition-budget") == \
+            omega_definition_replay(monoid, i, sum(monoid.atoms[i]))
 
 
 def test_omega_oracle_never_calls_minimal_covers(monkeypatch):

@@ -22,7 +22,6 @@ from zsl.models import (
     TowerData,
     acm_class_group,
     acm_report,
-    acm_tame,
     fp_rank1_invariants,
     hnp_monoid,
     hnp_report,
@@ -261,10 +260,10 @@ def test_acm_membership_and_level():
 def test_acm_atom_criterion_level_one():
     m = AcmModel(SPEC_2_3)
     monoid = m.presented()
-    for atom in m.atoms():
+    for atom in m.atoms:
         assert atom[0] == 1
         assert set_of_lengths(monoid, atom[1:]) == (1,)
-    assert len(m.atoms()) == 12  # compositions: 3 of weight 2 times 4 of weight 3
+    assert len(m.atoms) == 12  # compositions: 3 of weight 2 times 4 of weight 3
 
 
 def test_acm_factorial_case_primes():
@@ -275,7 +274,7 @@ def test_acm_factorial_case_primes():
     assert report["factorial"] and report["tame"] == 0
     assert report["atom_count"] == 2
     model = AcmModel(spec)
-    assert model.atoms() == [(1, 0, 1), (1, 1, 0)]
+    assert model.atoms == [(1, 0, 1), (1, 1, 0)]
 
 
 def test_acm_split_transfer():
@@ -295,7 +294,7 @@ def test_acm_lengths_equal_level():
 
 
 def test_acm_class_group_n2():
-    report = acm_class_group(SPEC_2_3)
+    report = acm_class_group(AcmModel(SPEC_2_3))
     assert report["free_rank"] == 1 and report["invariant_factors"] == []
     assert report["a_coefficients"] == [3]
     assert report["b_coefficients"] == [2]
@@ -306,20 +305,19 @@ def test_acm_class_group_n2():
 
 def test_acm_class_group_n1():
     spec = AcmSpec(3, (Fraction(1),) * 3, ((1, 2),))
-    report = acm_class_group(spec)
+    report = acm_class_group(AcmModel(spec))
     assert report["group"] == "Z/2"
     (cls,) = report["classes_with_prime_divisors"]
     assert cls["prime_divisors"] == 2
 
 
 def test_acm_tame_2_3():
-    report = acm_tame(SPEC_2_3)
-    assert report["tame"] == 5 and report["omega_monoid"] == 5
-    assert report["extremal_omega"] == 5
-    assert report["extremal_atom"] == [1, 2, 0, 3, 0]
+    report = acm_report(SPEC_2_3)
+    assert report["tame"] == 5 and report["omega"] == 5
+    # the atom concentrating each tower on one coordinate attains omega 5
     model = AcmModel(SPEC_2_3)
-    extremal = model.atoms().index((1, 2, 0, 3, 0))
-    assert omega(model.presented(), extremal, "definition-budget", 5) == 5
+    extremal = model.atoms.index((1, 2, 0, 3, 0))
+    assert omega(model.presented(), extremal, "both") == 5
 
 
 def test_acm_half_factorial_omega_tau_relation():
@@ -335,7 +333,7 @@ def test_acm_half_factorial_omega_tau_relation():
 def test_acm_prime_divisor_classes_realize_single_atom_monoid():
     # the n = 2 class images {3 e1, -2 e1} span a zero-sum monoid with the
     # single atom (3)^2 (-2)^3 of length 5
-    report = acm_class_group(SPEC_2_3)
+    report = acm_class_group(AcmModel(SPEC_2_3))
     images = sorted(tuple(c["image"]) for c in report["classes_with_prime_divisors"])
     assert images == [(-2,), (3,)]
     atom = single_atom(GroundSet.from_elements(1, images))
@@ -357,6 +355,8 @@ def test_acm_case3_free_part():
     assert report["free_coordinates"] == 1
     assert report["tame"] == "infinite"
     assert report["catenary"] == 2
+    with pytest.raises(ValueError, match="infinitely many atoms"):
+        AcmModel(spec)
 
 
 # ---------------------------------------------------------------------------
