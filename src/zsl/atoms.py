@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
+from operator import add, mul
 
 from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, up_to_sign
 from .intlinalg import (
@@ -78,43 +79,68 @@ def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
     solution carries its support bitmask and each frontier tuple carries its
     own next to its state, so one integer test, supp(a) inside supp(t2),
     rejects most of those before any coordinate is read.
+
+    Each count tuple is held as one int p of w-bit fields, t_j in bits
+    [j * w, (j + 1) * w), with w = (budget + 1).bit_length() + 1.  No count
+    exceeds the length of its tuple, and the rounds run only while the
+    length is at most the budget, so the longest tuple they read or make is
+    a child of length budget + 1: every count lies below the field's top
+    bit, the guard bit G_j = 2^(w - 1).  The child t + e_j is p + 2^(j * w), and
+    the key (j, t2_j) is the field itself, p2 masked to bits of field j: a
+    distinct nonzero int for each pair with t2_j >= 1.  For the dominance
+    test, set every guard and subtract a stored solution: field j of
+    (p2 | G) - a holds t2_j + G_j - a_j, which lies in [1, 2 G_j) because
+    both counts lie in [0, G_j), so no field borrows from the next and G_j
+    survives exactly when a_j <= t2_j; hence a <= t2 exactly when
+    ((p2 | G) - a) & G == G.  The solutions are unpacked into tuples once,
+    at the end.
     """
+    n = len(vectors)
+    width = (budget + 1).bit_length() + 1
+    field = (1 << (width - 1)) - 1
+    shifts = range(0, n * width, width)
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    # per j: the vector, the packed unit e_j, the mask of field j, the support bit
+    steps = [(v, 1 << s, field << s, 1 << j)
+             for j, (v, s) in enumerate(zip(vectors, shifts))]
     zero = (0,) * len(vectors[0]) if vectors else ()
-    solutions: list[tuple[int, ...]] = []
-    # (j, a_j) -> (support bitmask, a) for every solution a and every j in supp(a)
-    by_coordinate: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+    zeros = [0] * len(zero)
+    frontier = {sum(c << s for c, s in zip(t, shifts)): entry for t, entry in frontier.items()}
+    solutions: list[int] = []
+    # field j of a, nonzero -> (support bitmask, a) for every solution a and every j in supp(a)
+    by_coordinate: dict[int, list[tuple[int, int]]] = {}
     length = size
     while frontier and length <= budget:
-        for t, (state, mask) in frontier.items():
+        for p, (state, mask) in frontier.items():
             if state == zero:
-                solutions.append(t)
-                for j, c in enumerate(t):
-                    if c:
-                        by_coordinate.setdefault((j, c), []).append((mask, t))
-        next_frontier: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for t, (state, mask) in frontier.items():
+                solutions.append(p)
+                for _, _, f, _ in steps:
+                    if p & f:
+                        by_coordinate.setdefault(p & f, []).append((mask, p))
+        next_frontier: dict[int, tuple[tuple[int, ...], int]] = {}
+        for p, (state, mask) in frontier.items():
             if state == zero:
                 continue
-            for j, v in enumerate(vectors):
-                if sum(s * x for s, x in zip(state, v)) >= 0:
+            for v, unit, f, bit in steps:
+                if sum(map(mul, state, v)) >= 0:
                     continue
-                t2 = list(t)
-                t2[j] += 1
-                t2 = tuple(t2)
-                if t2 in next_frontier:
+                p2 = p + unit
+                if p2 in next_frontier:
                     continue
-                mask2 = mask | (1 << j)
-                if any(not found_mask & ~mask2 and all(a <= b for a, b in zip(found, t2))
-                       for found_mask, found in by_coordinate.get((j, t2[j]), ())):
-                    continue
-                if clip:
-                    state2 = tuple(max(s + x, 0) for s, x in zip(state, v))
+                mask2 = mask | bit
+                raised = p2 | guards
+                for found_mask, found in by_coordinate.get(p2 & f, ()):
+                    if not found_mask & ~mask2 and (raised - found) & guards == guards:
+                        break
                 else:
-                    state2 = tuple(s + x for s, x in zip(state, v))
-                next_frontier[t2] = (state2, mask2)
+                    if clip:
+                        state2 = tuple(map(max, map(add, state, v), zeros))
+                    else:
+                        state2 = tuple(map(add, state, v))
+                    next_frontier[p2] = (state2, mask2)
         frontier = next_frontier
         length += 1
-    return solutions, not frontier
+    return [tuple((p >> s) & field for s in shifts) for p in solutions], not frontier
 
 
 def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:

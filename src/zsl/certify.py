@@ -343,11 +343,22 @@ CRITERIA: list[tuple[str, object, float]] = [
 ]
 
 
+def _select(names: list[str] | None) -> list[tuple[str, object, float]]:
+    """The criteria named in ``names`` by full name or number, in suite
+    order; all of them for None.  A ValueError names every entry of
+    ``names`` that matches no criterion."""
+    if not names:
+        return CRITERIA
+    known = {key for name, _, _ in CRITERIA for key in (name, name.split("-")[0])}
+    unmatched = [x for x in names if x not in known]
+    if unmatched:
+        raise ValueError(f"no criteria match {', '.join(map(repr, unmatched))}")
+    return [c for c in CRITERIA if c[0] in names or c[0].split("-")[0] in names]
+
+
 def run_suite(names: list[str] | None = None) -> list[CheckResult]:
     results = []
-    for name, fn, limit in CRITERIA:
-        if names and name not in names and name.split("-")[0] not in names:
-            continue
+    for name, fn, limit in _select(names):
         start = time.monotonic()
         try:
             details = fn()

@@ -14,39 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .atoms import (
-    davenport,
-    davenport_upper_bounds,
-    elementary_davenport,
-    enumerate_atoms,
-    longest_circuit,
-    rational_elementary_decomposition,
-)
-from .certify import run_suite
-from .constructions import (VERIFY_LIMIT, fibonacci, fibonacci_witness, hypercube_plus,
-                            hypercube_pm)
 from .ground import GroundSet, RationalSequence, Sequence, _encode_mult
-from .invariants import (
-    atom_invariants,
-    block_monoid,
-    catenary_from_factorizations,
-    elements_up_to,
-    factorizations,
-    omega,
-    union_of_lengths,
-)
-from .models import (
-    AcmSpec,
-    FiniteAbelianGroup,
-    MonextModel,
-    TowerData,
-    acm_report,
-    fp_rank1_invariants,
-    hnp_report,
-    monext_catenary,
-    monext_invariants,
-    monext_theta_check,
-)
 
 
 class InputError(Exception):
@@ -159,7 +127,9 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(*flags, **kwargs)
 
 
-def _parse_group(text: str) -> FiniteAbelianGroup:
+def _parse_group(text: str):
+    from .models import FiniteAbelianGroup
+
     text = text.strip()
     if text in ("", "0", "trivial"):
         return FiniteAbelianGroup.from_factors([])
@@ -170,11 +140,14 @@ def _parse_group(text: str) -> FiniteAbelianGroup:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each imports the modules it runs, so that a command
+# loads (and, without cached bytecode, compiles) only those
 # ---------------------------------------------------------------------------
 
 
 def cmd_atoms(args) -> dict:
+    from .atoms import davenport, enumerate_atoms
+
     ground = _load_ground(args)
     atom_set = enumerate_atoms(ground, args.budget)
     report = atom_set.to_json()
@@ -184,11 +157,15 @@ def cmd_atoms(args) -> dict:
 
 
 def cmd_davenport(args) -> dict:
+    from .atoms import davenport, enumerate_atoms
+
     ground = _load_ground(args)
     return davenport(enumerate_atoms(ground, args.budget)).to_json()
 
 
 def cmd_delm(args) -> dict:
+    from .atoms import elementary_davenport
+
     ground = _load_ground(args)
     report = {"elementary_davenport": elementary_davenport(ground, args.method, args.budget),
               "method": args.method}
@@ -198,11 +175,15 @@ def cmd_delm(args) -> dict:
 
 
 def cmd_bounds(args) -> dict:
+    from .atoms import davenport_upper_bounds, enumerate_atoms
+
     ground = _load_ground(args)
     return davenport_upper_bounds(ground, enumerate_atoms(ground, args.budget))
 
 
 def cmd_decompose(args) -> dict:
+    from .atoms import rational_elementary_decomposition
+
     ground = _load_ground(args)
     seq = _load_sequence(ground, args.seq, rational=True)
     if not seq.is_zero_sum():
@@ -215,6 +196,9 @@ def cmd_decompose(args) -> dict:
 
 
 def _monoid_for(args, ground: GroundSet):
+    from .atoms import enumerate_atoms
+    from .invariants import block_monoid
+
     atom_set = enumerate_atoms(ground, args.budget)
     if not atom_set.complete:
         raise InputError("atom enumeration hit the budget; raise --budget")
@@ -222,6 +206,8 @@ def _monoid_for(args, ground: GroundSet):
 
 
 def cmd_lengths(args) -> dict:
+    from .invariants import factorizations
+
     ground = _load_ground(args)
     monoid = _monoid_for(args, ground)
     seq = _load_sequence(ground, args.element)
@@ -234,6 +220,8 @@ def cmd_lengths(args) -> dict:
 
 
 def cmd_unions(args) -> dict:
+    from .invariants import union_of_lengths
+
     ground = _load_ground(args)
     monoid = _monoid_for(args, ground)
     result = union_of_lengths(monoid, args.k, args.strategy)
@@ -241,6 +229,8 @@ def cmd_unions(args) -> dict:
 
 
 def cmd_catenary(args) -> dict:
+    from .invariants import catenary_from_factorizations, factorizations
+
     ground = _load_ground(args)
     monoid = _monoid_for(args, ground)
     seq = _load_sequence(ground, args.element)
@@ -255,6 +245,8 @@ def cmd_catenary(args) -> dict:
 
 
 def cmd_omega(args) -> dict:
+    from .invariants import omega
+
     ground = _load_ground(args)
     monoid = _monoid_for(args, ground)
     if not 0 <= args.atom < monoid.atom_count:
@@ -267,6 +259,8 @@ def cmd_omega(args) -> dict:
 
 
 def cmd_tame(args) -> dict:
+    from .invariants import atom_invariants
+
     ground = _load_ground(args)
     monoid = _monoid_for(args, ground)
     if not 0 <= args.atom < monoid.atom_count:
@@ -291,6 +285,8 @@ def _check_rank(rank: int) -> None:
 
 
 def cmd_fib(args) -> dict:
+    from .constructions import VERIFY_LIMIT, fibonacci_witness, hypercube_pm
+
     _check_rank(args.rank)
     if args.verify and args.rank > _FIB_VERIFY_MAX_RANK:
         raise InputError(f"--verify checks ranks up to {_FIB_VERIFY_MAX_RANK}, got --rank "
@@ -305,12 +301,16 @@ def cmd_fib(args) -> dict:
 
 
 def cmd_hypercube(args) -> dict:
+    from .constructions import hypercube_plus, hypercube_pm
+
     _check_rank(args.rank)
     ground = hypercube_pm(args.rank) if args.signed else hypercube_plus(args.rank)
     return ground.to_json()
 
 
 def cmd_fp(args) -> dict:
+    from .models import fp_rank1_invariants
+
     group = _parse_group(args.group)
     return fp_rank1_invariants(group, args.budget or 6)
 
@@ -319,6 +319,9 @@ _MONEXT_CHECKS = ("theta", "invariants", "catenary")
 
 
 def cmd_monext(args) -> dict:
+    from .invariants import elements_up_to, factorizations
+    from .models import MonextModel, monext_catenary, monext_invariants, monext_theta_check
+
     kind, _, payload = args.d.partition(":")
     if kind == "group":
         d_kwargs = {"group": _parse_group(payload)}
@@ -365,22 +368,30 @@ def cmd_monext(args) -> dict:
 
 
 def cmd_acm(args) -> dict:
+    from .models import AcmSpec, acm_report
+
     spec = _parse_file(args.spec, AcmSpec.from_json)
     return acm_report(spec, level_budget=args.budget or 4)
 
 
 def cmd_hnp(args) -> dict:
+    from .models import TowerData, hnp_report
+
     data = _parse_file(args.towers, TowerData.from_json)
     return hnp_report(data, level_budget=args.budget or 4)
 
 
 def cmd_certify(args) -> int:
+    from .certify import _select, run_suite
+
     names = None if args.suite == "all" else args.suite.split(",")
+    try:
+        _select(names)  # an unknown name fails here, before the suite runs or -o is touched
+    except ValueError as exc:
+        raise InputError(f"--suite: {exc}") from exc
     if args.output:
         _emit({}, args)  # an unwritable -o fails here, before the suite runs
     results = run_suite(names)
-    if not results:
-        raise InputError(f"no criteria match {args.suite!r}")
     report = {}
     failed = 0
     for res in results:
@@ -406,6 +417,9 @@ def cmd_probe_r4(args) -> dict:
     Davenport constant exactly; whether the full Davenport constant exceeds
     it stays open and is not claimed either way.
     """
+    from .atoms import enumerate_atoms, longest_circuit
+    from .constructions import fibonacci, hypercube_plus, hypercube_pm
+
     best, witness = longest_circuit(4, hypercube_plus(4).elements)
     fib_lb = fibonacci(6)
     budget = args.budget or 4

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
+from operator import add, sub
 
 from .ground import _json_fields, _json_int, _json_ints, _json_list, _require
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
@@ -211,32 +212,33 @@ class MonextModel:
         """Componentwise-minimal H-atom multisets of at most ``cap`` atoms
         divisible by ((atom u), du): breadth-first in nondecreasing atom index
         order, so each multiset is built once, and kept when it covers and no
-        single removal still covers."""
+        single removal still covers.  Each multiset carries its product, so a
+        child adds one atom to it and a removal subtracts one."""
         if not self.d_is_group:
             raise ValueError("minimal covers need a finite atom list (group D)")
         target = (self.h0.atoms[u_idx], tuple(du))
         atoms = self.h_atoms()
         n = len(atoms)
+        vecs = [self.h0.atoms[i] for i, _ in atoms]
 
-        def items(counts):
-            return tuple((atoms[j], c) for j, c in enumerate(counts) if c)
-
-        def is_cover(counts):
-            return self.divides(target, self.atom_product(items(counts)))
+        def covers_without(vec, d, i):
+            return self.divides(target, (tuple(map(sub, vec, vecs[i])),
+                                         self.d_sub(d, atoms[i][1])))
 
         covers = []
-        frontier = [(0,) * n]
+        # (counts, their product's vector and d-value, the largest index counted)
+        frontier = [((0,) * n, self.zero_vec(), self.d_identity(), 0)]
         for _ in range(cap):
             nxt = []
-            for z in frontier:
-                start = max((i for i in range(n) if z[i]), default=0)
+            for z, vec, d, start in frontier:
                 for j in range(start, n):
                     z2 = z[:j] + (z[j] + 1,) + z[j + 1:]
-                    if not is_cover(z2):
-                        nxt.append(z2)
-                    elif not any(z2[i] and is_cover(z2[:i] + (z2[i] - 1,) + z2[i + 1:])
-                                 for i in range(n)):
-                        covers.append(items(z2))
+                    vec2 = tuple(map(add, vec, vecs[j]))
+                    d2 = self.d_add(d, atoms[j][1])
+                    if not self.divides(target, (vec2, d2)):
+                        nxt.append((z2, vec2, d2, j))
+                    elif not any(z2[i] and covers_without(vec2, d2, i) for i in range(n)):
+                        covers.append(tuple((atoms[i], c) for i, c in enumerate(z2) if c))
             frontier = nxt
         return sorted(covers)
 

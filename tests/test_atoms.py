@@ -12,6 +12,7 @@ from zsl.atoms import (
     _augmented_columns,
     _is_circuit,
     _max_last_divisor,
+    _minimal_solutions,
     brute_force_atoms,
     circuit_length,
     davenport,
@@ -173,6 +174,102 @@ def test_indexed_enumerator_matches_linear_scan_and_brute_force(ground, budget):
     assert (mults, got.complete) == linear_scan_atoms(ground, budget)
     assert [m for m in mults if sum(m) <= budget] == \
         [a.mult for a in brute_force_atoms(ground, budget)]
+
+
+def tuple_minimal_solutions(vectors, frontier, size, budget, clip):
+    """The completion kernel with each count tuple held as a tuple and
+    dominance tested coordinate by coordinate: a reference for the packed
+    ints of ``_minimal_solutions``."""
+    zero = (0,) * len(vectors[0]) if vectors else ()
+    solutions = []
+    by_coordinate = {}
+    length = size
+    while frontier and length <= budget:
+        for t, (state, mask) in frontier.items():
+            if state == zero:
+                solutions.append(t)
+                for j, c in enumerate(t):
+                    if c:
+                        by_coordinate.setdefault((j, c), []).append((mask, t))
+        next_frontier = {}
+        for t, (state, mask) in frontier.items():
+            if state == zero:
+                continue
+            for j, v in enumerate(vectors):
+                if sum(s * x for s, x in zip(state, v)) >= 0:
+                    continue
+                t2 = list(t)
+                t2[j] += 1
+                t2 = tuple(t2)
+                if t2 in next_frontier:
+                    continue
+                mask2 = mask | (1 << j)
+                if any(not found_mask & ~mask2 and all(a <= b for a, b in zip(found, t2))
+                       for found_mask, found in by_coordinate.get((j, t2[j]), ())):
+                    continue
+                if clip:
+                    state2 = tuple(max(s + x, 0) for s, x in zip(state, v))
+                else:
+                    state2 = tuple(s + x for s, x in zip(state, v))
+                next_frontier[t2] = (state2, mask2)
+        frontier = next_frontier
+        length += 1
+    return solutions, not frontier
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Vectors in [-3, 3]^r, r <= 3, with the unit-tuple frontier of
+    ``enumerate_atoms`` (clip off) or the zero tuple with a nonnegative
+    state, as ``minimal_covers`` starts (clip on)."""
+    rank = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=7))
+    clip = draw(st.booleans())
+    n = len(vectors)
+    if clip:
+        need = draw(st.tuples(*[st.integers(0, 4)] * rank))
+        frontier, size = {(0,) * n: (need, 0)}, 0
+    else:
+        frontier = {tuple(int(i == j) for i in range(n)): (v, 1 << j)
+                    for j, v in enumerate(vectors)}
+        size = 1
+    return vectors, frontier, size, draw(st.integers(1, 8)), clip
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_packed_kernel_matches_tuple_reference(inputs):
+    vectors, frontier, size, budget, clip = inputs
+    assert _minimal_solutions(vectors, dict(frontier), size, budget, clip) == \
+        tuple_minimal_solutions(vectors, dict(frontier), size, budget, clip)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("m_offset", [-1, 0])
+@pytest.mark.parametrize("budget_offset", [-1, 0, 1])
+def test_long_single_atom_at_the_field_edges(k, m_offset, budget_offset):
+    # the one atom of {(m,), (-1,)} is (1, m), of length m + 1: with m = 2^k - 1
+    # it carries the count 2^k - 1, and the budgets straddle its length
+    m = (1 << k) + m_offset
+    ground = GroundSet.from_elements(1, [(m,), (-1,)])
+    budget = m + budget_offset
+    got = enumerate_atoms(ground, budget)
+    assert [a.mult for a in got.atoms] == [a.mult for a in brute_force_atoms(ground, budget)]
+    assert got.complete == (budget >= m + 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("budget_offset", [-1, 0, 1])
+def test_count_at_the_top_of_a_field(k, budget_offset):
+    # from the zero tuple, each copy of (-1,) lowers the clipped state (m,)
+    # by one, so the one solution is (m,); at budget m - 1 = 2^k - 2 the last
+    # child holds the count m = 2^k - 1, the largest below its guard bit
+    m = (1 << k) - 1
+    budget = m + budget_offset
+    args = ([(-1,)], {(0,): ((m,), 0)}, 0, budget, True)
+    got = _minimal_solutions(*args)
+    assert got == tuple_minimal_solutions(*args)
+    assert got == (([(m,)], True) if budget >= m else ([], False))
 
 
 def test_square_ground_hilbert_basis():

@@ -394,6 +394,24 @@ def test_certify_unknown_suite(capsys):
     assert "criteria" in err
 
 
+def test_certify_unknown_name_beside_a_known_one_runs_nothing(capsys):
+    code = main(["certify", "--suite", "01,99"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "'99'" in err and "'01'" not in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+def test_certify_unknown_suite_leaves_the_output_file(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_bytes(b'{"01-rank2-hypercube": {"passed": true}}\n')
+    before = target.read_bytes()
+    code = main(["certify", "--suite", "99", "-o", str(target)])
+    assert code == 2
+    assert "'99'" in capsys.readouterr().err
+    assert target.read_bytes() == before
+
+
 def test_csv_and_table_formats(capsys, h2):
     code, out, _ = run(capsys, "davenport", "-i", h2, "--format", "csv")
     assert code == 0
