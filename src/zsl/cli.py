@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -73,19 +74,7 @@ def _flatten(report, prefix=""):
 
 
 def _emit(report: dict, args) -> None:
-    report = _encode(report)
-    if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        lines = ["key,value"]
-        for key, value in _flatten(report):
-            quoted = value.replace('"', '""')
-            lines.append(f'{key},"{quoted}"')
-        text = "\n".join(lines) + "\n"
-    else:
-        rows = _flatten(report)
-        width = max((len(k) for k, _ in rows), default=0)
-        text = "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
+    text = _render(report, args)
     if not args.output:
         sys.stdout.write(text)
         return
@@ -94,6 +83,21 @@ def _emit(report: dict, args) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {args.output}: {exc}") from exc
+
+
+def _render(report: dict, args) -> str:
+    report = _encode(report)
+    if args.format == "json":
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.format == "csv":
+        lines = ["key,value"]
+        for key, value in _flatten(report):
+            quoted = value.replace('"', '""')
+            lines.append(f'{key},"{quoted}"')
+        return "\n".join(lines) + "\n"
+    rows = _flatten(report)
+    width = max((len(k) for k, _ in rows), default=0)
+    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
 
 def _positive_int(text: str) -> int:
@@ -389,24 +393,51 @@ def cmd_certify(args) -> int:
         _select(names)  # an unknown name fails here, before the suite runs or -o is touched
     except ValueError as exc:
         raise InputError(f"--suite: {exc}") from exc
-    if args.output:
-        _emit({}, args)  # an unwritable -o fails here, before the suite runs
-    results = run_suite(names)
-    report = {}
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        line = f"{status} {res.name} ({res.seconds:.2f}s)"
-        if res.error:
-            line += f" :: {res.error}"
-        print(line)
-        report[res.name] = {"passed": res.passed, "seconds": round(res.seconds, 3),
-                            **({"error": res.error} if res.error else {}),
-                            **res.details}
-        failed += 0 if res.passed else 1
-    if args.output:
-        _emit(report, args)
-    return 1 if failed else 0
+    # the report goes to a scratch file beside -o, created now so that an
+    # unwritable -o fails before the suite runs, and renamed onto -o only
+    # once it is complete: an interrupted run leaves the old report intact
+    target, scratch = _scratch_beside(args.output) if args.output else (None, None)
+    try:
+        results = run_suite(names)
+        report = {}
+        failed = 0
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            line = f"{status} {res.name} ({res.seconds:.2f}s)"
+            if res.error:
+                line += f" :: {res.error}"
+            print(line)
+            report[res.name] = {"passed": res.passed, "seconds": round(res.seconds, 3),
+                                **({"error": res.error} if res.error else {}),
+                                **res.details}
+            failed += 0 if res.passed else 1
+        if scratch:
+            try:
+                with open(scratch, "w", encoding="utf-8") as fh:
+                    fh.write(_render(report, args))
+                os.replace(scratch, target)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from exc
+        return 1 if failed else 0
+    finally:
+        if scratch and os.path.exists(scratch):
+            os.unlink(scratch)
+
+
+def _scratch_beside(path: str) -> tuple[str, str]:
+    """The file ``path`` names (its target, for a symlink) and an empty
+    scratch file created next to it; InputError when that file cannot be
+    replaced by a regular file."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise InputError(f"cannot write {path}: not a regular file")
+    head, tail = os.path.split(target)
+    scratch = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        os.close(os.open(scratch, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:  # its strerror, since exc names the scratch file
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    return target, scratch
 
 
 def cmd_probe_r4(args) -> dict:
@@ -592,6 +623,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -6,14 +6,20 @@ zero-sum monoids and for divisor-theory images, which are saturated in the
 ambient free monoid.
 
 A depth-first factorization search over the atoms in decreasing length order,
-with residual-feasibility pruning, carries the length invariants.  It holds
-each residual as one int of fixed-width fields with a guard bit on top of
-each field, wide enough that subtracting an atom never borrows across
-fields, so one int subtraction both removes an atom and tells whether it
-fit.  The minimal atom covers behind omega, tau and the tame degree are
-minimal solutions of a linear system, found by the completion search of
+with residual-feasibility pruning, enumerates the factorizations behind sets
+of lengths and the catenary degree.  It holds each residual as one int of
+fixed-width fields with a guard bit on top of each field, wide enough that
+subtracting an atom never borrows across fields, so one int subtraction both
+removes an atom and tells whether it fit.  Whether an element has a
+factorization of one given length (behind minimal lengths, tau and the
+unions of sets of lengths) is a second, existence-only search over the same
+packed residuals: a length budget that the remaining atoms must meet
+exactly cuts a branch that its longest atom cannot fill and skips the atoms
+too long for the slack left above the shortest atom length.  The minimal
+atom covers behind omega, tau and the tame degree are minimal solutions of
+a linear system, found by the completion search of
 ``atoms._minimal_solutions``.  Set-level invariants (catenary, omega, tau,
-tame degree, unions of sets of lengths) are derived from these two.
+tame degree, unions of sets of lengths) are derived from these.
 Everything is deterministic: outputs are canonically sorted.
 """
 
@@ -59,6 +65,13 @@ class PresentedMonoid:
                             raise ValueError("atoms must be pairwise incomparable")
         order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
         object.__setattr__(self, "_search_order", tuple(order))
+        # slack s -> the first search position whose atom is at most lmin + s
+        # long, for s = 0 .. lmax - lmin (see _has_length)
+        lengths = [sum(atoms[i]) for i in order]
+        lmin = lengths[-1] if lengths else 0
+        object.__setattr__(self, "_slack_start", tuple(
+            next(p for p, length in enumerate(lengths) if length <= lmin + s)
+            for s in range(lengths[0] - lmin + 1 if lengths else 0)))
         object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
         object.__setattr__(self, "_packings", {})
 
@@ -122,17 +135,14 @@ def free_monoid(k: int) -> PresentedMonoid:
     return PresentedMonoid(k, basis)
 
 
-def _factorization_counts(monoid: PresentedMonoid, x, target: int | None = None):
-    """Yield the count vectors of the factorizations of x, of exactly
-    ``target`` atoms when a target is given.  x must be a nonnegative
+def _factorization_counts(monoid: PresentedMonoid, x):
+    """Yield the count vectors of the factorizations of x, a nonnegative
     element of the ambient dimension.
 
     Depth-first over the atoms in search order, with an explicit stack so
     that the depth is not bounded by the recursion limit.  Each atom takes
     every count from the largest that fits down to 0.  A residual that the
-    remaining atoms cannot cover is pruned; with a target, so is one whose
-    length does not sit between k * (shortest atom) and k * (longest atom)
-    for the k picks left.
+    remaining atoms cannot cover is pruned.
 
     A residual is one int of w-bit fields, coordinate i in bits
     [i * w, (i + 1) * w), with w = (largest coordinate of x and of the
@@ -143,60 +153,122 @@ def _factorization_counts(monoid: PresentedMonoid, x, target: int | None = None)
     field, and G_i survives exactly when a_i <= r_i: one copy of A fits
     when every guard survives, and clearing the guards then gives r - A.
     Residuals only shrink from x, so no field overflows.  The residual is
-    zero exactly when the int is, the cover test is an AND with the fields
-    the remaining atoms never touch, and the residual length is carried on
-    the stack.
+    zero exactly when the int is, and the cover test is an AND with the
+    fields the remaining atoms never touch.
     """
     order = monoid._search_order
     n = len(order)
-    width = max(max(x, default=0), monoid._largest_coordinate).bit_length() + 1
-    atoms, lengths, guards, uncovered = monoid._packed(width)
-    bounded = target is not None
-    if bounded and n:
-        lmin, lmax = min(lengths), max(lengths)
-    total = sum(x)
-    residual = sum(v << (i * width) for i, v in enumerate(x))
+    width = _field_width(monoid, x)
+    atoms, _, guards, uncovered = monoid._packed(width)
     path: list[int] = []  # the count chosen at each search position so far
-    # without a target, picks left start at sum(x): every atom has length at
-    # least 1, so that bound never binds
-    stack = [(0, residual, target if bounded else total, 0, total)]
+    stack = [(0, _pack(x, width), 0)]
     while stack:
-        pos, residual, left, c, total = stack.pop()
+        pos, residual, c = stack.pop()
         if pos:
             del path[pos - 1:]
             path.append(c)
         if not residual:
-            if not bounded or not left:
-                counts = [0] * n
-                for p, k in enumerate(path):
-                    counts[order[p]] = k
-                yield tuple(counts)
+            counts = [0] * n
+            for p, k in enumerate(path):
+                counts[order[p]] = k
+            yield tuple(counts)
             continue
-        if pos == n or not left:
+        if pos == n or residual & uncovered[pos]:
             continue
-        if bounded and (total < left * lmin or total > left * lmax):
-            continue
-        if residual & uncovered[pos]:
-            continue
-        atom, length = atoms[pos], lengths[pos]
+        atom = atoms[pos]
         pos += 1
-        stack.append((pos, residual, left, 0, total))
+        stack.append((pos, residual, 0))
         c = 0
-        while left:  # pushed upwards, so the largest count pops first
+        while True:  # pushed upwards, so the largest count pops first
             fitted = (residual | guards) - atom
             if fitted & guards != guards:
                 break
             residual = fitted ^ guards
             c += 1
+            stack.append((pos, residual, c))
+
+
+def _has_length(monoid: PresentedMonoid, x, target: int) -> bool:
+    """Whether x, a nonnegative element of the ambient dimension, is a sum
+    of exactly ``target`` atoms.
+
+    The search of ``_factorization_counts`` (same packed residuals, search
+    order, child order and cover test) without the path and the count
+    vectors, stopping at the first hit.  A node is a residual of total
+    length T that ``left`` atoms from search position ``pos`` on must sum
+    to exactly.  Each of them is at least lmin long, lmin being the
+    shortest atom length, so
+
+    - the node is dead when slack = T - left * lmin is negative;
+    - an atom of length L among the left picks leaves T - L >=
+      (left - 1) * lmin for the other left - 1, so L <= lmin + slack:
+      every position before the first one whose atom is at most
+      lmin + slack long takes count 0, and the search jumps there;
+    - the atoms from the (new) pos on are at most lengths[pos] long, the
+      search order being by nonincreasing length, so the node is dead
+      when T > left * lengths[pos].
+
+    A pruned node has no factorization of the wanted length, so the answer
+    is that of the search without the prunes.
+    ``PresentedMonoid._slack_start[s]`` is the first position for slack s;
+    from slack lmax - lmin on it is position 0.
+    """
+    n = len(monoid._search_order)
+    width = _field_width(monoid, x)
+    atoms, lengths, guards, uncovered = monoid._packed(width)
+    residual = _pack(x, width)
+    if not residual or not n:
+        return not residual and not target
+    lmin = lengths[-1]
+    start = monoid._slack_start
+    top = len(start)
+    stack = [(0, residual, target, sum(x))]
+    while stack:
+        pos, residual, left, total = stack.pop()
+        if not residual:
+            if not left:
+                return True
+            continue
+        slack = total - left * lmin
+        if slack < 0:
+            continue
+        if slack < top and start[slack] > pos:
+            pos = start[slack]
+        if pos == n or total > left * lengths[pos] or residual & uncovered[pos]:
+            continue
+        atom, length = atoms[pos], lengths[pos]
+        pos += 1
+        stack.append((pos, residual, left, total))
+        while left:  # pushed upwards, so the largest count pops first
+            fitted = (residual | guards) - atom
+            if fitted & guards != guards:
+                break
+            residual = fitted ^ guards
             left -= 1
             total -= length
-            stack.append((pos, residual, left, c, total))
+            stack.append((pos, residual, left, total))
+    return False
+
+
+def _field_width(monoid: PresentedMonoid, x) -> int:
+    return max(max(x, default=0), monoid._largest_coordinate).bit_length() + 1
+
+
+def _pack(x, width: int) -> int:
+    return sum(v << (i * width) for i, v in enumerate(x))
 
 
 def _element(monoid: PresentedMonoid, x) -> tuple[int, ...]:
     x = tuple(int(v) for v in x)
     if len(x) != monoid.ambient_dim:
         raise ValueError("element dimension mismatch")
+    return x
+
+
+def _nonnegative_element(monoid: PresentedMonoid, x) -> tuple[int, ...]:
+    x = _element(monoid, x)
+    if any(v < 0 for v in x):
+        raise ValueError("element vectors must be nonnegative")
     return x
 
 
@@ -207,14 +279,12 @@ def factorizations(monoid: PresentedMonoid, x) -> list[tuple[int, ...]]:
     Empty exactly when x is not in the monoid.  Output sorted by count
     vector, so results are schedule-independent.
     """
-    x = _element(monoid, x)
-    if any(v < 0 for v in x):
-        raise ValueError("element vectors must be nonnegative")
-    return sorted(_factorization_counts(monoid, x))
+    return sorted(_factorization_counts(monoid, _nonnegative_element(monoid, x)))
 
 
 def set_of_lengths(monoid: PresentedMonoid, x) -> tuple[int, ...]:
-    return tuple(sorted(set(map(sum, factorizations(monoid, x)))))
+    x = _nonnegative_element(monoid, x)
+    return tuple(sorted({sum(z) for z in _factorization_counts(monoid, x)}))
 
 
 def distance(z, w) -> int:
@@ -290,11 +360,19 @@ def min_length(monoid: PresentedMonoid, x) -> int | None:
 
 def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
     """Whether x factors into exactly ``target`` atoms (never, for an x with
-    a negative coordinate)."""
+    a negative coordinate).
+
+    Depth-first over the atoms by nonincreasing length, stopping at the
+    first hit.  The atoms still to pick must sum to exactly the residual's
+    length, so a branch whose longest remaining atom cannot fill it is cut,
+    and an atom longer than the shortest atom length plus the slack (the
+    residual length beyond what that many shortest atoms would take) is
+    skipped; the proof is at ``_has_length``.
+    """
     x = _element(monoid, x)
     if any(v < 0 for v in x):
         return False
-    return next(_factorization_counts(monoid, x, target), None) is not None
+    return _has_length(monoid, x, target)
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,44 @@ def test_certify_unknown_suite_leaves_the_output_file(capsys, tmp_path):
     assert target.read_bytes() == before
 
 
+def test_certify_writes_the_report_through_a_symlink(capsys, tmp_path):
+    target = tmp_path / "reports" / "out.json"
+    target.parent.mkdir()
+    target.write_text("{}\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code = main(["certify", "--suite", "01", "-o", str(link)])
+    assert code == 0 and "PASS 01-rank2-hypercube" in capsys.readouterr().out
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["01-rank2-hypercube"]["passed"] is True
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.json", "out.json", "reports"]
+
+
+def test_certify_interrupted_keeps_the_old_report(capsys, monkeypatch, tmp_path):
+    from zsl import certify
+
+    def interrupted(names=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(certify, "run_suite", interrupted)
+    target = tmp_path / "out.json"
+    target.write_bytes(b'{"01-rank2-hypercube": {"passed": true}}\n')
+    before = target.read_bytes()
+    code = main(["certify", "--suite", "01", "-o", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 130
+    assert err == "interrupted\n" and out == ""
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]  # no scratch file left
+
+
+def test_certify_to_a_directory_exits2_before_the_suite(capsys, tmp_path):
+    code, out, err = run(capsys, "certify", "--suite", "01", "-o", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}: not a regular file")
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_csv_and_table_formats(capsys, h2):
     code, out, _ = run(capsys, "davenport", "-i", h2, "--format", "csv")
     assert code == 0
@@ -441,10 +479,9 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
         covers[monoid, atom_index] += 1
         return search_covers(monoid, atom_index)
 
-    def counted_counts(monoid, x, target=None):
-        if target is None:  # the full search of factorizations(); exists_length sets a target
-            factored[monoid, tuple(x)] += 1
-        return search_counts(monoid, x, target)
+    def counted_counts(monoid, x):  # the full search; exists_length has its own
+        factored[monoid, tuple(x)] += 1
+        return search_counts(monoid, x)
 
     monkeypatch.setattr(invariants, "minimal_covers", counted_covers)
     monkeypatch.setattr(invariants, "_factorization_counts", counted_counts)

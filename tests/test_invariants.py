@@ -1,4 +1,5 @@
 import sys
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -325,18 +326,13 @@ def test_unions_match_walk_on_random_monoids(monoid, k):
 def tuple_factorization_counts(monoid, x, target=None):
     """The factorization search with each residual held as a tuple and
     every node test done coordinate by coordinate: a reference for the
-    packed residuals of ``_factorization_counts``, with the same search
-    order, child order and pruning."""
+    packed residuals of ``_factorization_counts`` (no target, with the same
+    search order, child order and pruning), and, with a target, for
+    ``exists_length``: it yields the factorizations of exactly ``target``
+    atoms, pruning only a residual whose length does not sit between
+    k * (shortest atom) and k * (longest atom) for the k picks left."""
     atoms = monoid.atoms
-    order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
-    masks = []
-    seen = [False] * monoid.ambient_dim
-    for pos in range(len(order) - 1, -1, -1):
-        for i, v in enumerate(atoms[order[pos]]):
-            if v:
-                seen[i] = True
-        masks.append(tuple(seen))
-    masks.reverse()
+    order, masks = search_order_and_masks(monoid)
     n = len(order)
     if target is not None and n:
         lengths = monoid.atom_lengths()
@@ -372,17 +368,94 @@ def tuple_factorization_counts(monoid, x, target=None):
                           None if left is None else left - c, c))
 
 
+def search_order_and_masks(monoid):
+    """The atom indices by nonincreasing length (ties by vector) and, per
+    search position, the coordinates that some atom from there on touches."""
+    atoms = monoid.atoms
+    order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
+    masks = []
+    seen = [False] * monoid.ambient_dim
+    for pos in range(len(order) - 1, -1, -1):
+        for i, v in enumerate(atoms[order[pos]]):
+            if v:
+                seen[i] = True
+        masks.append(tuple(seen))
+    masks.reverse()
+    return order, masks
+
+
+def tuple_length_search(monoid, x, target):
+    """The length-budget search of ``invariants._has_length`` over tuple
+    residuals: whether x has a factorization of ``target`` atoms, and the
+    search positions of the nodes it expanded, in order.  The slack jump
+    walks forward atom by atom instead of reading a table."""
+    atoms = monoid.atoms
+    order, masks = search_order_and_masks(monoid)
+    n = len(order)
+    lengths = [sum(atoms[i]) for i in order]
+    expanded = []
+    stack = [(0, tuple(x), target)]
+    while stack:
+        pos, residual, left = stack.pop()
+        if not any(residual):
+            if left == 0:
+                return True, expanded
+            continue
+        total = sum(residual)
+        slack = total - left * lengths[-1] if n else -1
+        if slack < 0:
+            continue
+        while pos < n and lengths[pos] > lengths[-1] + slack:
+            pos += 1
+        if pos == n or total > left * lengths[pos]:
+            continue
+        if any(r and not m for r, m in zip(residual, masks[pos])):
+            continue
+        expanded.append(pos)
+        atom = atoms[order[pos]]
+        cap = min(left, min(r // a for r, a in zip(residual, atom) if a))
+        for c in range(cap + 1):
+            stack.append((pos + 1, tuple(r - c * a for r, a in zip(residual, atom)), left - c))
+    return False, expanded
+
+
+def packed_length_search(monoid, x, target):
+    """``invariants._has_length`` on x, with the search positions of the
+    nodes it expanded: the kernel reads the packed atom of a node exactly
+    when it expands it, so a recording tuple in the monoid's packing cache
+    sees each.  The cache entry is restored afterwards."""
+    width = invariants._field_width(monoid, x)
+    packing = monoid._packed(width)
+    expanded = []
+
+    class Recording(tuple):
+        def __getitem__(self, pos):
+            expanded.append(pos)
+            return tuple.__getitem__(self, pos)
+
+    monoid._packings[width] = (Recording(packing[0]),) + packing[1:]
+    try:
+        hit = invariants._has_length(monoid, x, target)
+    finally:
+        monoid._packings[width] = packing
+    return hit, expanded
+
+
 def assert_packed_search_matches_reference(monoid, x):
-    """Same count vectors, in the same order, with no target and at every
-    target of the length band and one beyond each end of it."""
+    """Same count vectors, in the same order, from the full search; and at
+    every target of the length band and one beyond each end of it, the
+    same answer as the bounded tuple reference from the length-budget
+    search, which expands the same nodes as its tuple twin."""
     x = tuple(x)
-    searches = [None]
+    assert list(invariants._factorization_counts(monoid, x)) == \
+        list(tuple_factorization_counts(monoid, x)), x
     band = invariants._length_band(monoid, x)
     lo, hi = band if band is not None else (0, 0)
-    searches += range(lo - 1, hi + 2)
-    for target in searches:
-        got = list(invariants._factorization_counts(monoid, x, target))
-        assert got == list(tuple_factorization_counts(monoid, x, target)), (x, target)
+    for target in range(lo - 1, hi + 2):
+        want = next(tuple_factorization_counts(monoid, x, target), None) is not None
+        got = packed_length_search(monoid, x, target)
+        assert got == tuple_length_search(monoid, x, target), (x, target)
+        assert got[0] == want, (x, target)
 
 
 @st.composite
@@ -420,6 +493,82 @@ def test_packed_search_matches_tuple_reference_on_random_monoids(case):
 def test_packed_search_matches_tuple_reference_on_free_monoid_600():
     f = free_monoid(600)
     assert_packed_search_matches_reference(f, tuple(i % 3 for i in range(600)))
+
+
+@st.composite
+def uniform_length_monoids(draw):
+    """Atoms of N0^3 all of length 3: any set of them is pairwise
+    incomparable, and the slack table has one entry."""
+    vectors = [v for v in product(range(4), repeat=3) if sum(v) == 3]
+    atoms = draw(st.sets(st.sampled_from(vectors), min_size=2, max_size=6))
+    return PresentedMonoid(3, sorted(atoms))
+
+
+@cache
+def acm_monoid():
+    from zsl.certify import ACM_SPEC
+    from zsl.models import AcmModel
+    return AcmModel(ACM_SPEC).presented()
+
+
+@st.composite
+def length_cases(draw):
+    """A small block monoid, a monoid of one atom length or the acm monoid,
+    with a few sums of atoms and one arbitrary vector."""
+    kind = draw(st.sampled_from(["block", "uniform", "acm"]))
+    if kind == "block":
+        monoid = draw(small_block_monoids())
+    elif kind == "uniform":
+        monoid = draw(uniform_length_monoids())
+        assert monoid._slack_start == (0,)
+    else:
+        monoid = acm_monoid()
+    n = monoid.atom_count
+    elements = []
+    for _ in range(2):
+        counts = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+            counts[i] += 1
+        elements.append(monoid.element(counts))
+    elements.append(tuple(draw(st.lists(st.integers(0, 4), min_size=monoid.ambient_dim,
+                                        max_size=monoid.ambient_dim))))
+    return monoid, elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_cases())
+def test_exists_length_matches_reference_and_set_of_lengths(case):
+    monoid, elements = case
+    for x in elements:
+        lengths = set_of_lengths(monoid, x)
+        band = invariants._length_band(monoid, x)
+        lo, hi = band if band is not None else (0, 0)
+        for target in range(lo - 1, hi + 2):
+            want = next(tuple_factorization_counts(monoid, x, target), None) is not None
+            assert exists_length(monoid, x, target) == want == (target in lengths), (x, target)
+
+
+def test_rank3_union_top_misses_at_slack_zero():
+    # l = 12 in U_5 at rank 3 needs a five-atom sum of total length at least
+    # 12 * lmin = 24, and 5 * lmax = 25: each search at l = 12 starts with
+    # slack 0 or 1, so it jumps past the length-5 (and, at slack 0, the
+    # length-3 and length-4) atoms; none hits, while l = 11 does
+    from zsl.constructions import hypercube_pm
+    from zsl.invariants import _k_fold_sums
+
+    m3 = block_monoid(enumerate_atoms(hypercube_pm(3)))
+    assert m3._slack_start[0] == sorted(m3.atom_lengths(), reverse=True).index(2)
+    sums = list(_k_fold_sums(m3, 5, 24))
+    assert {sum(s) for s in sums} == {24, 25}
+    assert not any(exists_length(m3, s, 12) for s in sums)
+    assert any(exists_length(m3, s, 11) for s in _k_fold_sums(m3, 5, 22))
+    for s in sums[::97]:
+        hit, expanded = packed_length_search(m3, s, 12)
+        assert not hit and (hit, expanded) == tuple_length_search(m3, s, 12)
+        if sum(s) == 24:
+            assert not expanded or expanded[0] >= m3._slack_start[0]
+    ext = union_of_lengths(m3, 5, "extremes")
+    assert (ext.rho, ext.lam) == (11, 2)
 
 
 def kruskal_catenary(zs):
@@ -494,17 +643,21 @@ def test_field_edge_coordinates_factor_exactly():
 
 def test_negative_coordinates_never_reach_the_search(monkeypatch):
     # no factorization has a negative coordinate: exists_length says so,
-    # min_length finds no length, factorizations rejects the input
+    # min_length finds no length, factorizations and set_of_lengths reject
+    # the input, and neither search kernel runs
     def unreachable(*args):
         raise AssertionError("the search was given a negative coordinate")
 
     monkeypatch.setattr(invariants, "_factorization_counts", unreachable)
+    monkeypatch.setattr(invariants, "_has_length", unreachable)
     x = (-1, 2, 0, 0, 1, 0)
     for target in range(0, 4):
         assert exists_length(B2, x, target) is False
     assert min_length(B2, x) is None
     with pytest.raises(ValueError, match="nonnegative"):
         factorizations(B2, x)
+    with pytest.raises(ValueError, match="nonnegative"):
+        set_of_lengths(B2, x)
 
 
 def test_element_dimension_mismatch_raises():
@@ -513,6 +666,8 @@ def test_element_dimension_mismatch_raises():
             factorizations(B2, short)
         with pytest.raises(ValueError, match="dimension"):
             exists_length(B2, short, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            set_of_lengths(B2, short)
 
 
 def test_tau_and_tame_r2():
