@@ -15,11 +15,15 @@ factorization of one given length (behind minimal lengths, tau and the
 unions of sets of lengths) is a second, existence-only search over the same
 packed residuals: a length budget that the remaining atoms must meet
 exactly cuts a branch that its longest atom cannot fill and skips the atoms
-too long for the slack left above the shortest atom length.  The minimal
-atom covers behind omega, tau and the tame degree are minimal solutions of
-a linear system, found by the completion search of
-``atoms._minimal_solutions``.  Set-level invariants (catenary, omega, tau,
-tame degree, unions of sets of lengths) are derived from these.
+too long for the slack left above the shortest atom length.  The unions of
+sets of lengths run it on the distinct k-fold atom sums, each built and
+held as one packed int.  The catenary degree grows a tree over the
+factorizations under a bound that rises only when no factorization outside
+the tree is within it.  The minimal atom covers behind omega, tau and the
+tame degree are minimal solutions of a linear system, found by the
+completion search of ``atoms._minimal_solutions``.  Set-level invariants
+(catenary, omega, tau, tame degree, unions of sets of lengths) are derived
+from these.
 Everything is deterministic: outputs are canonically sorted.
 """
 
@@ -66,7 +70,7 @@ class PresentedMonoid:
         order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
         object.__setattr__(self, "_search_order", tuple(order))
         # slack s -> the first search position whose atom is at most lmin + s
-        # long, for s = 0 .. lmax - lmin (see _has_length)
+        # long, for s = 0 .. lmax - lmin (see _packed_has_length)
         lengths = [sum(atoms[i]) for i in order]
         lmin = lengths[-1] if lengths else 0
         object.__setattr__(self, "_slack_start", tuple(
@@ -190,7 +194,17 @@ def _factorization_counts(monoid: PresentedMonoid, x):
 
 def _has_length(monoid: PresentedMonoid, x, target: int) -> bool:
     """Whether x, a nonnegative element of the ambient dimension, is a sum
-    of exactly ``target`` atoms.
+    of exactly ``target`` atoms: ``_packed_has_length`` on x packed at the
+    field width of ``_factorization_counts``."""
+    width = _field_width(monoid, x)
+    return _packed_has_length(monoid, width, _pack(x, width), sum(x), target)
+
+
+def _packed_has_length(monoid: PresentedMonoid, width: int, residual: int,
+                       total: int, target: int) -> bool:
+    """Whether the element packed as ``residual`` in ``width``-bit fields,
+    of total length ``total``, is a sum of exactly ``target`` atoms.  Every
+    coordinate of it and of the atoms must lie below the guard bit.
 
     The search of ``_factorization_counts`` (same packed residuals, search
     order, child order and cover test) without the path and the count
@@ -214,15 +228,13 @@ def _has_length(monoid: PresentedMonoid, x, target: int) -> bool:
     from slack lmax - lmin on it is position 0.
     """
     n = len(monoid._search_order)
-    width = _field_width(monoid, x)
     atoms, lengths, guards, uncovered = monoid._packed(width)
-    residual = _pack(x, width)
     if not residual or not n:
         return not residual and not target
     lmin = lengths[-1]
     start = monoid._slack_start
     top = len(start)
-    stack = [(0, residual, target, sum(x))]
+    stack = [(0, residual, target, total)]
     while stack:
         pos, residual, left, total = stack.pop()
         if not residual:
@@ -298,14 +310,25 @@ def distance(z, w) -> int:
 
 def catenary_from_factorizations(zs) -> int:
     """Least N whose distance-at-most-N graph on the given factorization
-    count vectors is connected: the largest edge of a minimum spanning tree.
+    count vectors is connected, for vectors in any order.
 
-    The tree is grown by Prim's algorithm, so no edge list is built or
-    sorted.  Each vertex added to the tree updates the least distance from
-    every vertex outside it, with d(z, w) = max(|z|, |w|) - sum_i min(z_i, w_i)
-    summed over the support of the added z only; the lengths are computed
-    once.  Every distance is at most the largest length, which therefore
-    serves as the initial bound.
+    A tree T grows from the first vector under a bound B, starting at 0.
+    Each vector of T is expanded once: it lowers the link of every vector
+    outside T, the least distance to T seen so far (at first the largest
+    length, which no distance exceeds), with
+    d(z, w) = max(|z|, |w|) - sum_i min(z_i, w_i) summed over the support of
+    the expanded z only.  A vector whose link drops to at most B joins T at
+    once, unexpanded and without a scan for the least link.  Only when
+    every vector of T is expanded and none outside is within B does B rise
+    to the least link, and a vector at that link joins.
+
+    The result is exact.  Every vector joins T by an edge of length at most
+    the B of that moment, so T stays connected at the final B, and
+    c <= B.  When T is stuck, each vector outside it was outside at the
+    expansion of every vector of T, so its link is its exact least distance
+    to T, and the least link m is the shortest edge leaving T.  Every path
+    from the first vector to one outside T takes an edge leaving T, so the
+    graph at any N < m is not connected and c >= m, the new B.
     """
     k = len(zs)
     if k <= 1:
@@ -313,19 +336,31 @@ def catenary_from_factorizations(zs) -> int:
     lengths = [sum(z) for z in zs]
     outside = list(range(1, k))
     link = [max(lengths)] * (k - 1)
-    u, bottleneck = 0, 0
-    while outside:
-        lu = lengths[u]
-        support = [(i, c) for i, c in enumerate(zs[u]) if c]
-        for j, v in enumerate(outside):
-            cv = zs[v]
-            d = max(lu, lengths[v]) - sum(min(c, cv[i]) for i, c in support)
-            if d < link[j]:
-                link[j] = d
-        j = min(range(len(outside)), key=link.__getitem__)
-        bottleneck = max(bottleneck, link.pop(j))
-        u = outside.pop(j)
-    return bottleneck
+    pending = [0]  # vectors of T not yet expanded
+    bound = 0
+    while True:
+        while pending and outside:
+            u = pending.pop()
+            lu = lengths[u]
+            support = [(i, c) for i, c in enumerate(zs[u]) if c]
+            kept, kept_link = [], []
+            for v, best in zip(outside, link):
+                cv = zs[v]
+                d = max(lu, lengths[v]) - sum(min(c, cv[i]) for i, c in support)
+                if d < best:
+                    best = d
+                if best <= bound:
+                    pending.append(v)
+                else:
+                    kept.append(v)
+                    kept_link.append(best)
+            outside, link = kept, kept_link
+        if not outside:
+            return bound
+        bound = min(link)
+        j = link.index(bound)
+        del link[j]
+        pending.append(outside.pop(j))
 
 
 def catenary_element(monoid: PresentedMonoid, x) -> int:
@@ -348,14 +383,18 @@ def _length_band(monoid: PresentedMonoid, x) -> tuple[int, int] | None:
 
 
 def min_length(monoid: PresentedMonoid, x) -> int | None:
-    """Shortest factorization length, by an ascending exists-length scan."""
+    """Shortest factorization length, by an ascending scan of the length
+    band; None when x has none (as for an x with a negative coordinate)."""
+    x = _element(monoid, x)
+    if any(v < 0 for v in x):
+        return None
     band = _length_band(monoid, x)
     if band is None:
         return 0
-    for target in range(band[0], band[1] + 1):
-        if exists_length(monoid, x, target):
-            return target
-    return None
+    width = _field_width(monoid, x)
+    residual, total = _pack(x, width), sum(x)
+    return next((target for target in range(band[0], band[1] + 1)
+                 if _packed_has_length(monoid, width, residual, total, target)), None)
 
 
 def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
@@ -367,7 +406,7 @@ def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
     length, so a branch whose longest remaining atom cannot fill it is cut,
     and an atom longer than the shortest atom length plus the slack (the
     residual length beyond what that many shortest atoms would take) is
-    skipped; the proof is at ``_has_length``.
+    skipped; the proof is at ``_packed_has_length``.
     """
     x = _element(monoid, x)
     if any(v < 0 for v in x):
@@ -393,31 +432,45 @@ class UnionOfLengths:
         }
 
 
+def _sum_width(monoid: PresentedMonoid, k: int) -> int:
+    """The field width of the packed sums of k atoms: every coordinate of
+    such a sum, at most k times the largest atom coordinate, lies below the
+    guard bit, so the sums add without carries and ``_packed_has_length``
+    takes them as they are."""
+    return (k * monoid._largest_coordinate).bit_length() + 1
+
+
+def _unpack(packed: int, width: int, dim: int) -> tuple[int, ...]:
+    field = (1 << width) - 1
+    return tuple(packed >> (i * width) & field for i in range(dim))
+
+
 def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
-    """Yield each distinct sum of k atoms whose total length is at least
-    min_total, once, so that a caller can stop at the first that works.
+    """Yield (packed, total) for each distinct sum of k atoms whose total
+    length is at least min_total, once, so that a caller can stop at the
+    first that works: the sum packed at ``_sum_width(monoid, k)`` and its
+    total length.
 
     Depth-first over nonincreasing atom lengths, with an explicit stack; a
     branch stops as soon as its remaining picks at the current length can no
     longer reach min_total.
     """
-    atoms = [monoid.atoms[i] for i in monoid._search_order]
-    lens = [sum(a) for a in atoms]
-    seen: set[tuple[int, ...]] = set()
-    stack = [(0, k, 0, (0,) * monoid.ambient_dim)]
+    atoms, lengths, _, _ = monoid._packed(_sum_width(monoid, k))
+    n = len(atoms)
+    seen: set[int] = set()
+    stack = [(0, k, 0, 0)]
     while stack:
         pos, left, total, acc = stack.pop()
         if left == 0:
             if total >= min_total and acc not in seen:
                 seen.add(acc)
-                yield acc
+                yield acc, total
             continue
         end = pos
-        while end < len(atoms) and total + left * lens[end] >= min_total:
+        while end < n and total + left * lengths[end] >= min_total:
             end += 1
         for p in range(end - 1, pos - 1, -1):  # pushed downwards, so pos pops first
-            stack.append((p, left - 1, total + lens[p],
-                          tuple(x + y for x, y in zip(acc, atoms[p]))))
+            stack.append((p, left - 1, total + lengths[p], acc + atoms[p]))
 
 
 def union_of_lengths(monoid: PresentedMonoid, k: int,
@@ -449,8 +502,9 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
 
     def member(l: int) -> bool:
         small, big = min(k, l), max(k, l)
-        return l == k or any(exists_length(monoid, s, big)
-                             for s in _k_fold_sums(monoid, small, big * lmin))
+        width = _sum_width(monoid, small)
+        return l == k or any(_packed_has_length(monoid, width, s, total, big)
+                             for s, total in _k_fold_sums(monoid, small, big * lmin))
 
     band = range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1)
     if strategy == "exhaustive":
@@ -590,5 +644,6 @@ def elements_up_to(monoid: PresentedMonoid, level: int) -> set[tuple[int, ...]]:
     """Distinct sums of at most ``level`` atoms (the identity excluded)."""
     out: set[tuple[int, ...]] = set()
     for k in range(1, level + 1):
-        out.update(_k_fold_sums(monoid, k))
+        width = _sum_width(monoid, k)
+        out.update(_unpack(s, width, monoid.ambient_dim) for s, _ in _k_fold_sums(monoid, k))
     return out

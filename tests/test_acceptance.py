@@ -254,8 +254,9 @@ def _package_sources() -> dict[str, str]:
 # public names that nothing else in the package needs, each kept on purpose
 UNREFERENCED_ON_PURPOSE = {
     "is_elementary_by_search": "the direct-search oracle the tests check is_elementary against",
-    "distance": "the catenary definition the tests compare the spanning-tree route with",
+    "distance": "the catenary definition the tests compare the threshold-growth route with",
     "tau": "perfbench wraps and calls it",
+    "exists_length": "perfbench wraps it and checks every query's set of lengths with it",
 }
 
 

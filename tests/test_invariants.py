@@ -3,7 +3,7 @@ from functools import cache
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zsl.atoms import enumerate_atoms
@@ -548,20 +548,31 @@ def test_exists_length_matches_reference_and_set_of_lengths(case):
             assert exists_length(monoid, x, target) == want == (target in lengths), (x, target)
 
 
+def unpacked_k_fold_sums(monoid, k, min_total=0):
+    """The sums of ``invariants._k_fold_sums`` as vectors, in its order; each
+    packed sum must carry its own total length."""
+    width = invariants._sum_width(monoid, k)
+    sums = []
+    for packed, total in invariants._k_fold_sums(monoid, k, min_total):
+        s = invariants._unpack(packed, width, monoid.ambient_dim)
+        assert sum(s) == total, s
+        sums.append(s)
+    return sums
+
+
 def test_rank3_union_top_misses_at_slack_zero():
     # l = 12 in U_5 at rank 3 needs a five-atom sum of total length at least
     # 12 * lmin = 24, and 5 * lmax = 25: each search at l = 12 starts with
     # slack 0 or 1, so it jumps past the length-5 (and, at slack 0, the
     # length-3 and length-4) atoms; none hits, while l = 11 does
     from zsl.constructions import hypercube_pm
-    from zsl.invariants import _k_fold_sums
 
     m3 = block_monoid(enumerate_atoms(hypercube_pm(3)))
     assert m3._slack_start[0] == sorted(m3.atom_lengths(), reverse=True).index(2)
-    sums = list(_k_fold_sums(m3, 5, 24))
+    sums = unpacked_k_fold_sums(m3, 5, 24)
     assert {sum(s) for s in sums} == {24, 25}
     assert not any(exists_length(m3, s, 12) for s in sums)
-    assert any(exists_length(m3, s, 11) for s in _k_fold_sums(m3, 5, 22))
+    assert any(exists_length(m3, s, 11) for s in unpacked_k_fold_sums(m3, 5, 22))
     for s in sums[::97]:
         hit, expanded = packed_length_search(m3, s, 12)
         assert not hit and (hit, expanded) == tuple_length_search(m3, s, 12)
@@ -571,9 +582,48 @@ def test_rank3_union_top_misses_at_slack_zero():
     assert (ext.rho, ext.lam) == (11, 2)
 
 
+@st.composite
+def field_edge_monoids(draw):
+    """A monoid of N0^dim whose largest atom coordinate is 2^j - 1, a full
+    field below the guard bit of a single atom: random vectors with entries
+    up to it, kept greedily while they are nonzero, new and incomparable to
+    those kept, the first holding 2^j - 1."""
+    dim = draw(st.integers(1, 3))
+    top = (1 << draw(st.integers(1, 5))) - 1
+    entry = st.one_of(st.sampled_from((0, 1, top - 1, top)), st.integers(0, top))
+    first = list(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    first[draw(st.integers(0, dim - 1))] = top
+    vectors = [tuple(first)] + draw(st.lists(
+        st.tuples(*[entry] * dim), max_size=6))
+    atoms = []
+    for v in vectors:
+        if any(v) and all(v != a and not invariants._leq(a, v) and not invariants._leq(v, a)
+                          for a in atoms):
+            atoms.append(v)
+    return PresentedMonoid(dim, atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_edge_monoids(), st.integers(1, 4), st.integers(0, 30))
+@example(PresentedMonoid(2, [(7, 0), (6, 1), (1, 6), (0, 7)]), 2, 0)
+def test_packed_k_fold_sums_match_combinations_reference(monoid, k, min_total):
+    # every distinct sum of k atoms of total length at least min_total, each
+    # once, and every distinct sum of at most k atoms from elements_up_to;
+    # in the example (7, 0) + (0, 7) = (6, 1) + (1, 6) = (7, 7), two fields
+    # filled up to the guard bit
+    def sums(j):
+        return {tuple(map(sum, zip(*picked)))
+                for picked in combinations_with_replacement(monoid.atoms, j)}
+
+    got = unpacked_k_fold_sums(monoid, k, min_total)
+    assert len(got) == len(set(got))
+    assert set(got) == {s for s in sums(k) if sum(s) >= min_total}
+    assert elements_up_to(monoid, k) == set().union(*map(sums, range(1, k + 1)))
+
+
 def kruskal_catenary(zs):
     """Every pairwise ``distance`` sorted, then joined by union-find until
-    the graph is connected: a reference for the Prim tree of
+    the graph is connected: a reference for the threshold growth of
     ``catenary_from_factorizations``."""
     k = len(zs)
     if k <= 1:
@@ -628,6 +678,52 @@ def test_catenary_matches_kruskal_reference_on_random_monoids(case):
     assert catenary_from_factorizations(shuffled) == c
 
 
+@st.composite
+def count_vector_lists(draw):
+    """Arbitrary count vectors, not only the factorizations of one element,
+    with duplicates (distance 0) and neighbours z + e_i or z - e_i + e_j
+    (distance 1) of some of them, shuffled."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 4)] * dim)
+    zs = draw(st.lists(vector, max_size=10))
+    for z in list(zs):
+        kind = draw(st.sampled_from(["none", "duplicate", "plus", "move"]))
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if kind == "duplicate":
+            zs.append(z)
+        elif kind == "plus":
+            zs.append(z[:i] + (z[i] + 1,) + z[i + 1:])
+        elif kind == "move" and z[i] and i != j:
+            w = list(z)
+            w[i] -= 1
+            w[j] += 1
+            zs.append(tuple(w))
+    return draw(st.permutations(zs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_vector_lists())
+def test_catenary_matches_kruskal_reference_on_arbitrary_vectors(zs):
+    assert catenary_from_factorizations(zs) == kruskal_catenary(zs)
+
+
+def test_catenary_bound_rises_along_a_chain():
+    # the chain (t, 0), t = 0, 1, 3, 6, 10 has gaps 1, 2, 3, 4, and no other
+    # vector is nearer to a chain prefix than the next gap, so the tree from
+    # (0, 0) is stuck at each gap and the bound rises to 1, 2, 3 and 4 in
+    # turn; each prefix ends at its own largest gap.  The path (10 - s, s),
+    # s = 1 .. 10, of steps 1 then joins within 4, and (0, 20), 10 from its
+    # end and farther from the rest, raises the bound once more, to 10
+    chain = [(0, 0), (1, 0), (3, 0), (6, 0), (10, 0)]
+    path = [(10 - s, s) for s in range(1, 11)] + [(0, 20)]
+    for end, c in ((2, 1), (3, 2), (4, 3), (5, 4)):
+        assert catenary_from_factorizations(chain[:end]) == c == kruskal_catenary(chain[:end])
+    zs = chain + path
+    assert kruskal_catenary(zs) == 10
+    for order in (zs, zs[::-1], zs[1::2] + zs[::2]):
+        assert catenary_from_factorizations(order) == 10
+
+
 def test_field_edge_coordinates_factor_exactly():
     # a coordinate of 2^k - 1 or 2^k, above every atom coordinate, sets the
     # field width; both sides of each power of two must factor exactly
@@ -654,6 +750,8 @@ def test_negative_coordinates_never_reach_the_search(monkeypatch):
     for target in range(0, 4):
         assert exists_length(B2, x, target) is False
     assert min_length(B2, x) is None
+    # coordinates summing to 0 give no length band, but still no length 0
+    assert min_length(B2, (-1, 1, 0, 0, 0, 0)) is None
     with pytest.raises(ValueError, match="nonnegative"):
         factorizations(B2, x)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -666,6 +764,8 @@ def test_element_dimension_mismatch_raises():
             factorizations(B2, short)
         with pytest.raises(ValueError, match="dimension"):
             exists_length(B2, short, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            min_length(B2, short)
         with pytest.raises(ValueError, match="dimension"):
             set_of_lengths(B2, short)
 
@@ -830,10 +930,8 @@ def test_rho5_rank3_independent_route():
     # strategy, which sweeps all candidates)
     from zsl.atoms import enumerate_atoms as enum
     from zsl.constructions import hypercube_pm
-    from zsl.invariants import _k_fold_sums, block_monoid
-
     m3 = block_monoid(enum(hypercube_pm(3)))
-    candidates = sorted(_k_fold_sums(m3, 5, 24))
+    candidates = sorted(unpacked_k_fold_sums(m3, 5, 24))
     assert len(candidates) > 5000
     sample = candidates[::17]
     worst = max(max(set_of_lengths(m3, s)) for s in sample)
