@@ -515,48 +515,71 @@ def ell_bound(seq) -> int:
 
 
 def brute_force_atoms(ground: GroundSet, max_length: int) -> list[Sequence]:
-    """Independent oracle: scan every multiplicity vector of bounded length.
+    """Independent oracle: every multiplicity vector t of total 1 ..
+    ``max_length`` that sums to zero and has no nonempty proper sub-vector
+    summing to zero, sorted.  Exponential; only for small cross-checks.
 
-    Minimality is decided by exhaustively checking all proper nonzero
-    sub-vectors for zero sums.  Exponential; only for small cross-checks.
+    A stack walks the counts of positions 0 .. n-3 and carries the running
+    sum s of each prefix.  The last two positions come from a table built
+    once: ``tails[left]`` maps -(m g_{n-2} + (left - m) g_{n-1}) to the
+    pairs (m, left - m).  Every split of ``left`` terms over those two
+    positions is listed under the negative of its sum, so the zero-sum
+    vectors of total c + ``left`` that extend a prefix of total c are
+    exactly the prefix with the pairs listed under s: no vector is lost.  On
+    a one-element ground the table holds the one position alone, and an
+    empty ground has no nonzero vector at all.  No code is shared with
+    ``enumerate_atoms``.
+
+    Minimality is decided only for those zero-sum vectors.  A DP over the
+    positions keeps, for every sum that the sub-vectors y <= t chosen so far
+    reach, the set of flags (y nonempty, y != t) they reach it with; a
+    position with count m offers y_i = 0 .. m and sets the first flag when
+    y_i > 0, the second when y_i < m (a count 0 sets neither).  So (True, True) reaches 0 at the end
+    exactly when a nonempty proper sub-vector sums to zero, that is, when t
+    is not an atom.
     """
     n = len(ground)
+    if n == 0:
+        return []
+    elements = ground.elements
     zero = (0,) * ground.rank
+    head = max(n - 2, 0)
+    tails: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = []
+    for left in range(max_length + 1):
+        splits = [(left,)] if n == 1 else [(m, left - m) for m in range(left + 1)]
+        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for split in splits:
+            key = tuple(-sum(c * g[k] for c, g in zip(split, elements[head:]))
+                        for k in range(ground.rank))
+            table.setdefault(key, []).append(split)
+        tails.append(table)
 
-    def vectors_of_length(total, pos):
-        if pos == n - 1:
-            yield (total,)
-            return
-        for m in range(total + 1):
-            for rest in vectors_of_length(total - m, pos + 1):
-                yield (m,) + rest
+    zero_sums = []
+    stack = [((), 0, zero)]  # counts of a prefix, their total and sum
+    while stack:
+        prefix, used, s = stack.pop()
+        if len(prefix) == head:
+            for left in range(max(1 - used, 0), max_length - used + 1):
+                for split in tails[left].get(s, ()):
+                    zero_sums.append(prefix + split)
+            continue
+        g = elements[len(prefix)]
+        for c in range(max_length - used + 1):
+            stack.append((prefix + (c,), used + c, s))
+            s = tuple(map(add, s, g))
 
-    def sub_vectors(t):
-        ranges = [range(m + 1) for m in t]
-
-        def rec(i):
-            if i == n:
-                yield ()
-                return
-            for head in ranges[i]:
-                for rest in rec(i + 1):
-                    yield (head,) + rest
-
-        yield from rec(0)
-
-    found = []
-    for total in range(1, max_length + 1):
-        for t in vectors_of_length(total, 0):
-            s = Sequence(ground, t)
-            if s.sum_vector() != zero:
+    def is_atom(t):
+        reach = {zero: {(False, False)}}
+        for g, m in zip(elements, t):
+            if not m:
                 continue
-            minimal = True
-            for sub in sub_vectors(t):
-                if sub == t or not any(sub):
-                    continue
-                if Sequence(ground, sub).sum_vector() == zero:
-                    minimal = False
-                    break
-            if minimal:
-                found.append(s)
-    return sorted(found, key=lambda s: s.mult)
+            step: dict[tuple[int, ...], set[tuple[bool, bool]]] = {}
+            for s, flags in reach.items():
+                for c in range(m + 1):
+                    step.setdefault(s, set()).update(
+                        (nonempty or c > 0, proper or c < m) for nonempty, proper in flags)
+                    s = tuple(map(add, s, g))
+            reach = step
+        return (True, True) not in reach[zero]
+
+    return [Sequence(ground, t) for t in sorted(zero_sums) if is_atom(t)]

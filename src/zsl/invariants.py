@@ -30,6 +30,7 @@ Everything is deterministic: outputs are canonically sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, sub
 
 from .atoms import AtomSet, _minimal_solutions
 
@@ -559,9 +560,18 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover")
     atom i, so y <= z - e_i, which covers too because divisibility is
     upward closed; and a sub-multiset of z - e_i is one of z.  Only the
     f values of the previous size's covering multisets are kept.  The
-    multisets of one size come from a depth-first walk over nondecreasing
-    atom index sequences that carries the running sum, restricted to the
-    coordinates of supp(u), the only ones u <= x reads.
+    multisets of one size are those of the previous size's list, each grown
+    by one copy of an atom whose index is at least the largest it holds, so
+    each multiset arises once; each carries what u still lacks on supp(u),
+    the only coordinates u <= x reads, and it covers when the atom added
+    supplies all of that.  The last size builds no list for the next.
+
+    A multiset is keyed by one int that holds its count of atom i in the
+    field of w = sum(u).bit_length() bits at bit w * i.  No count exceeds
+    |z| <= sum(u) < 2^w, so adding an atom never carries out of its field;
+    and z - e_i is read only for the atoms i that z holds, whose fields are
+    at least 1, so subtracting ``unit[i]`` never borrows and gives exactly
+    the key of z - e_i.
     """
     if mode == "both":
         a = omega(monoid, atom_index, "minimal-cover")
@@ -575,38 +585,33 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover")
         raise ValueError(f"unknown omega mode {mode!r}")
     u = monoid.atoms[atom_index]
     support = [k for k, x in enumerate(u) if x]
-    need = tuple(u[k] for k in support)
     proj = [tuple(a[k] for k in support) for a in monoid.atoms]
     n = monoid.atom_count
+    budget = sum(u)
+    unit = [1 << (budget.bit_length() * i) for i in range(n)]
     worst = 0
-    prev: dict[tuple[int, ...], int] = {}  # f of the covering multisets one size down
-    for size in range(1, sum(u) + 1):
-        cur: dict[tuple[int, ...], int] = {}
-        # nondecreasing index prefixes of length size - 1 with what u still lacks
-        stack = [((), need)]
-        while stack:
-            prefix, lack = stack.pop()
-            start = prefix[-1] if prefix else 0
-            if len(prefix) < size - 1:
-                for j in range(start, n):
-                    stack.append((prefix + (j,),
-                                  tuple(d - a for d, a in zip(lack, proj[j]))))
-                continue
+    prev: dict[int, int] = {}  # f of the covering multisets one size down
+    # the multisets of one size: key, largest index, what u still lacks, distinct indices
+    level = [(0, 0, tuple(u[k] for k in support), ())]
+    for size in range(1, budget + 1):
+        cur: dict[int, int] = {}
+        grown = []
+        for key, start, lack, distinct in level:
             for j in range(start, n):
-                if any(a < d for a, d in zip(proj[j], lack)):
-                    continue
-                z = prefix + (j,)
-                f = size
-                for p in range(size):  # drop the last copy of each atom in turn
-                    if p + 1 < size and z[p] == z[p + 1]:
-                        continue
-                    g = prev.get(z[:p] + z[p + 1:])
-                    if g is not None and g < f:
-                        f = g
-                cur[z] = f
-                if f > worst:
-                    worst = f
-        prev = cur
+                z = key + unit[j]
+                holds = distinct if j == start and distinct else distinct + (j,)
+                if all(map(ge, proj[j], lack)):
+                    f = size
+                    for i in holds:  # drop one copy of each atom of z in turn
+                        g = prev.get(z - unit[i])
+                        if g is not None and g < f:
+                            f = g
+                    cur[z] = f
+                    if f > worst:
+                        worst = f
+                if size < budget:
+                    grown.append((z, j, tuple(map(sub, lack, proj[j])), holds))
+        prev, level = cur, grown
     return worst
 
 

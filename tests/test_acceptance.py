@@ -131,6 +131,26 @@ def test_criterion_11_oracle_equivalence():
     assert details["omega_atoms_checked"] >= 20
 
 
+def _one_atom_short(real):
+    return lambda ground, max_length: real(ground, max_length)[:-1]
+
+
+def _omega_oracle_one_less(real):
+    def skewed(monoid, atom_index, mode="minimal-cover"):
+        value = real(monoid, atom_index, mode)
+        return value - 1 if mode == "definition-budget" else value
+    return skewed
+
+
+@pytest.mark.parametrize("name, skew", [("brute_force_atoms", _one_atom_short),
+                                        ("omega", _omega_oracle_one_less)])
+def test_oracle_gate_fails_on_a_skewed_oracle(monkeypatch, name, skew):
+    monkeypatch.setattr(certify, name, skew(getattr(certify, name)))
+    (result,) = certify.run_suite(["11"])
+    assert not result.passed
+    assert result.error.startswith("AssertionError")
+
+
 def test_certify_suite_all_green():
     results = certify.run_suite()
     assert len(results) == 11

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -119,6 +119,91 @@ def test_enumeration_matches_brute_force_on_signed_hypercube_r3():
     slow = [a.mult for a in brute_force_atoms(PM3, 5)]
     assert fast == slow
     assert len(fast) == 41
+
+
+def literal_brute_force_atoms(ground, max_length):
+    """Every multiplicity vector of total 1 .. max_length built as a
+    ``Sequence``, kept when it sums to zero and no nonzero proper sub-vector,
+    itself built as a ``Sequence``, does: a reference for the sum table and
+    the flag DP of ``brute_force_atoms``."""
+    n = len(ground)
+    zero = (0,) * ground.rank
+
+    def vectors_of_length(total, pos):
+        if pos == n - 1:
+            yield (total,)
+            return
+        for m in range(total + 1):
+            for rest in vectors_of_length(total - m, pos + 1):
+                yield (m,) + rest
+
+    found = []
+    for total in range(1, max_length + 1):
+        for t in vectors_of_length(total, 0):
+            s = Sequence(ground, t)
+            if s.sum_vector() != zero:
+                continue
+            if all(Sequence(ground, sub).sum_vector() != zero
+                   for sub in product(*(range(m + 1) for m in t))
+                   if sub != t and any(sub)):
+                found.append(s)
+    return sorted(a.mult for a in found)
+
+
+@st.composite
+def oracle_grounds(draw):
+    rank = draw(st.integers(1, 3))
+    elems = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank),
+                          min_size=1, max_size=6, unique=True))
+    return GroundSet.from_elements(rank, elems)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_grounds(), st.integers(0, 7))
+def test_brute_force_matches_literal_reference(ground, max_length):
+    assert [a.mult for a in brute_force_atoms(ground, max_length)] == \
+        literal_brute_force_atoms(ground, max_length)
+
+
+@pytest.mark.parametrize("elements, max_length, expected", [
+    # a zero element: alone an atom, and in no other atom
+    ([(1,), (0,), (-1,)], 4, [(0, 1, 0), (1, 0, 1)]),
+    # a one-element ground, both with and without an atom
+    ([(0, 0)], 3, [(1,)]),
+    ([(2, -1)], 5, []),
+    # a +-v pair: alone, before a third element and around one
+    ([(1, 2), (-1, -2)], 6, [(1, 1)]),
+    ([(1, 0), (-1, 0), (0, 1)], 5, [(1, 1, 0)]),
+    ([(3,), (1,), (-3,)], 6, [(0, 3, 1), (1, 0, 1)]),
+    # tail sums that collide: 1 * (2,) and 2 * (1,) both cancel one (-2,)
+    ([(-2,), (1,), (2,)], 7, [(1, 0, 1), (1, 2, 0)]),
+    # the (1, 1) tail sum 0 is also the empty tail's: left 2 and left 0
+    ([(2, 2), (1, 0), (-1, 0)], 4, [(0, 1, 1)]),
+])
+def test_brute_force_explicit_examples(elements, max_length, expected):
+    ground = GroundSet.from_elements(len(elements[0]), elements)
+    got = [a.mult for a in brute_force_atoms(ground, max_length)]
+    assert got == expected == literal_brute_force_atoms(ground, max_length)
+
+
+def test_brute_force_on_an_empty_ground():
+    ground = GroundSet.from_elements(2, [])
+    atom_set = enumerate_atoms(ground)
+    assert atom_set.complete and atom_set.atoms == ()
+    assert brute_force_atoms(ground, 7) == []
+
+
+def test_brute_force_never_calls_the_completion_kernel(monkeypatch):
+    from zsl import atoms
+
+    expected = [a.mult for a in enumerate_atoms(PM3).atoms]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the atom oracle called the completion search")
+
+    monkeypatch.setattr(atoms, "_minimal_solutions", forbidden)
+    monkeypatch.setattr(atoms, "enumerate_atoms", forbidden)
+    assert [a.mult for a in brute_force_atoms(PM3, 5)] == expected
 
 
 def linear_scan_atoms(ground, budget):

@@ -869,6 +869,33 @@ def test_omega_oracle_never_calls_minimal_covers(monkeypatch):
     assert max(expected) == 5
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("m_offset", [-1, 0])
+def test_omega_oracle_at_the_field_edges(k, m_offset):
+    # (m, 0) is covered by m copies of (1, 1) and by no fewer of them: with
+    # m = 2^k - 1 that count fills every bit of its m.bit_length()-bit field,
+    # with m = 2^k the field is one bit wider and the count sets only its top
+    m = (1 << k) + m_offset
+    monoid = PresentedMonoid(2, ((m, 0), (1, 1), (0, 3)))
+    got = [omega(monoid, i, "definition-budget") for i in range(monoid.atom_count)]
+    assert got == [omega_definition_replay(monoid, i, sum(a))
+                   for i, a in enumerate(monoid.atoms)]
+    assert got == [m, 2, 3]
+
+
+@pytest.mark.parametrize("monoid, expected", [
+    # (1, 0, 0) alone reaches the first coordinate, so it is prime
+    (PresentedMonoid(3, ((1, 0, 0), (0, 1, 1), (0, 2, 0), (0, 0, 2))), [1, 2, 2, 2]),
+    (free_monoid(3), [1, 1, 1]),
+    # a one-atom monoid: its atom is prime
+    (PresentedMonoid(2, ((2, 3),)), [1]),
+])
+def test_omega_oracle_on_prime_atoms(monoid, expected):
+    got = [omega(monoid, i, "definition-budget") for i in range(monoid.atom_count)]
+    assert got == expected == [omega_definition_replay(monoid, i, sum(a))
+                               for i, a in enumerate(monoid.atoms)]
+
+
 def test_omega_modes_agree_on_rank3_atoms():
     from zsl.constructions import hypercube_pm
 
