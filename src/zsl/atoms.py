@@ -17,16 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
-from math import gcd, isqrt
+from itertools import combinations, repeat
+from math import comb, gcd, isqrt
 from operator import add, mul
 
 from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, up_to_sign
 from .intlinalg import (
     det_bareiss,
     primitive_kernel_vector,
-    rank_over_q,
     smith_normal_form,
+    subset_determinants,
 )
 
 DEFAULT_BUDGET = 20
@@ -295,11 +295,10 @@ def elementary_davenport(ground: GroundSet, method: str = "enumerate",
         raise ValueError(f"unknown method {method!r}")
 
     r = ground.rank
-    actual_rank = rank_over_q(ground.elements)
-    if actual_rank < r:
+    if ground.span_rank < r:
         raise ValueError(
-            f"ground set spans rank {actual_rank} < {r}; re-embed it into "
-            f"Z^{actual_rank} before using the determinant formula")
+            f"ground set spans rank {ground.span_rank} < {r}; re-embed it into "
+            f"Z^{ground.span_rank} before using the determinant formula")
     pool = [v for v in ground.elements if any(v)]
     if ground.is_symmetric():
         return longest_circuit(r, sorted(set(map(up_to_sign, pool))))[0]
@@ -315,13 +314,42 @@ def longest_circuit(rank: int, pool, side_condition: bool = False) -> tuple[int,
     ``side_condition`` a tuple counts only when it carries an atom of length
     >= 3 on its own, which ``has_elementary_atom`` decides on the tuple as a
     ground set within a length budget one above the tuple's circuit length.
+
+    |det| of every rank-subset of the pool is computed once, into the flat
+    list ``dets`` in ``combinations`` order, and a tuple's circuit length is
+    read off its rank + 1 drop-one entries.  The index of a subset
+    c_0 < ... < c_{r-1} of n is C(n, r) - 1 - sum_i C(n - 1 - c_i, r - i), a
+    sum of one weight per position.  A walk over the tuple prefixes keeps
+    that index for the prefix and, for each d, for the prefix without its
+    d-th member.  At the last position the weight of c is c - n + 1, so as
+    the last member runs over its range each drop-one entry runs over a
+    contiguous slice of ``dets``.
     """
-    candidates = sorted(((d, combo) for combo in combinations(pool, rank + 1)
-                         if (d := circuit_length(combo)) >= 3), key=lambda t: -t[0])
-    for d, combo in candidates:
-        if not side_condition or has_elementary_atom(
-                GroundSet.from_elements(rank, combo), budget=d + 1):
-            return d, combo
+    for v in pool:
+        if len(v) != rank:
+            raise ValueError(f"pool vector {tuple(v)} does not have {rank} coordinates")
+    n = len(pool)
+    dets = list(map(abs, subset_determinants(pool)))
+    weight = [[-comb(n - 1 - c, rank - i) for c in range(n)] for i in range(rank)]
+    lengths: list[int] = []  # circuit length of each tuple, in combinations order
+    stack = [(0, [], comb(n, rank) - 1)]  # (next member, drop-one indices, own index)
+    while stack:
+        start, drops, own = stack.pop()
+        if len(drops) < rank:
+            j = len(drops)
+            stack.extend((c + 1, [p + weight[j - 1][c] for p in drops] + [own],
+                          own + weight[j][c])
+                         for c in reversed(range(start, n - rank + j)))
+            continue
+        fixed = dets[own]
+        columns = [dets[p + start + 1 - n:p + 1] for p in drops]
+        lengths.extend(total // g if g else 0 for total, g in zip(
+            map(add, map(sum, zip(*columns)), repeat(fixed)), map(gcd, repeat(fixed), *columns)))
+    for d in sorted({d for d in lengths if d >= 3}, reverse=True):
+        for combo, length in zip(combinations(pool, rank + 1), lengths):
+            if length == d and (not side_condition or has_elementary_atom(
+                    GroundSet.from_elements(rank, combo), budget=d + 1)):
+                return d, combo
     return 0, ()
 
 
@@ -362,7 +390,7 @@ def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet) -> dict:
     ``atom_set`` is the atom enumeration of ``ground``, complete or not.
     """
     r = ground.rank
-    if rank_over_q(ground.elements) != r:
+    if ground.span_rank != r:
         raise ValueError("upper bounds need a ground set of full rank; re-embed first")
     report: dict = {"rank": r, "certifies": "davenport-upper-bounds"}
 
@@ -384,9 +412,7 @@ def davenport_upper_bounds(ground: GroundSet, atom_set: AtomSet) -> dict:
     report["hadamard"] = hypercube_davenport_ceiling(r) if _is_hypercube_subset(ground) else None
 
     plus_cols = [ground.elements[i] for i in ground.plus_indices]
-    best = 0
-    for combo in combinations(plus_cols, r):
-        best = max(best, abs(det_bareiss(combo)))
+    best = max(map(abs, subset_determinants(plus_cols)), default=0)
     report["dgs"] = (2 * r) ** r * (r + 1) ** (r + 1) * best
 
     delm = max((a.length for a in atom_set.atoms if is_elementary(a)), default=0)
@@ -419,10 +445,10 @@ def _max_last_divisor(columns) -> int:
     singular one included) cannot raise it, and gets no Smith form.
     """
     dim = len(columns[0])
-    kept = dict.fromkeys(up_to_sign(c) for c in columns if any(c))
+    kept = list(dict.fromkeys(up_to_sign(c) for c in columns if any(c)))
     best = 0
-    for combo in combinations(kept, dim):
-        if abs(det_bareiss(combo)) > best:
+    for combo, det in zip(combinations(kept, dim), subset_determinants(kept)):
+        if abs(det) > best:
             best = max(best, smith_normal_form(combo)[-1])
     return best
 
@@ -475,6 +501,15 @@ def _elementary_atoms_on(ground: GroundSet, support: tuple[int, ...],
     return tuple(a for a in lifted if is_elementary(a))
 
 
+def _least_ratio(counts, atom: Sequence) -> tuple[int, int]:
+    """(counts[i], atom.mult[i]) with the least ratio over the support of the atom."""
+    p, q = 0, 0
+    for i in atom.support():
+        if not q or counts[i] * q < p * atom.mult[i]:
+            p, q = counts[i], atom.mult[i]
+    return p, q
+
+
 def rational_elementary_decomposition(seq, budget: int | None = None) -> ElementaryDecomposition:
     """Greedy peel of a rational zero-sum sequence into elementary atoms.
 
@@ -484,33 +519,55 @@ def rational_elementary_decomposition(seq, budget: int | None = None) -> Element
     of parts is bounded by half the signed support and by the kernel
     dimension of the ground columns.  ``budget`` caps the length of the
     atoms enumerated on each support (default ``DEFAULT_BUDGET``).
+
+    The peel runs fraction-free, in the style of ``intlinalg._eliminate``:
+    the rest is a list of integer numerators n over one positive denominator
+    D.  Peeling the atom a takes alpha = p/q = min over supp(a) of
+    n_i / (D a_i) and leaves (q n - p D a) / (q D), divided by the content of
+    the numerators together with q D.  A ``Fraction`` is formed only for
+    each alpha and for the balanced part.
     """
-    if not seq.is_zero_sum():
+    numerators, scale = seq.integer_form()
+    ground = seq.ground
+    whole = Sequence(ground, numerators)
+    if not whole.is_zero_sum():
         raise ValueError("decomposition needs a zero-sum sequence")
-    s = seq.rational() if isinstance(seq, Sequence) else seq
-    balanced, current = s.split_balanced()
-    ground = s.ground
+    balanced, core = whole.split_balanced()
+    current, denominator = list(core.mult), scale
     parts: list[tuple[Sequence, Fraction]] = []
     if budget is None:
         budget = DEFAULT_BUDGET
-    while not current.is_trivial():
-        candidates = _elementary_atoms_on(ground, current.support(), budget)
+    while any(current):
+        support = tuple(i for i, m in enumerate(current) if m)
+        candidates = _elementary_atoms_on(ground, support, budget)
         if not candidates:
             raise RuntimeError("no elementary atom inside the support; "
                                "the input was not a zero-sum sequence over its ground set")
         atom = min(candidates, key=lambda a: a.mult)
-        alpha = min(Fraction(current.mult[i]) / atom.mult[i] for i in atom.support())
-        current = current.remove(atom.rational().scaled(alpha))
-        if atom.signed_support() <= current.signed_support():
+        n_i, a_i = _least_ratio(current, atom)
+        alpha = Fraction(n_i, denominator * a_i)
+        p, q = alpha.numerator, alpha.denominator
+        step = p * denominator
+        current = [q * m - step * a for m, a in zip(current, atom.mult)]
+        if min(current) < 0:
+            raise ValueError("peeled atom is not a subsequence of the rest")
+        denominator *= q
+        content = gcd(denominator, *current)
+        current = [m // content for m in current]
+        denominator //= content
+        rest = Sequence(ground, tuple(current)).net_multiplicities()
+        if all(r for a, r in zip(atom.net_multiplicities(), rest) if a):
             raise AssertionError("peeled atom signed support survived into the tail")
         parts.append((atom, alpha))
+    balanced = RationalSequence(ground, tuple(Fraction(m, scale) if m else 0
+                                              for m in balanced.mult))
     return ElementaryDecomposition(balanced, tuple(parts))
 
 
 def ell_bound(seq) -> int:
     """Cap on the number of parts in an elementary decomposition of seq."""
     ground = seq.ground
-    kernel_dim = len(ground.plus_indices) - rank_over_q(ground.elements)
+    kernel_dim = len(ground.plus_indices) - ground.span_rank
     return min(len(seq.signed_support()) // 2, kernel_dim)
 
 

@@ -137,15 +137,14 @@ def _random_rational_zero_sum(ground, atom_list, rng) -> RationalSequence:
         atom = atom_list[rng.randrange(len(atom_list))]
         alpha = Fraction(rng.randint(1, 5), rng.randint(1, 4))
         total = total * atom.rational().scaled(alpha)
+    mult = list(total.mult)
     for i in ground.plus_indices:
         j = ground.neg_index[i]
         if j is not None and rng.random() < 0.25:
             m = Fraction(rng.randint(1, 3), rng.randint(1, 3))
-            mult = list(total.mult)
             mult[i] += m
             mult[j] += m
-            total = RationalSequence(ground, tuple(mult))
-    return total
+    return RationalSequence(ground, tuple(mult))
 
 
 def check_upper_bounds_and_decomposition() -> dict:

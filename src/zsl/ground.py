@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 Vector = tuple[int, ...]
 
@@ -126,6 +127,13 @@ class GroundSet:
         return tuple(i for i, p in enumerate(self.plus) if p)
 
     @cached_property
+    def span_rank(self) -> int:
+        """Rank over Q of the elements: ``rank`` exactly when they span Q^r."""
+        from .intlinalg import rank_over_q
+
+        return rank_over_q(self.elements)
+
+    @cached_property
     def zero_index(self) -> int | None:
         for i, v in enumerate(self.elements):
             if not any(v):
@@ -180,12 +188,40 @@ def _sequence_mult(data) -> list:
     return _json_list(data["mult"], "mult", "multiplicities")
 
 
+_ZERO = Fraction(0)
+
+
+def _rational_mult(m) -> Fraction:
+    """m as a ``Fraction``, for an int or ``Fraction`` m >= 0.  A bool or a
+    float raises: a float stands for a binary fraction, not for the number
+    it was written as."""
+    if isinstance(m, Fraction):
+        value = m
+    elif isinstance(m, int) and not isinstance(m, bool):
+        value = Fraction(m) if m else _ZERO
+    else:
+        raise ValueError(f"rational multiplicities must be ints or Fractions, got {m!r}")
+    if value.numerator < 0:
+        raise ValueError(f"rational sequence multiplicities must be >= 0, got {m!r}")
+    return value
+
+
 def _encode_mult(value):
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
     return int(value)
+
+
+def _checked(cls, ground: GroundSet, mult: tuple):
+    """``cls(ground, mult)`` for multiplicities the caller knows to be valid,
+    already ``Fraction``s for a rational sequence: they are not checked
+    again."""
+    seq = object.__new__(cls)
+    object.__setattr__(seq, "ground", ground)
+    object.__setattr__(seq, "mult", mult)
+    return seq
 
 
 class _SequenceOps:
@@ -201,14 +237,22 @@ class _SequenceOps:
     def is_trivial(self) -> bool:
         return not any(self.mult)
 
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(n, D): the multiplicities are n / D, with integer numerators n
+        and one positive common denominator D."""
+        d = lcm(*(m.denominator for m in self.mult))
+        return tuple(m.numerator * (d // m.denominator) if m else 0 for m in self.mult), d
+
     def sum_vector(self) -> tuple:
-        """Sum of the sequence: sum over g of v_g(S) * g, exactly."""
+        """Sum of the sequence: sum over g of v_g(S) * g, exactly, summed on
+        the integer numerators and divided by their denominator once."""
+        numerators, d = self.integer_form()
         total = [0] * self.ground.rank
-        for m, v in zip(self.mult, self.ground.elements):
+        for m, v in zip(numerators, self.ground.elements):
             if m:
                 for i, x in enumerate(v):
                     total[i] += m * x
-        return tuple(total)
+        return tuple(total) if d == 1 else tuple(Fraction(t, d) for t in total)
 
     def is_zero_sum(self) -> bool:
         return not any(self.sum_vector())
@@ -240,7 +284,7 @@ class _SequenceOps:
         over all pairs present in the ground set; the core keeps the signed
         support of S and meets its own negation in no element.
         """
-        bal = [0 * m for m in self.mult]
+        bal = [0] * len(self.mult)
         zi = self.ground.zero_index
         if zi is not None:
             bal[zi] = self.mult[zi]
@@ -250,7 +294,7 @@ class _SequenceOps:
                 m = min(self.mult[i], self.mult[j])
                 bal[i] = m
                 bal[j] = m
-        core = tuple(m - b for m, b in zip(self.mult, bal))
+        core = tuple(m - b if b else m for m, b in zip(self.mult, bal))
         cls = type(self)
         return cls(self.ground, tuple(bal)), cls(self.ground, core)
 
@@ -265,20 +309,10 @@ class _SequenceOps:
 
     def __mul__(self, other):
         self._check_same_ground(other)
-        mult = tuple(a + b for a, b in zip(self.mult, other.mult))
-        if isinstance(self, RationalSequence) or isinstance(other, RationalSequence):
-            return RationalSequence(self.ground, mult)
-        return Sequence(self.ground, mult)
-
-    def remove(self, other):
-        """Quotient by a subsequence: componentwise subtraction."""
-        self._check_same_ground(other)
-        if not other.divides(self):
-            raise ValueError("not a subsequence, cannot remove")
-        mult = tuple(a - b for a, b in zip(self.mult, other.mult))
-        if isinstance(self, RationalSequence) or isinstance(other, RationalSequence):
-            return RationalSequence(self.ground, mult)
-        return Sequence(self.ground, mult)
+        mult = tuple(a + b if a and b else a or b for a, b in zip(self.mult, other.mult))
+        if type(self) is type(other):
+            return _checked(type(self), self.ground, mult)
+        return RationalSequence(self.ground, mult)
 
     def negated(self):
         """The sequence -S; requires every -g to be a ground element."""
@@ -307,7 +341,7 @@ class Sequence(_SequenceOps):
         if len(self.mult) != len(self.ground):
             raise ValueError("multiplicity vector length does not match ground set")
         for m in self.mult:
-            if not isinstance(m, int) or m < 0:
+            if isinstance(m, bool) or not isinstance(m, int) or m < 0:
                 raise ValueError(f"integer sequence needs multiplicities in N0, got {m!r}")
 
     @staticmethod
@@ -329,8 +363,12 @@ class Sequence(_SequenceOps):
             raise ValueError("integer sequence JSON contains fractional multiplicities")
         return Sequence(ground, tuple(mult))
 
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        return self.mult, 1
+
     def rational(self) -> "RationalSequence":
-        return RationalSequence(self.ground, tuple(Fraction(m) for m in self.mult))
+        return _checked(RationalSequence, self.ground,
+                        tuple(Fraction(m) if m else _ZERO for m in self.mult))
 
 
 @dataclass(frozen=True)
@@ -343,11 +381,7 @@ class RationalSequence(_SequenceOps):
     def __post_init__(self):
         if len(self.mult) != len(self.ground):
             raise ValueError("multiplicity vector length does not match ground set")
-        object.__setattr__(self, "mult", tuple(
-            m if isinstance(m, Fraction) else Fraction(m) for m in self.mult))
-        for m in self.mult:
-            if m.numerator < 0:
-                raise ValueError("rational sequence multiplicities must be >= 0")
+        object.__setattr__(self, "mult", tuple(map(_rational_mult, self.mult)))
 
     @staticmethod
     def from_json(ground: GroundSet, data: dict) -> "RationalSequence":
@@ -355,7 +389,8 @@ class RationalSequence(_SequenceOps):
                                               for x in _sequence_mult(data)))
 
     def scaled(self, alpha) -> "RationalSequence":
-        alpha = Fraction(alpha)
         if alpha < 0:
             raise ValueError("scaling factor must be >= 0")
-        return RationalSequence(self.ground, tuple(alpha * m for m in self.mult))
+        alpha = _rational_mult(alpha)
+        return _checked(RationalSequence, self.ground,
+                        tuple(alpha * m if m else m for m in self.mult))

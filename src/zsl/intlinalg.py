@@ -14,7 +14,9 @@ dozen rows/columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations, repeat
+from math import comb, gcd, lcm
+from operator import add, mul
 
 
 def matrix_dims(m) -> tuple[int, int]:
@@ -58,6 +60,63 @@ def det_bareiss(m) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def subset_determinants(rows):
+    """Yield det of every k-subset of ``rows``, k-vectors all, in
+    ``itertools.combinations`` order; nothing when there are fewer than k.
+
+    Depth first over the prefixes: a prefix of j rows carries its j x j
+    minors on every j-subset of the k columns (one, the empty minor 1, for
+    no rows), in ``combinations`` order.  Taking one more row extends them
+    by a Laplace expansion along that row, placed last.  At k - 1 rows the
+    minors, signed, are the cofactors of the last row, so each choice costs
+    one k-term dot product and no elimination.  A prefix whose minors all
+    vanish has dependent rows, and every choice below it yields 0.
+    """
+    rows = [tuple(row) for row in rows]
+    n, k = matrix_dims(rows)
+    if not k:
+        if n:
+            yield 1
+        return
+    columns = list(zip(*rows))
+
+    def dots(coefficients, lo, hi):
+        """sum_c coefficients[c] * rows[i][c] for i in range(lo, hi)."""
+        out = repeat(0, hi - lo)
+        for column, x in zip(columns, coefficients):
+            if x:
+                out = map(add, out, map(mul, column[lo:hi], repeat(x)))
+        return out
+
+    # expand[j]: for each j-subset S of the columns, the terms
+    # (column c, sign (-1)^(j + 1-based position of c in S), index of S - {c})
+    expand = [None]
+    for j in range(1, k):
+        below = {s: i for i, s in enumerate(combinations(range(k), j - 1))}
+        expand.append([[(c, -1 if (j + pos + 1) % 2 else 1, below[s[:pos] + s[pos + 1:]])
+                        for pos, c in enumerate(s)]
+                       for s in combinations(range(k), j)])
+    # the (k-1)-subsets come as "drop k-1", ..., "drop 0"
+    signs = [(-1) ** (k + 1 + c) for c in range(k)]
+    stack = [(0, 0, (1,))]
+    while stack:
+        start, depth, minors = stack.pop()
+        if not any(minors):
+            yield from repeat(0, comb(n - start, k - depth))
+        elif depth == k - 1:
+            yield from dots([s * m for s, m in zip(signs, reversed(minors))], start, n)
+        else:
+            stop = n - k + depth + 1
+            expansions = []
+            for term in expand[depth + 1]:
+                coefficients = [0] * k
+                for c, sign, b in term:
+                    coefficients[c] = sign * minors[b]
+                expansions.append(dots(coefficients, start, stop))
+            children = [(i, depth + 1, m) for i, m in enumerate(zip(*expansions), start + 1)]
+            stack.extend(reversed(children))
 
 
 def _eliminate(row, pivot, col: int) -> list[int]:

@@ -277,6 +277,7 @@ UNREFERENCED_ON_PURPOSE = {
     "distance": "the catenary definition the tests compare the threshold-growth route with",
     "tau": "perfbench wraps and calls it",
     "exists_length": "perfbench wraps it and checks every query's set of lengths with it",
+    "circuit_length": "perfbench wraps it",
 }
 
 

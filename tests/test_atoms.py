@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsl import atoms, intlinalg
 from zsl.atoms import (
+    DEFAULT_BUDGET,
     AtomSet,
     _augmented_columns,
+    _elementary_atoms_on,
     _is_circuit,
     _max_last_divisor,
     _minimal_solutions,
@@ -28,8 +31,8 @@ from zsl.atoms import (
     rational_elementary_decomposition,
 )
 from zsl.constructions import hypercube_pm
-from zsl.ground import GroundSet, Sequence, negate
-from zsl.intlinalg import primitive_kernel_vector, rank_over_q, smith_normal_form
+from zsl.ground import GroundSet, RationalSequence, Sequence, negate, up_to_sign
+from zsl.intlinalg import det_bareiss, primitive_kernel_vector, rank_over_q, smith_normal_form
 
 
 def pm_ground(r):
@@ -637,6 +640,57 @@ def test_formula_passes_over_a_longest_tuple_without_an_atom():
     assert elementary_davenport(g, "both") == 6
 
 
+def longest_circuit_by_tuples(rank, pool, side_condition=False):
+    """Reference for ``longest_circuit``: ``circuit_length`` of each tuple on
+    its own, then the tuples longest first, ties in combinations order."""
+    candidates = sorted(((d, combo) for combo in combinations(pool, rank + 1)
+                         if (d := circuit_length(combo)) >= 3), key=lambda t: -t[0])
+    for d, combo in candidates:
+        if not side_condition or has_elementary_atom(
+                GroundSet.from_elements(rank, combo), budget=d + 1):
+            return d, combo
+    return 0, ()
+
+
+@st.composite
+def circuit_pools(draw):
+    """A rank 1-3 and 2-7 distinct vectors of [-2, 2]^rank."""
+    rank = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * rank)
+    return rank, draw(st.lists(vectors, min_size=2, max_size=7, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit_pools())
+def test_longest_circuit_matches_per_tuple_reference_on_symmetric_pools(case):
+    rank, vectors = case
+    # the pool elementary_davenport sweeps for the symmetric closure of the vectors
+    pool = sorted({up_to_sign(v) for v in vectors if any(v)})
+    assert longest_circuit(rank, pool) == longest_circuit_by_tuples(rank, pool)
+
+
+def outcome(f, *args, **kwargs):
+    """What f returns, or the message of the ValueError it raises."""
+    try:
+        return f(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit_pools())
+def test_longest_circuit_matches_per_tuple_reference_with_side_condition(case):
+    rank, pool = case
+    # a tuple whose enumeration is cut at its length budget raises in both
+    assert (outcome(longest_circuit, rank, pool, side_condition=True)
+            == outcome(longest_circuit_by_tuples, rank, pool, side_condition=True))
+
+
+def test_longest_circuit_on_the_signed_4_cube_keeps_its_witness():
+    pool = sorted({up_to_sign(v) for v in hypercube_pm(4).elements})
+    assert longest_circuit(4, pool) == longest_circuit_by_tuples(4, pool)
+
+
 def test_upper_bounds_r2():
     report = davenport_upper_bounds(PM2, enumerate_atoms(PM2))
     d = 3
@@ -694,6 +748,30 @@ def test_max_last_divisor_matches_all_choices(ground, both_signs):
     assert _max_last_divisor(columns) == all_choices_last_divisor(columns)
 
 
+@settings(max_examples=100, deadline=None)
+@given(divisor_grounds(), st.booleans())
+def test_max_last_divisor_runs_the_smith_forms_of_the_bareiss_scan(ground, both_signs):
+    # reference scan: one det_bareiss per choice, and a Smith form whenever
+    # |det| beats the best last divisor so far
+    columns = _augmented_columns(ground, both_signs)
+    expected, best = [], 0
+    for combo in combinations(dict.fromkeys(up_to_sign(c) for c in columns if any(c)),
+                              len(columns[0])):
+        if abs(det_bareiss(combo)) > best:
+            expected.append(combo)
+            best = max(best, smith_normal_form(combo)[-1])
+    ran = []
+
+    def recorded(combo):
+        ran.append(combo)
+        return smith_normal_form(combo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(atoms, "smith_normal_form", recorded)
+        assert _max_last_divisor(columns) == best
+    assert ran == expected
+
+
 def test_upper_bounds_skip_without_long_atom():
     report = davenport_upper_bounds(PM1, enumerate_atoms(PM1))
     assert report["snf_G0"] is None
@@ -737,9 +815,10 @@ def test_decomposition_product_of_long_atoms():
     assert dec.reassemble() == s.rational()
     assert dec.ell <= ell_bound(s)
     # each peeled atom keeps a coordinate no later part touches
-    remaining = s.rational()
-    for atom, alpha in dec.parts:
-        remaining = remaining.remove(atom.rational().scaled(alpha))
+    for k, (atom, _) in enumerate(dec.parts):
+        remaining = dec.balanced
+        for later, alpha in dec.parts[k + 1:]:
+            remaining = remaining * later.rational().scaled(alpha)
         assert not atom.signed_support() <= remaining.signed_support()
 
 
@@ -755,6 +834,87 @@ def test_decomposition_random_rational_zero_sums():
         dec = rational_elementary_decomposition(total)
         assert dec.reassemble() == total
         assert dec.ell <= ell_bound(total)
+
+
+def fraction_peel(seq):
+    """The peel on ``Fraction`` multiplicities, alpha by ``Fraction``
+    division: a reference for ``rational_elementary_decomposition``."""
+    s = seq.rational() if isinstance(seq, Sequence) else seq
+    balanced, current = s.split_balanced()
+    parts = []
+    while not current.is_trivial():
+        candidates = _elementary_atoms_on(s.ground, current.support(), DEFAULT_BUDGET)
+        atom = min(candidates, key=lambda a: a.mult)
+        alpha = min(Fraction(current.mult[i]) / atom.mult[i] for i in atom.support())
+        rest = tuple(m - alpha * a for m, a in zip(current.mult, atom.mult))
+        assert min(rest) >= 0
+        current = RationalSequence(s.ground, rest)
+        assert not atom.signed_support() <= current.signed_support()
+        parts.append((atom, alpha))
+    return balanced, tuple(parts)
+
+
+NON_SYMMETRIC_R2 = GroundSet.from_elements(
+    2, [(1, 0), (0, 1), (-1, -1), (2, -1), (-1, 2), (-1, 0)])
+
+
+@pytest.mark.parametrize("ground", [PM2, PM3, NON_SYMMETRIC_R2])
+def test_integer_peel_matches_the_fraction_peel(ground):
+    rng = random.Random(len(ground))
+    atom_list = enumerate_atoms(ground).atoms
+    pairs = [(i, j) for i, j in enumerate(ground.neg_index) if j is not None and i < j]
+    for _ in range(40):
+        mult = [Fraction(0)] * len(ground)
+        for _ in range(rng.randint(1, 3)):
+            atom = rng.choice(atom_list)
+            alpha = Fraction(rng.randint(1, 6), rng.randint(1, 5))
+            mult = [m + alpha * a for m, a in zip(mult, atom.mult)]
+        for i, j in pairs:
+            if rng.random() < 0.3:
+                extra = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+                mult[i] += extra
+                mult[j] += extra
+        s = RationalSequence(ground, tuple(mult))
+        balanced, parts = fraction_peel(s)
+        dec = rational_elementary_decomposition(s)
+        assert dec.parts == parts
+        assert dec.balanced == balanced
+        assert all(type(m) is Fraction for m in dec.balanced.mult)
+        assert all(type(alpha) is Fraction for _, alpha in dec.parts)
+        assert dec.reassemble() == s
+
+
+TWO_THREE = GroundSet.from_elements(1, [(2,), (-3,)])
+
+
+@pytest.mark.parametrize("skew, error, message", [
+    (lambda p, q: (2 * p, q), ValueError, "not a subsequence"),
+    (lambda p, q: (p, 2 * q), AssertionError, "survived into the tail"),
+])
+def test_peel_guards_fire_on_a_skewed_ratio(monkeypatch, skew, error, message):
+    # twice the least ratio drives a numerator below 0; half of it empties
+    # no coordinate, so the atom's signed support survives
+    least_ratio = atoms._least_ratio
+    monkeypatch.setattr(atoms, "_least_ratio", lambda counts, atom: skew(*least_ratio(counts, atom)))
+    with pytest.raises(error, match=message):
+        rational_elementary_decomposition(Sequence(TWO_THREE, (3, 2)))
+
+
+def test_full_rank_is_computed_once_per_ground(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank_over_q(m)
+
+    monkeypatch.setattr(intlinalg, "rank_over_q", counted)
+    ground = pm_ground(2)
+    atom_set = enumerate_atoms(ground)
+    davenport_upper_bounds(ground, atom_set)
+    for atom in atom_set.atoms:
+        ell_bound(atom * atom)
+    elementary_davenport(ground, "formula")
+    assert len(calls) == 1
 
 
 def test_unique_elementary_atom_cancelling_pair_is_none():

@@ -119,6 +119,59 @@ def test_probe_r4_report(capsys):
     assert report["davenport_exact"] is None
 
 
+PROBE_R4_STDOUT = """\
+{
+  "davenport_exact": null,
+  "davenport_lower_bound": 9,
+  "elementary_davenport": 9,
+  "elementary_witness_support": [
+    [
+      0,
+      0,
+      1,
+      1
+    ],
+    [
+      0,
+      1,
+      0,
+      1
+    ],
+    [
+      0,
+      1,
+      1,
+      0
+    ],
+    [
+      1,
+      0,
+      0,
+      1
+    ],
+    [
+      1,
+      1,
+      1,
+      0
+    ]
+  ],
+  "fibonacci_lower_bound": 8,
+  "note": "lower bounds only; no equality claim at rank 4",
+  "partial_enumeration_budget": 4,
+  "partial_enumeration_longest_atom": 4,
+  "rank": 4
+}
+"""
+
+
+def test_probe_r4_stdout_is_pinned(capsys):
+    # the witness is the first longest 5-tuple in combinations order
+    code, out, _ = run(capsys, "probe-r4")
+    assert code == 0
+    assert out == PROBE_R4_STDOUT
+
+
 def test_budget_below_one_names_the_flag(capsys, h2):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "atoms", "-i", h2, "--budget", "0")

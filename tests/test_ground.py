@@ -128,7 +128,7 @@ def test_subsequence_and_removal():
     t = seq(PM2, [((1, 0), 1)])
     assert t.divides(s)
     assert not s.divides(t)
-    assert s.remove(t) == seq(PM2, [((1, 0), 1), ((0, 1), 1)])
+    assert t * seq(PM2, [((1, 0), 1), ((0, 1), 1)]) == s
 
 
 def test_ground_mismatch_raises():
@@ -155,6 +155,40 @@ def test_json_canonicalize_sorts_elements():
 def test_rational_power_scaling():
     s = seq(PM2, [((1, 1), 2)]).rational()
     assert s.scaled(Fraction(3, 2)).mult[PM2.position((1, 1))] == 3
+
+
+@pytest.mark.parametrize("entry", [0.1, 1.0, True, False])
+def test_rational_sequence_rejects_floats_and_bools(entry):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match=repr(entry)):
+        RationalSequence(PM2, (entry,) + (0,) * 5)
+
+
+@pytest.mark.parametrize("entry", [1.0, True, False])
+def test_integer_sequence_rejects_floats_and_bools(entry):
+    with pytest.raises(ValueError, match=repr(entry)):
+        Sequence(PM2, (0,) * 5 + (entry,))
+
+
+def test_scaling_rejects_a_float_factor():
+    s = seq(PM2, [((1, 1), 2)]).rational()
+    with pytest.raises(ValueError, match="0.5"):
+        s.scaled(0.5)
+
+
+def test_rational_entries_become_fractions():
+    r = RationalSequence(PM2, (0, 2, Fraction(1, 3), 0, 0, 0))
+    assert all(type(m) is Fraction for m in r.mult)
+    assert r == seq(PM2, [(PM2.elements[1], 2)]) * RationalSequence(
+        PM2, (0, 0, Fraction(1, 3), 0, 0, 0))
+
+
+def test_integer_form_and_sum_clear_the_denominators_once():
+    r = RationalSequence(PM2, (Fraction(1, 2), 0, Fraction(1, 3), 0, Fraction(5, 6), 0))
+    assert r.integer_form() == ((3, 0, 2, 0, 5, 0), 6)
+    # (-1/2, -1/2) + (0, -1/3) + (5/6, 0)
+    assert r.sum_vector() == (Fraction(1, 3), Fraction(-5, 6))
+    assert seq(PM2, [((1, 1), 2)]).integer_form() == ((0, 0, 0, 0, 0, 2), 1)
 
 
 mult_vectors = st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6)
@@ -192,4 +226,5 @@ def test_zero_sum_divisibility_is_componentwise():
             t = Sequence.from_terms(PM2, [(PM2.elements[i], 1),
                                           (negate(PM2.elements[i]), 1)])
             if t.divides(s):
-                assert s.remove(t).is_zero_sum()
+                rest = Sequence(PM2, tuple(a - b for a, b in zip(s.mult, t.mult)))
+                assert rest.is_zero_sum()

@@ -1,6 +1,6 @@
 import random
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from zsl.intlinalg import (
     primitive_kernel_vector,
     rank_over_q,
     smith_normal_form,
+    subset_determinants,
 )
 
 
@@ -189,3 +190,57 @@ def test_snf_property_chain_and_minor_gcds(m):
         prod *= d
         assert prod == minor_gcd(m, j)
     assert sum(1 for d in diag if d) == rank_over_q(m)
+
+
+def det_leibniz(m):
+    """Independent oracle: the sum over all permutations, each signed by its
+    number of inversions."""
+    k = len(m)
+    total = 0
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(k))
+    return total
+
+
+@st.composite
+def row_lists(draw):
+    """0-8 rows of length k = 1..5 with entries in [-3, 3], among them zero
+    rows and repeats and negations of earlier rows."""
+    k = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "fresh", "zero", "repeated", "negated")))
+        if kind == "zero":
+            rows.append((0,) * k)
+        elif kind == "fresh" or not rows:
+            rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))))
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.append(tuple(-x for x in row) if kind == "negated" else row)
+    return k, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_subset_determinants_match_leibniz(case):
+    k, rows = case
+    assert list(subset_determinants(rows)) == [det_leibniz(c) for c in combinations(rows, k)]
+
+
+def test_subset_determinants_of_fewer_rows_than_columns_yield_nothing():
+    assert list(subset_determinants([(1, 2, 3), (4, 5, 6)])) == []
+    assert list(subset_determinants([])) == []
+
+
+def test_subset_determinants_on_dependent_prefixes():
+    # rows 0 and 1 are parallel, so every choice holding both is 0
+    rows = [(1, 2, 0), (2, 4, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0)]
+    dets = list(subset_determinants(rows))
+    assert dets == [det_bareiss(c) for c in combinations(rows, 3)]
+    assert dets[:3] == [0, 0, 0]
+
+
+def test_subset_determinants_reject_ragged_rows():
+    with pytest.raises(ValueError):
+        list(subset_determinants([(1, 2), (3,)]))
