@@ -260,16 +260,6 @@ def circuit_length(vectors) -> int:
     return sum(dets) // g
 
 
-def has_elementary_atom(ground: GroundSet, budget: int | None = None) -> bool:
-    """Existence of an elementary atom (equivalently, of any atom of length >= 3)."""
-    atom_set = enumerate_atoms(ground, budget)
-    if any(a.length >= 3 for a in atom_set.atoms):
-        return True
-    if not atom_set.complete:
-        raise ValueError("enumeration truncated before settling elementary existence")
-    return False
-
-
 def elementary_davenport(ground: GroundSet, method: str = "enumerate",
                          budget: int | None = None):
     """Largest elementary atom length, by filtering atoms or by determinants.
@@ -312,10 +302,15 @@ def longest_circuit(rank: int, pool, side_condition: bool = False) -> tuple[int,
 
     The tuples are tried longest first, ties in ``combinations`` order.  With
     ``side_condition`` a tuple counts only when it carries an atom of length
-    >= 3 on its own, which ``has_elementary_atom`` decides on the tuple as a
-    ground set within a length budget one above the tuple's circuit length.
+    >= 3 on its own.  A tuple v_0, ..., v_r of circuit length d >= 3 spans
+    Q^r, so its relations form a lattice of rank one, spanned by z / g with
+    z_i = (-1)^i det(the tuple without v_i) (Cramer's rule) and g the gcd.
+    A zero-sum sequence over the tuple is a nonnegative relation, so one
+    exists exactly when the nonzero z_i share one sign, and then the only
+    atom is |z| / g, of length d.  The side condition is read off the signed
+    drop-one determinants, with no enumeration.
 
-    |det| of every rank-subset of the pool is computed once, into the flat
+    det of every rank-subset of the pool is computed once, into the flat
     list ``dets`` in ``combinations`` order, and a tuple's circuit length is
     read off its rank + 1 drop-one entries.  The index of a subset
     c_0 < ... < c_{r-1} of n is C(n, r) - 1 - sum_i C(n - 1 - c_i, r - i), a
@@ -329,8 +324,16 @@ def longest_circuit(rank: int, pool, side_condition: bool = False) -> tuple[int,
         if len(v) != rank:
             raise ValueError(f"pool vector {tuple(v)} does not have {rank} coordinates")
     n = len(pool)
-    dets = list(map(abs, subset_determinants(pool)))
+    signed = list(subset_determinants(pool))
+    dets = list(map(abs, signed))
     weight = [[-comb(n - 1 - c, rank - i) for c in range(n)] for i in range(rank)]
+
+    def carries_atom(combo) -> bool:
+        z = [(-1) ** i * signed[comb(n, rank) - 1 + sum(
+                 weight[p][c] for p, c in enumerate(combo[:i] + combo[i + 1:]))]
+             for i in range(rank + 1)]
+        return all(x >= 0 for x in z) or all(x <= 0 for x in z)
+
     lengths: list[int] = []  # circuit length of each tuple, in combinations order
     stack = [(0, [], comb(n, rank) - 1)]  # (next member, drop-one indices, own index)
     while stack:
@@ -346,10 +349,9 @@ def longest_circuit(rank: int, pool, side_condition: bool = False) -> tuple[int,
         lengths.extend(total // g if g else 0 for total, g in zip(
             map(add, map(sum, zip(*columns)), repeat(fixed)), map(gcd, repeat(fixed), *columns)))
     for d in sorted({d for d in lengths if d >= 3}, reverse=True):
-        for combo, length in zip(combinations(pool, rank + 1), lengths):
-            if length == d and (not side_condition or has_elementary_atom(
-                    GroundSet.from_elements(rank, combo), budget=d + 1)):
-                return d, combo
+        for combo, length in zip(combinations(range(n), rank + 1), lengths):
+            if length == d and (not side_condition or carries_atom(combo)):
+                return d, tuple(pool[c] for c in combo)
     return 0, ()
 
 

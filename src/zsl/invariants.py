@@ -549,22 +549,44 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover")
     the atom's coordinate sum, as an independent oracle.  mode='both'
     cross-checks them.
 
-    The replay visits every atom multiset z with 1 <= |z| <= sum(u), in
-    increasing size, and over those whose product u divides it takes the
+    The replay answers for every atom multiset z with 1 <= |z| <= sum(u):
+    over those whose product u divides (the covering ones) it takes the
     largest f(z), the least size of a sub-multiset of z that u still
-    divides.  It computes f level by level from
+    divides.  It computes f level by level, in increasing size, from
 
         f(z) = min(|z|, min f(z - e_i) over the i with u | z - e_i).
 
     Proof: a covering proper sub-multiset y of z misses some copy of an
     atom i, so y <= z - e_i, which covers too because divisibility is
     upward closed; and a sub-multiset of z - e_i is one of z.  Only the
-    f values of the previous size's covering multisets are kept.  The
-    multisets of one size are those of the previous size's list, each grown
-    by one copy of an atom whose index is at least the largest it holds, so
-    each multiset arises once; each carries what u still lacks on supp(u),
-    the only coordinates u <= x reads, and it covers when the atom added
-    supplies all of that.  The last size builds no list for the next.
+    f values of the previous size's covering multisets are kept.
+
+    Two exact prunes keep the walk near the size of its answer.
+
+    1. Atoms whose projection onto supp(u), the only coordinates u <= x
+       reads, is zero are dropped before the growth.  Removing them from
+       a multiset z leaves whether it covers unchanged and gives a z'
+       with |z'| <= |z| and f(z') = f(z): a least covering sub-multiset
+       holds none of them (without them it still covers), so it lies in
+       z' too.  The largest f over the remaining multisets is the same.
+    2. A covering multiset gets its f but is not grown.  Each multiset
+       arises once, from its prefix: the multiset without one copy of its
+       largest-index atom.  So the walk reaches exactly the multisets whose
+       proper prefixes all fail to cover.  Nothing is lost:
+       - f can only fall along supersets (a sub-multiset of z is one of
+         z + e_j), and every covering z has a shortest covering prefix,
+         which is reached and has f at least f(z);
+       - the recurrence stays exact: if z is reached, so is each z - e_i.
+         The k-th prefix of z - e_i lies inside the (k+1)-th prefix of z,
+         which for k < |z| - 1 is a proper prefix of z and does not
+         cover, so by upward closure neither does the prefix of z - e_i.
+         A covering z - e_i is thus reached and its f recorded.
+
+    The multisets of one size are those of the previous size's list, each
+    grown by one copy of an atom whose index is at least the largest it
+    holds, so each multiset arises once; each carries what u still lacks
+    on supp(u), and it covers when the atom added supplies all of that.
+    The last size builds no list for the next.
 
     A multiset is keyed by one int that holds its count of atom i in the
     field of w = sum(u).bit_length() bits at bit w * i.  No count exceeds
@@ -585,13 +607,14 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover")
         raise ValueError(f"unknown omega mode {mode!r}")
     u = monoid.atoms[atom_index]
     support = [k for k, x in enumerate(u) if x]
-    proj = [tuple(a[k] for k in support) for a in monoid.atoms]
-    n = monoid.atom_count
+    proj = [p for a in monoid.atoms if any(p := tuple(a[k] for k in support))]
+    n = len(proj)
     budget = sum(u)
     unit = [1 << (budget.bit_length() * i) for i in range(n)]
     worst = 0
     prev: dict[int, int] = {}  # f of the covering multisets one size down
-    # the multisets of one size: key, largest index, what u still lacks, distinct indices
+    # the non-covering multisets of one size: key, largest index, what u
+    # still lacks, distinct indices
     level = [(0, 0, tuple(u[k] for k in support), ())]
     for size in range(1, budget + 1):
         cur: dict[int, int] = {}
@@ -609,7 +632,7 @@ def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover")
                     cur[z] = f
                     if f > worst:
                         worst = f
-                if size < budget:
+                elif size < budget:
                     grown.append((z, j, tuple(map(sub, lack, proj[j])), holds))
         prev, level = cur, grown
     return worst

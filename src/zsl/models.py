@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
-from operator import add, sub
 
 from .ground import _json_fields, _json_int, _json_ints, _json_list, _require
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
@@ -118,11 +117,6 @@ class MonextModel:
             raise ValueError("not divisible in the free coordinate")
         return diff
 
-    def d_divides(self, a, b) -> bool:
-        if self.d_is_group:
-            return True
-        return all(x <= y for x, y in zip(a, b))
-
     # ---- H = H0 |x D --------------------------------------------------
     def zero_vec(self) -> tuple[int, ...]:
         return (0,) * self.h0.ambient_dim
@@ -138,15 +132,6 @@ class MonextModel:
             raise ValueError("the free case has infinitely many atoms")
         return [(i, d) for i in range(self.h0.atom_count)
                 for d in self.group.elements()]
-
-    def divides(self, a, b) -> bool:
-        """(u, du) divides (v, dv): the quotient must again avoid (1, d!=1)."""
-        (uvec, du), (vvec, dv) = a, b
-        if not self.h0.divides(uvec, vvec):
-            return False
-        if not self.d_divides(du, dv):
-            return False
-        return uvec != vvec or du == dv
 
     def factorizations(self, vec, d, base=None) -> list[tuple]:
         """All factorizations of (vec, d) as sorted ((atom, d-value), count)
@@ -210,37 +195,61 @@ class MonextModel:
 
     def minimal_atom_covers(self, u_idx: int, du, cap: int) -> list[tuple]:
         """Componentwise-minimal H-atom multisets of at most ``cap`` atoms
-        divisible by ((atom u), du): breadth-first in nondecreasing atom index
-        order, so each multiset is built once, and kept when it covers and no
-        single removal still covers.  Each multiset carries its product, so a
-        child adds one atom to it and a removal subtracts one."""
+        divisible by ((atom u), du), sorted: breadth-first in nondecreasing
+        atom index order, so each multiset is built once, and kept when it
+        covers and no single removal still covers.  A covering multiset is
+        not grown, since its supersets are not minimal.
+
+        (u, du) divides (v, d) in H exactly when u <= v componentwise (in a
+        group du divides every d) and the quotient is no (1, d') with
+        d' != 1: when v != u or d == du.  Each multiset carries its product,
+        so a child adds one atom to it and a removal subtracts one.  The
+        vector is one int of w-bit fields, w = (cap * largest H0
+        coordinate).bit_length() + 1, so no product of at most ``cap`` atoms
+        reaches the top bit of a field, its guard bit: with the guards set,
+        subtracting the packed u borrows across no field, and every guard
+        survives exactly when u <= v.  A removal only takes an atom the
+        multiset holds, so it borrows nowhere.  The d-value is its index in
+        ``group.elements()``, added and subtracted through tables built
+        here.  Removing the atom added last gives back the parent, which
+        does not cover, so only the other atoms are tried."""
         if not self.d_is_group:
             raise ValueError("minimal covers need a finite atom list (group D)")
-        target = (self.h0.atoms[u_idx], tuple(du))
+        group = self.group
+        elements = group.elements()
+        index = {d: k for k, d in enumerate(elements)}
+        plus = [[index[group.add(a, b)] for b in elements] for a in elements]
+        minus = [[row[index[group.neg(b)]] for b in elements] for row in plus]
+        h0 = self.h0.atoms
+        width = (cap * max(map(max, h0))).bit_length() + 1
+        shifts = range(0, self.h0.ambient_dim * width, width)
+        guards = sum(1 << (s + width - 1) for s in shifts)
+        packed = [sum(x << s for x, s in zip(a, shifts)) for a in h0]
         atoms = self.h_atoms()
         n = len(atoms)
-        vecs = [self.h0.atoms[i] for i, _ in atoms]
+        vecs = [packed[i] for i, _ in atoms]
+        ds = [index[d] for _, d in atoms]
+        target, d_target = packed[u_idx], index[tuple(du)]
 
-        def covers_without(vec, d, i):
-            return self.divides(target, (tuple(map(sub, vec, vecs[i])),
-                                         self.d_sub(d, atoms[i][1])))
+        def covers(v, d):
+            return ((v | guards) - target) & guards == guards and (v != target or d == d_target)
 
-        covers = []
-        # (counts, their product's vector and d-value, the largest index counted)
-        frontier = [((0,) * n, self.zero_vec(), self.d_identity(), 0)]
+        found = []
+        # (atom indices, nondecreasing; their product's vector and d-value)
+        frontier = [((), 0, index[group.zero()])]
         for _ in range(cap):
             nxt = []
-            for z, vec, d, start in frontier:
-                for j in range(start, n):
-                    z2 = z[:j] + (z[j] + 1,) + z[j + 1:]
-                    vec2 = tuple(map(add, vec, vecs[j]))
-                    d2 = self.d_add(d, atoms[j][1])
-                    if not self.divides(target, (vec2, d2)):
-                        nxt.append((z2, vec2, d2, j))
-                    elif not any(z2[i] and covers_without(vec2, d2, i) for i in range(n)):
-                        covers.append(tuple((atoms[i], c) for i, c in enumerate(z2) if c))
+            for z, v, d in frontier:
+                for j in range(z[-1] if z else 0, n):
+                    v2, d2 = v + vecs[j], plus[d][ds[j]]
+                    if not covers(v2, d2):
+                        nxt.append((z + (j,), v2, d2))
+                    elif not any(covers(v2 - vecs[i], minus[d2][ds[i]])
+                                 for i in set(z) - {j}):
+                        z2 = z + (j,)
+                        found.append(tuple((atoms[i], z2.count(i)) for i in sorted(set(z2))))
             frontier = nxt
-        return sorted(covers)
+        return sorted(found)
 
 
 def monext_invariants(model: MonextModel, u_idx: int, dval) -> dict:

@@ -23,7 +23,6 @@ from zsl.atoms import (
     ell_bound,
     elementary_davenport,
     enumerate_atoms,
-    has_elementary_atom,
     hypercube_davenport_ceiling,
     is_elementary,
     is_elementary_by_search,
@@ -487,7 +486,7 @@ def test_elementary_davenport_r3_both_methods():
 
 def test_elementary_davenport_no_elementary_atom():
     assert elementary_davenport(PM1, "enumerate") == 0
-    assert not has_elementary_atom(PM1)
+    assert not any(a.length >= 3 for a in enumerate_atoms(PM1).atoms)
     assert davenport(enumerate_atoms(PM1)).value < 3
 
 
@@ -640,14 +639,25 @@ def test_formula_passes_over_a_longest_tuple_without_an_atom():
     assert elementary_davenport(g, "both") == 6
 
 
+def test_formula_settles_a_ground_without_atoms():
+    # 2 (0,0,1) - (0,0,2) = 0 is the one relation of the only 4-tuple, and it
+    # has mixed signs: no zero-sum sequence at all, circuit length 3
+    g = GroundSet.from_elements(3, [(0, 0, 1), (0, 0, 2), (0, 1, -2), (1, 0, 0)])
+    assert not g.is_symmetric()
+    assert longest_circuit(3, list(g.elements)) == (3, tuple(g.elements))
+    assert elementary_davenport(g, "both") == 0
+
+
 def longest_circuit_by_tuples(rank, pool, side_condition=False):
     """Reference for ``longest_circuit``: ``circuit_length`` of each tuple on
-    its own, then the tuples longest first, ties in combinations order."""
+    its own, then the tuples longest first, ties in combinations order; with
+    the side condition, a tuple counts when ``brute_force_atoms`` finds an
+    atom of length >= 3 over it, up to its circuit length."""
     candidates = sorted(((d, combo) for combo in combinations(pool, rank + 1)
                          if (d := circuit_length(combo)) >= 3), key=lambda t: -t[0])
     for d, combo in candidates:
-        if not side_condition or has_elementary_atom(
-                GroundSet.from_elements(rank, combo), budget=d + 1):
+        if not side_condition or any(a.length >= 3 for a in brute_force_atoms(
+                GroundSet.from_elements(rank, combo), d)):
             return d, combo
     return 0, ()
 
@@ -669,21 +679,12 @@ def test_longest_circuit_matches_per_tuple_reference_on_symmetric_pools(case):
     assert longest_circuit(rank, pool) == longest_circuit_by_tuples(rank, pool)
 
 
-def outcome(f, *args, **kwargs):
-    """What f returns, or the message of the ValueError it raises."""
-    try:
-        return f(*args, **kwargs)
-    except ValueError as exc:
-        return str(exc)
-
-
 @settings(max_examples=60, deadline=None)
 @given(circuit_pools())
 def test_longest_circuit_matches_per_tuple_reference_with_side_condition(case):
     rank, pool = case
-    # a tuple whose enumeration is cut at its length budget raises in both
-    assert (outcome(longest_circuit, rank, pool, side_condition=True)
-            == outcome(longest_circuit_by_tuples, rank, pool, side_condition=True))
+    assert longest_circuit(rank, pool, side_condition=True) \
+        == longest_circuit_by_tuples(rank, pool, side_condition=True)
 
 
 def test_longest_circuit_on_the_signed_4_cube_keeps_its_witness():

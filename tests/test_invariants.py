@@ -851,6 +851,33 @@ def test_omega_oracle_matches_literal_replay(vectors):
             omega_definition_replay(monoid, i, sum(monoid.atoms[i]))
 
 
+@st.composite
+def monoids_with_outside_atoms(draw):
+    """A monoid in N0^(m+1): the componentwise-minimal ones among a few
+    vectors of [0, 2]^m (an antichain), each with last coordinate 0, and
+    (0, ..., 0, k), which misses the support of every other atom; zero
+    entries make more atoms miss some supports."""
+    m = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m).filter(any),
+                            min_size=1, max_size=5, unique=True))
+    kept = [v for v in vectors
+            if not any(w != v and all(x <= y for x, y in zip(w, v)) for w in vectors)]
+    k = draw(st.integers(1, 2))
+    return PresentedMonoid(m + 1, tuple(v + (0,) for v in kept) + ((0,) * m + (k,),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(monoids_with_outside_atoms())
+def test_omega_oracle_matches_literal_replay_with_outside_atoms(monoid):
+    # atoms with no entry on supp(u) are dropped before the growth, and each
+    # covering multiset (u alone among them) is not grown: the literal
+    # replay, which keeps every atom and grows every multiset, agrees
+    for i, u in enumerate(monoid.atoms):
+        assert any(not any(a[k] for k in range(len(u)) if u[k]) for a in monoid.atoms)
+        assert omega(monoid, i, "definition-budget") == \
+            omega_definition_replay(monoid, i, sum(u)) == omega(monoid, i, "minimal-cover")
+
+
 def test_omega_oracle_never_calls_minimal_covers(monkeypatch):
     from zsl import invariants
     from zsl.certify import ACM_SPEC

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -33,6 +34,7 @@ from zsl.models import (
 Z1 = FiniteAbelianGroup.from_factors([])
 Z2 = FiniteAbelianGroup.from_factors([2])
 Z3 = FiniteAbelianGroup.from_factors([3])
+Z4 = FiniteAbelianGroup.from_factors([4])
 Z22 = FiniteAbelianGroup.from_factors([2, 2])
 
 
@@ -129,6 +131,67 @@ def test_monext_nonprime_atom_keeps_h0_values():
             assert not inv["prime_in_h0"]
             assert inv["formula"]["omega"] == h0_omega(h0, i, "minimal-cover")
             assert inv["formula"] == inv["oracle"]
+
+
+def literal_minimal_atom_covers(model, u_idx, du, cap):
+    """Reference for ``minimal_atom_covers``: every H-atom multiset of 1 ..
+    ``cap`` atoms, on tuples, kept when its product is divisible by
+    (atom u, du) and that of no single removal is.  (u, du) divides (v, d)
+    when u <= v and the quotient is not (1, d') with d' != 1."""
+    group, atoms = model.group, model.h_atoms()
+    u, du = model.h0.atoms[u_idx], tuple(du)
+
+    def covers(multiset):
+        v, d = (0,) * len(u), group.zero()
+        for k in multiset:
+            i, dv = atoms[k]
+            v = tuple(x + y for x, y in zip(v, model.h0.atoms[i]))
+            d = group.add(d, dv)
+        return all(x <= y for x, y in zip(u, v)) and (v != u or d == du)
+
+    out = []
+    for size in range(1, cap + 1):
+        for combo in combinations_with_replacement(range(len(atoms)), size):
+            if covers(combo) and not any(covers(combo[:p] + combo[p + 1:])
+                                         for p in range(size)):
+                out.append(tuple((atoms[k], combo.count(k)) for k in sorted(set(combo))))
+    return sorted(out)
+
+
+H0_2CUBE = block_monoid(enumerate_atoms(hypercube_pm(2)))
+
+
+@pytest.mark.parametrize("group", [Z2, Z3, Z4, Z22], ids=["Z2", "Z3", "Z4", "Z2+Z2"])
+@pytest.mark.parametrize("h0, caps", [(H0_2CUBE, (1, 2, 3)), (free_monoid(1), (1, 2, 3, 4))],
+                         ids=["2-cube", "N0"])
+def test_minimal_atom_covers_match_literal_reference(group, h0, caps):
+    model = MonextModel(h0, group=group)
+    for u in range(h0.atom_count):
+        for du in group.elements():
+            for cap in caps:
+                assert model.minimal_atom_covers(u, du, cap) == \
+                    literal_minimal_atom_covers(model, u, du, cap)
+
+
+def test_cover_oracles_never_call_the_cover_search(monkeypatch):
+    # omega's definition replay and the product-monoid cover oracle stay apart
+    # from the minimal-cover search they are checked against
+    from zsl import invariants
+
+    model = MonextModel(H0_2CUBE, group=Z22)
+    expected = [model.minimal_atom_covers(u, du, 3)
+                for u in range(H0_2CUBE.atom_count) for du in Z22.elements()]
+    omegas = [omega(H0_2CUBE, u, "minimal-cover") for u in range(H0_2CUBE.atom_count)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle called the minimal-cover search")
+
+    monkeypatch.setattr(invariants, "_minimal_solutions", forbidden)
+    monkeypatch.setattr(invariants, "minimal_covers", forbidden)
+    assert [model.minimal_atom_covers(u, du, 3) for u in range(H0_2CUBE.atom_count)
+            for du in Z22.elements()] == expected
+    assert [omega(H0_2CUBE, u, "definition-budget")
+            for u in range(H0_2CUBE.atom_count)] == omegas
 
 
 def test_monext_free_d_unbounded():
