@@ -5,25 +5,27 @@ b exactly when b - a is componentwise nonnegative: the right notion for
 zero-sum monoids and for divisor-theory images, which are saturated in the
 ambient free monoid.
 
-A depth-first factorization search over the atoms in decreasing length order,
-with residual-feasibility pruning, enumerates the factorizations behind sets
-of lengths and the catenary degree.  It holds each residual as one int of
-fixed-width fields with a guard bit on top of each field, wide enough that
-subtracting an atom never borrows across fields, so one int subtraction both
-removes an atom and tells whether it fit.  Whether an element has a
-factorization of one given length (behind minimal lengths, tau and the
-unions of sets of lengths) is a second, existence-only search over the same
-packed residuals: a length budget that the remaining atoms must meet
-exactly cuts a branch that its longest atom cannot fill and skips the atoms
-too long for the slack left above the shortest atom length.  The unions of
-sets of lengths run it on the distinct k-fold atom sums, each built and
-held as one packed int.  The catenary degree grows a tree over the
-factorizations under a bound that rises only when no factorization outside
-the tree is within it.  The minimal atom covers behind omega, tau and the
-tame degree are minimal solutions of a linear system, found by the
-completion search of ``atoms._minimal_solutions``.  Set-level invariants
-(catenary, omega, tau, tame degree, unions of sets of lengths) are derived
-from these.
+A depth-first factorization search enumerates the factorizations behind sets
+of lengths and the catenary degree, each once: it branches only on the atoms
+whose lowest support coordinate is the residual's lowest nonzero coordinate,
+one of which every factorization of the residual uses, and picks them in
+nondecreasing index order while that coordinate stays lowest.  It holds each
+residual as one int of fixed-width fields with a guard bit on top of each
+field, wide enough that subtracting an atom never borrows across fields, so
+one int subtraction both removes an atom and tells whether it fit.  Whether
+an element has a factorization of one given length (behind minimal lengths,
+tau and the unions of sets of lengths) is a second, existence-only search
+over the same packed residuals and the atoms by nonincreasing length: a
+length budget that the remaining atoms must meet exactly cuts a branch that
+its longest atom cannot fill and skips the atoms too long for the slack left
+above the shortest atom length.  The unions of sets of lengths run it on the
+distinct k-fold atom sums, each built and held as one packed int.  The
+catenary degree grows a tree over the factorizations under a bound that
+rises only when no factorization outside the tree is within it.  The minimal
+atom covers behind omega, tau and the tame degree are minimal solutions of a
+linear system, found by the completion search of
+``atoms._minimal_solutions``.  Set-level invariants (catenary, omega, tau,
+tame degree, unions of sets of lengths) are derived from these.
 Everything is deterministic: outputs are canonically sorted.
 """
 
@@ -82,13 +84,17 @@ class PresentedMonoid:
 
     def _packed(self, width: int):
         """The atoms in search order packed into ``width``-bit fields, with
-        their lengths, the guard bits and, per search position, the fields
-        of the coordinates that no atom from that position on touches.
-        Built on first use of a width and kept."""
+        their lengths, the guard bits, per search position the fields of
+        the coordinates that no atom from that position on touches (read
+        only by the length search), and per coordinate i the bucket of
+        (packed atom, atom index) pairs, by atom index, of the atoms whose
+        lowest support coordinate is i.  Built on first use of a width and
+        kept."""
         packing = self._packings.get(width)
         if packing is None:
             shifts = range(0, self.ambient_dim * width, width)
             field = (1 << (width - 1)) - 1
+            packed = [sum(v << s for v, s in zip(a, shifts) if v) for a in self.atoms]
             ordered = [self.atoms[i] for i in self._search_order]
             uncovered = []
             mask = sum(field << s for s in shifts)
@@ -96,10 +102,14 @@ class PresentedMonoid:
                 mask &= ~sum(field << s for v, s in zip(a, shifts) if v)
                 uncovered.append(mask)
             uncovered.reverse()
-            packing = (tuple(sum(v << s for v, s in zip(a, shifts) if v) for a in ordered),
+            buckets = [[] for _ in shifts]
+            for i, a in enumerate(self.atoms):
+                buckets[next(k for k, v in enumerate(a) if v)].append((packed[i], i))
+            packing = (tuple(packed[i] for i in self._search_order),
                        tuple(sum(a) for a in ordered),
                        sum(1 << (s + width - 1) for s in shifts),
-                       tuple(uncovered))
+                       tuple(uncovered),
+                       tuple(map(tuple, buckets)))
             self._packings[width] = packing
         return packing
 
@@ -142,12 +152,36 @@ def free_monoid(k: int) -> PresentedMonoid:
 
 def _factorization_counts(monoid: PresentedMonoid, x):
     """Yield the count vectors of the factorizations of x, a nonnegative
-    element of the ambient dimension.
+    element of the ambient dimension, each once, in no fixed order.
 
-    Depth-first over the atoms in search order, with an explicit stack so
-    that the depth is not bounded by the recursion limit.  Each atom takes
-    every count from the largest that fits down to 0.  A residual that the
-    remaining atoms cannot cover is pruned.
+    Depth-first with an explicit stack, so that the depth is not bounded by
+    the recursion limit.  A node is a residual r and a place in a bucket.
+    Bucket i holds the atoms whose lowest support coordinate is i, by atom
+    index.  A nonzero r branches only on the atoms of bucket i for its
+    lowest nonzero coordinate i, from the node's place on: each child
+    subtracts the atom at one place p that fits r, and takes place p while
+    i stays the lowest coordinate of the new residual and place 0 of the
+    new lowest coordinate's bucket once r_i is 0.  A zero residual is a
+    factorization of x; a node whose bucket has no atom that fits is a
+    dead end.
+
+    Each factorization of x is yielded exactly once.  Let M be a multiset
+    of atoms summing to a residual r whose lowest nonzero coordinate is i.
+    An atom with lowest support coordinate j < i has a_j > 0 = r_j, and
+    residuals only shrink, so it fits no residual below r; an atom of a
+    bucket above i has a_i = 0.  So M holds only atoms of buckets i and up,
+    and its bucket-i atoms, each with a_i >= 1, sum to r_i in coordinate i.
+    Subtract them in nondecreasing index order: each fits, what is left of
+    r being the sum of the atoms of M not yet subtracted, and r_i stays
+    positive, so i stays the lowest coordinate, until the last is gone and
+    r_i is 0.  That is a path of the search, and by induction on the rest
+    of M, which sums to the new residual, it extends to a zero residual.
+    It is the only path to M: a path picks bucket-i atoms in nondecreasing
+    index order while i is lowest, and once r_i is 0 no atom of bucket i
+    or below fits again, so the atoms it picks while i is lowest are the
+    bucket-i atoms of M, in their one nondecreasing order.  Conversely a
+    path to a zero residual yields the multiset of the atoms it
+    subtracted, a factorization of x.
 
     A residual is one int of w-bit fields, coordinate i in bits
     [i * w, (i + 1) * w), with w = (largest coordinate of x and of the
@@ -155,42 +189,38 @@ def _factorization_counts(monoid: PresentedMonoid, x):
     atom, is below the field's top bit, the guard bit G_i.  Setting the
     guards and subtracting a packed atom A leaves r_i + G_i - a_i, which
     lies in [1, 2 G_i), in every field, so no borrow crosses into the next
-    field, and G_i survives exactly when a_i <= r_i: one copy of A fits
-    when every guard survives, and clearing the guards then gives r - A.
-    Residuals only shrink from x, so no field overflows.  The residual is
-    zero exactly when the int is, and the cover test is an AND with the
-    fields the remaining atoms never touch.
+    field, and G_i survives exactly when a_i <= r_i: A fits when every
+    guard survives, and clearing the guards then gives r - A.  Residuals
+    only shrink from x, so no field overflows.  The residual is zero
+    exactly when the int is, and the lowest set bit of a nonzero residual
+    lies in the field of its lowest nonzero coordinate.
     """
-    order = monoid._search_order
-    n = len(order)
+    n = monoid.atom_count
     width = _field_width(monoid, x)
-    atoms, _, guards, uncovered = monoid._packed(width)
-    path: list[int] = []  # the count chosen at each search position so far
-    stack = [(0, _pack(x, width), 0)]
+    _, _, guards, _, buckets = monoid._packed(width)
+    path: list[int] = []  # the atom index subtracted at each depth so far
+    stack = [(0, _pack(x, width), -1, -1, 0)]
     while stack:
-        pos, residual, c = stack.pop()
-        if pos:
-            del path[pos - 1:]
-            path.append(c)
+        depth, residual, index, low, place = stack.pop()
+        if depth:
+            del path[depth - 1:]
+            path.append(index)
         if not residual:
             counts = [0] * n
-            for p, k in enumerate(path):
-                counts[order[p]] = k
+            for k in path:
+                counts[k] += 1
             yield tuple(counts)
             continue
-        if pos == n or residual & uncovered[pos]:
-            continue
-        atom = atoms[pos]
-        pos += 1
-        stack.append((pos, residual, 0))
-        c = 0
-        while True:  # pushed upwards, so the largest count pops first
+        i = ((residual & -residual).bit_length() - 1) // width
+        if i != low:
+            place = 0
+        bucket = buckets[i]
+        depth += 1
+        for p in range(place, len(bucket)):
+            atom, index = bucket[p]
             fitted = (residual | guards) - atom
-            if fitted & guards != guards:
-                break
-            residual = fitted ^ guards
-            c += 1
-            stack.append((pos, residual, c))
+            if fitted & guards == guards:
+                stack.append((depth, fitted ^ guards, index, i, p))
 
 
 def _has_length(monoid: PresentedMonoid, x, target: int) -> bool:
@@ -207,12 +237,15 @@ def _packed_has_length(monoid: PresentedMonoid, width: int, residual: int,
     of total length ``total``, is a sum of exactly ``target`` atoms.  Every
     coordinate of it and of the atoms must lie below the guard bit.
 
-    The search of ``_factorization_counts`` (same packed residuals, search
-    order, child order and cover test) without the path and the count
-    vectors, stopping at the first hit.  A node is a residual of total
-    length T that ``left`` atoms from search position ``pos`` on must sum
-    to exactly.  Each of them is at least lmin long, lmin being the
-    shortest atom length, so
+    Depth-first over the atoms in search order, by nonincreasing length,
+    with an explicit stack, stopping at the first hit: each atom takes
+    every count that fits, the largest first, down to 0, and a residual
+    with a coordinate that no atom from the node's position on touches
+    (an AND with ``uncovered``) is cut.  The residuals are packed, and an
+    atom's fit tested, as in ``_factorization_counts``.  A node is a
+    residual of total length T that ``left`` atoms from search position
+    ``pos`` on must sum to exactly.  Each of them is at least lmin long,
+    lmin being the shortest atom length, so
 
     - the node is dead when slack = T - left * lmin is negative;
     - an atom of length L among the left picks leaves T - L >=
@@ -229,7 +262,7 @@ def _packed_has_length(monoid: PresentedMonoid, width: int, residual: int,
     from slack lmax - lmin on it is position 0.
     """
     n = len(monoid._search_order)
-    atoms, lengths, guards, uncovered = monoid._packed(width)
+    atoms, lengths, guards, uncovered, _ = monoid._packed(width)
     if not residual or not n:
         return not residual and not target
     lmin = lengths[-1]
@@ -456,7 +489,7 @@ def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
     branch stops as soon as its remaining picks at the current length can no
     longer reach min_total.
     """
-    atoms, lengths, _, _ = monoid._packed(_sum_width(monoid, k))
+    atoms, lengths, *_ = monoid._packed(_sum_width(monoid, k))
     n = len(atoms)
     seen: set[int] = set()
     stack = [(0, k, 0, 0)]

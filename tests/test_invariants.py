@@ -324,13 +324,15 @@ def test_unions_match_walk_on_random_monoids(monoid, k):
 
 
 def tuple_factorization_counts(monoid, x, target=None):
-    """The factorization search with each residual held as a tuple and
-    every node test done coordinate by coordinate: a reference for the
-    packed residuals of ``_factorization_counts`` (no target, with the same
-    search order, child order and pruning), and, with a target, for
-    ``exists_length``: it yields the factorizations of exactly ``target``
-    atoms, pruning only a residual whose length does not sit between
-    k * (shortest atom) and k * (longest atom) for the k picks left."""
+    """A factorization search over the atoms in decreasing length order,
+    each taking every count that fits, with each residual held as a tuple
+    and every node test done coordinate by coordinate.  Without a target it
+    yields every factorization once and is an independent reference for the
+    set that ``_factorization_counts`` yields by another branching; with a
+    target it is the reference for ``exists_length``: it yields the
+    factorizations of exactly ``target`` atoms, pruning only a residual
+    whose length does not sit between k * (shortest atom) and
+    k * (longest atom) for the k picks left."""
     atoms = monoid.atoms
     order, masks = search_order_and_masks(monoid)
     n = len(order)
@@ -441,14 +443,43 @@ def packed_length_search(monoid, x, target):
     return hit, expanded
 
 
+def tuple_lowest_coordinate_counts(monoid, x):
+    """The search of ``_factorization_counts`` with each residual held as a
+    tuple, each fit tested coordinate by coordinate and each node carrying
+    its count vector: branch on the atoms whose lowest support coordinate
+    is the residual's lowest nonzero one, by atom index, from the parent's
+    pick on while that coordinate stays lowest and from the first atom once
+    it moves up.  Same nodes, children and yield order as the kernel."""
+    atoms = monoid.atoms
+    lowest = [next(i for i, v in enumerate(a) if v) for a in atoms]
+    buckets = [[k for k in range(len(atoms)) if lowest[k] == i]
+               for i in range(monoid.ambient_dim)]
+    stack = [((0,) * len(atoms), tuple(x), None, 0)]
+    while stack:
+        counts, residual, low, place = stack.pop()
+        if not any(residual):
+            yield counts
+            continue
+        i = next(i for i, v in enumerate(residual) if v)
+        bucket = buckets[i]
+        for p in range(place if i == low else 0, len(bucket)):
+            k = bucket[p]
+            if all(a <= r for a, r in zip(atoms[k], residual)):
+                child = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+                stack.append((child, tuple(r - a for r, a in zip(residual, atoms[k])), i, p))
+
+
 def assert_packed_search_matches_reference(monoid, x):
-    """Same count vectors, in the same order, from the full search; and at
+    """The full search yields the count vectors of the decreasing-length
+    tuple search, each once, in the order of its own tuple twin; and at
     every target of the length band and one beyond each end of it, the
-    same answer as the bounded tuple reference from the length-budget
-    search, which expands the same nodes as its tuple twin."""
+    length-budget search gives the same answer as the bounded tuple
+    reference and expands the same nodes as its tuple twin."""
     x = tuple(x)
-    assert list(invariants._factorization_counts(monoid, x)) == \
-        list(tuple_factorization_counts(monoid, x)), x
+    got = list(invariants._factorization_counts(monoid, x))
+    assert sorted(got) == sorted(tuple_factorization_counts(monoid, x)), x
+    assert len(set(got)) == len(got), x
+    assert got == list(tuple_lowest_coordinate_counts(monoid, x)), x
     band = invariants._length_band(monoid, x)
     lo, hi = band if band is not None else (0, 0)
     for target in range(lo - 1, hi + 2):
@@ -491,8 +522,60 @@ def test_packed_search_matches_tuple_reference_on_random_monoids(case):
 
 
 def test_packed_search_matches_tuple_reference_on_free_monoid_600():
+    # 600 buckets of one atom each; the last element sets the field width
+    # with its top coordinate at a field edge
     f = free_monoid(600)
-    assert_packed_search_matches_reference(f, tuple(i % 3 for i in range(600)))
+    for x in (tuple(i % 3 for i in range(600)), (0,) * 599 + (3,), (1,) + (0,) * 598 + (4,)):
+        assert_packed_search_matches_reference(f, x)
+        assert factorizations(f, x) == [x]
+
+
+def test_empty_bucket_coordinate_is_covered_by_lower_buckets():
+    # no atom has coordinate 1 as its lowest support coordinate, so a
+    # residual whose lowest nonzero coordinate is 1 is a dead end, while
+    # the bucket-0 atoms (2, 1, 0) and (1, 2, 0) fill coordinate 1 before
+    # the search leaves coordinate 0
+    m = PresentedMonoid(3, [(2, 1, 0), (1, 2, 0), (1, 0, 1), (0, 0, 3)])
+    assert factorizations(m, (3, 3, 0)) == [(1, 1, 0, 0)]
+    assert factorizations(m, (5, 4, 3)) == [(0, 2, 3, 0), (2, 1, 0, 1)]
+    assert set_of_lengths(m, (5, 4, 3)) == (4, 5)
+    for x in ((0, 3, 0), (0, 1, 3), (1, 1, 0)):
+        assert factorizations(m, x) == []
+    for x in product(range(6), repeat=3):
+        assert_packed_search_matches_reference(m, x)
+    for k in range(1, 6):  # coordinate 1 at a field edge
+        for v in ((1 << k) - 1, 1 << k):
+            for x in ((v, v, 0), (2 * v, v, 0), (v, 2 * v, v)):
+                assert_packed_search_matches_reference(m, x)
+
+
+def test_zero_element_and_a_monoid_without_atoms():
+    # the zero element has exactly the empty factorization in every monoid,
+    # and in a monoid without atoms no other element has one
+    empty = PresentedMonoid(2, [])
+    for m in (B2, free_monoid(3), empty):
+        zero = (0,) * m.ambient_dim
+        assert factorizations(m, zero) == [(0,) * m.atom_count]
+        assert set_of_lengths(m, zero) == (0,)
+        assert_packed_search_matches_reference(m, zero)
+    for x in ((1, 0), (0, 1), (3, 4)):
+        assert factorizations(empty, x) == []
+        assert set_of_lengths(empty, x) == ()
+        assert_packed_search_matches_reference(empty, x)
+
+
+def test_rank3_element_of_every_ground_element_twice():
+    # the element of the CI step "Rank-3 factorization search": the
+    # decreasing-length tuple search counts 9,519 factorizations of lengths
+    # 6 to 14, and the kernel finds the same ones
+    from zsl.constructions import hypercube_pm
+
+    monoid = block_monoid(enumerate_atoms(hypercube_pm(3)))
+    x = (2,) * monoid.ambient_dim
+    want = sorted(tuple_factorization_counts(monoid, x))
+    assert len(want) == 9519
+    assert sorted({sum(z) for z in want}) == list(range(6, 15))
+    assert factorizations(monoid, x) == want
 
 
 @st.composite
