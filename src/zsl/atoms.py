@@ -61,6 +61,14 @@ def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
     each coordinate when ``clip`` is set; t may take e_j only when
     <state, vectors[j]> < 0.  Breadth-first, in rounds of equal length.
 
+    With ``clip`` set, the vectors must be nonpositive and the start states
+    nonnegative, or a ValueError is raised; clipping keeps every state
+    nonnegative.  Each term state_k * v_k of the inner product is then at
+    most 0, so the product is negative exactly when some k has state_k > 0
+    and v_k < 0: under ``clip`` the steps from a state are those of the
+    vectors negative somewhere on its support, listed once per support and
+    kept, and no inner product is taken.
+
     Round L holds the frontier tuples of length L, none of which dominates a
     solution.  Its zero-state tuples are solutions; every other tuple t
     spawns the children t2 = t + e_j allowed by the inner-product rule, and a
@@ -95,6 +103,9 @@ def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
     ((p2 | G) - a) & G == G.  The solutions are unpacked into tuples once,
     at the end.
     """
+    if clip and (any(x > 0 for v in vectors for x in v)
+                 or any(x < 0 for state, _ in frontier.values() for x in state)):
+        raise ValueError("clip needs nonpositive vectors and nonnegative start states")
     n = len(vectors)
     width = (budget + 1).bit_length() + 1
     field = (1 << (width - 1)) - 1
@@ -109,6 +120,7 @@ def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
     solutions: list[int] = []
     # field j of a, nonzero -> (support bitmask, a) for every solution a and every j in supp(a)
     by_coordinate: dict[int, list[tuple[int, int]]] = {}
+    suppliers: dict[tuple[bool, ...], list] = {}  # clip: state support -> its steps
     length = size
     while frontier and length <= budget:
         for p, (state, mask) in frontier.items():
@@ -121,8 +133,14 @@ def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
         for p, (state, mask) in frontier.items():
             if state == zero:
                 continue
-            for v, unit, f, bit in steps:
-                if sum(map(mul, state, v)) >= 0:
+            if clip:
+                positive = tuple(map(bool, state))
+                allowed = suppliers.get(positive)
+                if allowed is None:
+                    allowed = suppliers[positive] = [
+                        step for step in steps if any(y and x for y, x in zip(positive, step[0]))]
+            for v, unit, f, bit in allowed if clip else steps:
+                if not clip and sum(map(mul, state, v)) >= 0:
                     continue
                 p2 = p + unit
                 if p2 in next_frontier:

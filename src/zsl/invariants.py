@@ -13,8 +13,8 @@ nondecreasing index order while that coordinate stays lowest.  It holds each
 residual as one int of fixed-width fields with a guard bit on top of each
 field, wide enough that subtracting an atom never borrows across fields, so
 one int subtraction both removes an atom and tells whether it fit.  Whether
-an element has a factorization of one given length (behind minimal lengths,
-tau and the unions of sets of lengths) is a second, existence-only search
+an element has a factorization of one given length (behind tau and the
+unions of sets of lengths) is a second, existence-only search
 over the same packed residuals and the atoms by nonincreasing length: a
 length budget that the remaining atoms must meet exactly cuts a branch that
 its longest atom cannot fill and skips the atoms too long for the slack left
@@ -24,15 +24,17 @@ catenary degree grows a tree over the factorizations under a bound that
 rises only when no factorization outside the tree is within it.  The minimal
 atom covers behind omega, tau and the tame degree are minimal solutions of a
 linear system, found by the completion search of
-``atoms._minimal_solutions``.  Set-level invariants (catenary, omega, tau,
-tame degree, unions of sets of lengths) are derived from these.
+``atoms._minimal_solutions``; tau runs the length search only on the cover
+quotients whose length band reaches above tau so far, each packed once.
+Set-level invariants (catenary, omega, tau, tame degree, unions of sets of
+lengths) are derived from these.
 Everything is deterministic: outputs are canonically sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge, sub
+from operator import ge, mul, sub
 
 from .atoms import AtomSet, _minimal_solutions
 
@@ -152,7 +154,17 @@ def free_monoid(k: int) -> PresentedMonoid:
 
 def _factorization_counts(monoid: PresentedMonoid, x):
     """Yield the count vectors of the factorizations of x, a nonnegative
-    element of the ambient dimension, each once, in no fixed order.
+    element of the ambient dimension, each once, in no fixed order:
+    ``_packed_factorization_counts`` on x packed in w-bit fields, with
+    w = (largest coordinate of x and of the atoms).bit_length() + 1."""
+    width = _field_width(monoid, x)
+    return _packed_factorization_counts(monoid, width, _pack(x, width))
+
+
+def _packed_factorization_counts(monoid: PresentedMonoid, width: int, residual: int):
+    """Yield the count vectors of the factorizations of the element x packed
+    as ``residual`` in ``width``-bit fields, each once, in no fixed order.
+    Every coordinate of x and of the atoms must lie below the guard bit.
 
     Depth-first with an explicit stack, so that the depth is not bounded by
     the recursion limit.  A node is a residual r and a place in a bucket.
@@ -184,9 +196,8 @@ def _factorization_counts(monoid: PresentedMonoid, x):
     subtracted, a factorization of x.
 
     A residual is one int of w-bit fields, coordinate i in bits
-    [i * w, (i + 1) * w), with w = (largest coordinate of x and of the
-    atoms).bit_length() + 1.  Every value held in a field, residual or
-    atom, is below the field's top bit, the guard bit G_i.  Setting the
+    [i * w, (i + 1) * w).  Every value held in a field, residual or atom,
+    is below the field's top bit, the guard bit G_i.  Setting the
     guards and subtracting a packed atom A leaves r_i + G_i - a_i, which
     lies in [1, 2 G_i), in every field, so no borrow crosses into the next
     field, and G_i survives exactly when a_i <= r_i: A fits when every
@@ -196,10 +207,9 @@ def _factorization_counts(monoid: PresentedMonoid, x):
     lies in the field of its lowest nonzero coordinate.
     """
     n = monoid.atom_count
-    width = _field_width(monoid, x)
     _, _, guards, _, buckets = monoid._packed(width)
     path: list[int] = []  # the atom index subtracted at each depth so far
-    stack = [(0, _pack(x, width), -1, -1, 0)]
+    stack = [(0, residual, -1, -1, 0)]
     while stack:
         depth, residual, index, low, place = stack.pop()
         if depth:
@@ -402,33 +412,6 @@ def catenary_element(monoid: PresentedMonoid, x) -> int:
     if not zs:
         raise ValueError("element is not in the monoid")
     return catenary_from_factorizations(zs)
-
-
-def _length_band(monoid: PresentedMonoid, x) -> tuple[int, int] | None:
-    """Necessary range for factorization lengths of x, or None when x = 0."""
-    total = sum(x)
-    if not total:
-        return None
-    lens = monoid.atom_lengths()
-    if not lens:
-        return (1, 0)
-    lmin, lmax = min(lens), max(lens)
-    return (-(-total // lmax), total // lmin)
-
-
-def min_length(monoid: PresentedMonoid, x) -> int | None:
-    """Shortest factorization length, by an ascending scan of the length
-    band; None when x has none (as for an x with a negative coordinate)."""
-    x = _element(monoid, x)
-    if any(v < 0 for v in x):
-        return None
-    band = _length_band(monoid, x)
-    if band is None:
-        return 0
-    width = _field_width(monoid, x)
-    residual, total = _pack(x, width), sum(x)
-    return next((target for target in range(band[0], band[1] + 1)
-                 if _packed_has_length(monoid, width, residual, total, target)), None)
 
 
 def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
@@ -677,17 +660,40 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     omega is the largest size of a minimal cover; tau the largest minimal
     factorization length of (product of a minimal cover) / atom; the tame
     degree max(omega, tau + 1) for a non-prime atom and 0 for a prime one.
+
+    The product of a cover z is at least u, so its quotient sum z_i a_i - u
+    is nonnegative, of total length T = sum z_i |a_i| - |u|; as |z| <= omega,
+    every coordinate is at most omega times the largest atom coordinate, so
+    at ``_sum_width(monoid, omega)`` it packs as sum z_i A_i - U with no
+    carry or borrow.  A factorization of k atoms has total length between
+    k * lmin and k * lmax, lmin and lmax being the shortest and longest atom
+    lengths, so its length lies in ceil(T / lmax) .. T // lmin: the least
+    length is the first hit of an ascending scan of that band, and no hit
+    means the quotient left the monoid.  The band prune is exact: a cover
+    with T // lmin <= tau so far has no factorization longer than tau, so
+    its least length cannot raise tau, and it is only checked to lie in the
+    monoid, by the first factorization the search yields.
     """
-    u = monoid.atoms[atom_index]
     covers = minimal_covers(monoid, atom_index)
     w = max(sum(z) for z in covers)
+    width = _sum_width(monoid, w)
+    packed = [_pack(a, width) for a in monoid.atoms]
+    lengths = monoid.atom_lengths()
+    lmin, lmax = min(lengths), max(lengths)
     t = 0
     for z in covers:
-        quotient = tuple(x - y for x, y in zip(monoid.element(z), u))
-        ml = min_length(monoid, quotient)
-        if ml is None:
+        residual = sum(map(mul, z, packed)) - packed[atom_index]
+        total = sum(map(mul, z, lengths)) - lengths[atom_index]
+        if total // lmin > t:
+            least = next((k for k in range(-(-total // lmax), total // lmin + 1)
+                          if _packed_has_length(monoid, width, residual, total, k)), None)
+        elif next(_packed_factorization_counts(monoid, width, residual), None) is not None:
+            least = t
+        else:
+            least = None
+        if least is None:
             raise AssertionError("cover quotient left the monoid")
-        t = max(t, ml)
+        t = max(t, least)
     return {"omega": w, "tau": t, "tame": 0 if w <= 1 else max(w, t + 1)}
 
 

@@ -306,12 +306,14 @@ def tuple_minimal_solutions(vectors, frontier, size, budget, clip):
 
 @st.composite
 def kernel_inputs(draw):
-    """Vectors in [-3, 3]^r, r <= 3, with the unit-tuple frontier of
-    ``enumerate_atoms`` (clip off) or the zero tuple with a nonnegative
-    state, as ``minimal_covers`` starts (clip on)."""
+    """With clip off, vectors in [-3, 3]^r, r <= 3, and the unit-tuple
+    frontier of ``enumerate_atoms``; with clip on, the shape of
+    ``minimal_covers``: vectors in [-3, 0]^r, the negated atoms, and the
+    zero tuple with a nonnegative state."""
     rank = draw(st.integers(1, 3))
-    vectors = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=7))
     clip = draw(st.booleans())
+    entries = st.integers(-3, 0) if clip else st.integers(-3, 3)
+    vectors = draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=7))
     n = len(vectors)
     if clip:
         need = draw(st.tuples(*[st.integers(0, 4)] * rank))
@@ -329,6 +331,18 @@ def test_packed_kernel_matches_tuple_reference(inputs):
     vectors, frontier, size, budget, clip = inputs
     assert _minimal_solutions(vectors, dict(frontier), size, budget, clip) == \
         tuple_minimal_solutions(vectors, dict(frontier), size, budget, clip)
+
+
+@pytest.mark.parametrize("vectors, state", [
+    ([(-1, 0), (0, 1)], (1, 1)),   # a positive vector entry
+    ([(-1, 0), (0, -1)], (1, -1)),  # a negative start state entry
+])
+def test_clip_contract_violation_raises(vectors, state):
+    # outside the contract the supplier steps would differ from the
+    # inner-product rule, so the kernel refuses rather than answer
+    with pytest.raises(ValueError, match="clip needs nonpositive vectors"):
+        _minimal_solutions(vectors, {(0, 0): (state, 0)}, 0, 4, True)
+    _minimal_solutions(vectors, {(0, 0): (state, 0)}, 0, 4, False)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

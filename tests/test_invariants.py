@@ -20,7 +20,6 @@ from zsl.invariants import (
     exists_length,
     factorizations,
     free_monoid,
-    min_length,
     minimal_covers,
     omega,
     set_of_lengths,
@@ -186,9 +185,9 @@ def test_exists_length_banding():
 
 def test_min_max_length():
     x = tuple(a + b for a, b in zip(TRIPLE, TRIPLE_NEG))
-    assert min_length(B2, x) == 2 == min(set_of_lengths(B2, x))
+    assert min(set_of_lengths(B2, x)) == 2
     assert max(set_of_lengths(B2, x)) == 3
-    assert min_length(B2, vec([((1, 0), 1)])) is None
+    assert set_of_lengths(B2, vec([((1, 0), 1)])) == ()
 
 
 def test_free_monoid_atoms_prime():
@@ -310,6 +309,73 @@ def test_minimal_covers_match_predicate_search_on_random_monoids(monoid):
                 for z in covers)
         assert atom_invariants(monoid, i) == {
             "omega": w, "tau": t, "tame": 0 if w <= 1 else max(w, t + 1)}
+
+
+def tau_from_covers(monoid, atom_index):
+    """tau by its definition over ``minimal_covers``: the largest least
+    length of a cover quotient, taken from its whole set of lengths."""
+    u = monoid.atoms[atom_index]
+    return max(min(set_of_lengths(monoid, [x - y for x, y in zip(monoid.element(z), u)]))
+               for z in minimal_covers(monoid, atom_index))
+
+
+@st.composite
+def block_monoids(draw):
+    # vectors of [-2, 2]^r and their negatives, with up to 30 atoms of
+    # length at most 7: more and longer covers than small_block_monoids, so
+    # that the band prune of atom_invariants both skips covers and meets
+    # covers at its boundary (longer atoms make the reference take seconds)
+    rank = draw(st.integers(2, 3))
+    base = draw(st.sets(st.tuples(*[st.integers(-2, 2)] * rank).filter(any),
+                        min_size=3, max_size=5))
+    elements = sorted(base | {tuple(-x for x in v) for v in base})
+    atom_set = enumerate_atoms(GroundSet.from_elements(rank, elements), budget=7)
+    assume(atom_set.complete and len(atom_set.atoms) <= 30)
+    return block_monoid(atom_set)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_monoids())
+def test_tau_matches_cover_quotient_lengths_on_random_monoids(monoid):
+    for i in range(monoid.atom_count):
+        assert atom_invariants(monoid, i)["tau"] == tau_from_covers(monoid, i)
+
+
+@pytest.mark.parametrize("atoms, atom_index, cover", [
+    # u = (2, 2): the cover (0, 3) + (3, 0) leaves (1, 1), of total length
+    # 2 < lmin = 3, which the band prune skips at tau 0
+    ([(0, 3), (2, 2), (3, 0)], 1, (1, 0, 1)),
+    # u = (2, 1): the cover (1, 0, 1) leaves the atom (2, 1), so tau is 1
+    # when the cover 2 * (1, 2) leaves (0, 3), of total length 3 = lmin
+    ([(1, 2), (2, 1), (3, 0)], 1, (2, 0, 0)),
+])
+def test_band_pruned_cover_quotient_outside_the_monoid_raises(atoms, atom_index, cover):
+    # two-coordinate atom sets do not present saturated monoids: the
+    # quotient of the given cover has no factorization, and the band prune
+    # skips it, so only the membership check on skipped covers catches it
+    monoid = PresentedMonoid(2, atoms)
+    covers = minimal_covers(monoid, atom_index)
+    u = monoid.atoms[atom_index]
+    quotient = [x - y for x, y in zip(monoid.element(cover), u)]
+    assert set_of_lengths(monoid, quotient) == ()
+    before = covers[:covers.index(cover)]
+    tau_before = max(min(set_of_lengths(monoid, [x - y for x, y in zip(monoid.element(z), u)]))
+                     for z in before)
+    assert sum(quotient) // min(monoid.atom_lengths()) == tau_before
+    with pytest.raises(AssertionError, match="cover quotient left the monoid"):
+        atom_invariants(monoid, atom_index)
+
+
+def test_band_pruned_cover_is_checked_without_a_length_search(monkeypatch):
+    # every cover of u = (2, 2) is skipped by the band prune, so the quotient
+    # outside the monoid is caught by the membership check alone
+    def unreachable(*args):
+        raise AssertionError("the length search ran on a skipped cover")
+
+    monkeypatch.setattr(invariants, "_packed_has_length", unreachable)
+    monoid = PresentedMonoid(2, [(0, 3), (2, 2), (3, 0)])
+    with pytest.raises(AssertionError, match="cover quotient left the monoid"):
+        atom_invariants(monoid, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -469,6 +535,19 @@ def tuple_lowest_coordinate_counts(monoid, x):
                 stack.append((child, tuple(r - a for r, a in zip(residual, atoms[k])), i, p))
 
 
+def length_band(monoid, x):
+    """The lengths a factorization of x can have by its total length alone,
+    ceil(|x| / lmax) .. |x| // lmin: (0, 0) for x = 0, and the empty
+    (1, 0) in a monoid without atoms."""
+    total = sum(x)
+    if not total:
+        return 0, 0
+    lengths = monoid.atom_lengths()
+    if not lengths:
+        return 1, 0
+    return -(-total // max(lengths)), total // min(lengths)
+
+
 def assert_packed_search_matches_reference(monoid, x):
     """The full search yields the count vectors of the decreasing-length
     tuple search, each once, in the order of its own tuple twin; and at
@@ -480,8 +559,7 @@ def assert_packed_search_matches_reference(monoid, x):
     assert sorted(got) == sorted(tuple_factorization_counts(monoid, x)), x
     assert len(set(got)) == len(got), x
     assert got == list(tuple_lowest_coordinate_counts(monoid, x)), x
-    band = invariants._length_band(monoid, x)
-    lo, hi = band if band is not None else (0, 0)
+    lo, hi = length_band(monoid, x)
     for target in range(lo - 1, hi + 2):
         want = next(tuple_factorization_counts(monoid, x, target), None) is not None
         got = packed_length_search(monoid, x, target)
@@ -624,8 +702,7 @@ def test_exists_length_matches_reference_and_set_of_lengths(case):
     monoid, elements = case
     for x in elements:
         lengths = set_of_lengths(monoid, x)
-        band = invariants._length_band(monoid, x)
-        lo, hi = band if band is not None else (0, 0)
+        lo, hi = length_band(monoid, x)
         for target in range(lo - 1, hi + 2):
             want = next(tuple_factorization_counts(monoid, x, target), None) is not None
             assert exists_length(monoid, x, target) == want == (target in lengths), (x, target)
@@ -822,8 +899,8 @@ def test_field_edge_coordinates_factor_exactly():
 
 def test_negative_coordinates_never_reach_the_search(monkeypatch):
     # no factorization has a negative coordinate: exists_length says so,
-    # min_length finds no length, factorizations and set_of_lengths reject
-    # the input, and neither search kernel runs
+    # factorizations and set_of_lengths reject the input, and neither
+    # search kernel runs
     def unreachable(*args):
         raise AssertionError("the search was given a negative coordinate")
 
@@ -832,9 +909,8 @@ def test_negative_coordinates_never_reach_the_search(monkeypatch):
     x = (-1, 2, 0, 0, 1, 0)
     for target in range(0, 4):
         assert exists_length(B2, x, target) is False
-    assert min_length(B2, x) is None
     # coordinates summing to 0 give no length band, but still no length 0
-    assert min_length(B2, (-1, 1, 0, 0, 0, 0)) is None
+    assert exists_length(B2, (-1, 1, 0, 0, 0, 0), 0) is False
     with pytest.raises(ValueError, match="nonnegative"):
         factorizations(B2, x)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -847,8 +923,6 @@ def test_element_dimension_mismatch_raises():
             factorizations(B2, short)
         with pytest.raises(ValueError, match="dimension"):
             exists_length(B2, short, 1)
-        with pytest.raises(ValueError, match="dimension"):
-            min_length(B2, short)
         with pytest.raises(ValueError, match="dimension"):
             set_of_lengths(B2, short)
 
@@ -1023,7 +1097,7 @@ def tau_definition_replay(monoid, atom_index, budget):
     """Independent oracle for tau: scan every atom multiset up to the budget,
     keep those that the atom divides but no single removal of which it still
     divides, and take the largest minimal factorization length of the
-    quotient."""
+    quotient, from its set of lengths."""
     u = monoid.atoms[atom_index]
     best = 0
     for size in range(1, budget + 1):
@@ -1044,7 +1118,7 @@ def tau_definition_replay(monoid, atom_index, budget):
             if not qualifying:
                 continue
             quotient = tuple(x - y for x, y in zip(b, u))
-            best = max(best, min_length(monoid, quotient))
+            best = max(best, min(set_of_lengths(monoid, quotient)))
     return best
 
 
