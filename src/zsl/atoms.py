@@ -7,7 +7,10 @@ negative inner product with g, and any partial vector that componentwise
 dominates an already-found minimal solution is discarded.  That dominance
 test runs only on the new child t + e_j of a partial vector, and only against
 the atoms whose j-th coordinate equals the child's, screened by support
-bitmask (see ``enumerate_atoms``).  Complete runs return the full Hilbert
+bitmask.  A partial vector, its running sum and the sum's inner products with
+every ground element are packed ints of fixed-width fields: a child is two
+additions, and the terms it may take are read off the sign bits of the
+products (see ``_minimal_solutions``).  Complete runs return the full Hilbert
 basis of the kernel cone; a length budget acts as a safety valve and is
 reported through the ``complete`` flag.
 """
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb, gcd, isqrt
-from operator import add, mul
+from operator import add, lshift, mul
 
 from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, up_to_sign
 from .intlinalg import (
@@ -102,46 +105,100 @@ def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
     survives exactly when a_j <= t2_j; hence a <= t2 exactly when
     ((p2 | G) - a) & G == G.  The solutions are unpacked into tuples once,
     at the end.
+
+    Each state is one int too, of (c + 1)-bit fields.  A state is read
+    (zero test, step list) only in the round of its tuple, at most
+    R = budget - size steps from its start; a child made in the last round
+    is stored but never read.
+    The steps of a state are looked up under one int key, listed once per
+    key in increasing j and kept, so the children come in increasing j.
+
+    - Without ``clip`` the fields hold x + 2^c for r + n values x: the
+      coordinates s_k, then the inner products <s, v_j>.  Step i adds to
+      them the entries of v_i, then row i of the Gram matrix, so a read
+      value lies within B of 0, with B the largest |value| of a start state
+      plus R times the largest |entry| of a step; c = B.bit_length() gives
+      |x| < 2^c.  Each field then lies in [1, 2^(c + 1)), so the fields of
+      an int are unique, and a child's state is the int sum of its
+      parent's and the packed step.  Bit c of a field is set exactly when
+      x >= 0: s = 0 exactly when its coordinate fields all hold 2^c, and
+      the key is the clear bits c of the product fields, the j with
+      <s, v_j> < 0.
+    - With ``clip`` the fields hold the r coordinates of the lack, with no
+      offset, and step j subtracts -v_j.  The lack never grows, so with c
+      the bit length of the largest start coordinate and of the largest
+      -v_jk, all of them lie below 2^c.  With T the int of every bit c,
+      field k of X = (s | T) - (-v_j) holds s_k + 2^c + v_jk, in
+      [1, 2^(c + 1)): no field borrows, and bit c survives exactly when
+      s_k + v_jk >= 0.  With K the surviving bits, (K << 1) - (K >> c) is
+      all ones on the surviving fields and zero elsewhere, so (X & that) ^ K
+      holds s_k + v_jk where that is nonnegative and 0 elsewhere:
+      max(s + v_j, 0).  s = 0 exactly when the int is 0, and the key is
+      ((s | T) - ones) & T, ones the lowest bit of every field: bit c
+      survives where s_k >= 1.
     """
     if clip and (any(x > 0 for v in vectors for x in v)
                  or any(x < 0 for state, _ in frontier.values() for x in state)):
         raise ValueError("clip needs nonpositive vectors and nonnegative start states")
+    if not frontier:
+        return [], True
+
+    def pack(values, lanes):
+        return sum(map(lshift, values, lanes))
+
     n = len(vectors)
     width = (budget + 1).bit_length() + 1
     field = (1 << (width - 1)) - 1
     shifts = range(0, n * width, width)
     guards = sum(1 << (s + width - 1) for s in shifts)
-    # per j: the vector, the packed unit e_j, the mask of field j, the support bit
-    steps = [(v, 1 << s, field << s, 1 << j)
-             for j, (v, s) in enumerate(zip(vectors, shifts))]
-    zero = (0,) * len(vectors[0]) if vectors else ()
-    zeros = [0] * len(zero)
-    frontier = {sum(c << s for c, s in zip(t, shifts)): entry for t, entry in frontier.items()}
+    if clip:
+        starts = [list(state) for state, _ in frontier.values()]
+        moves = [[-x for x in v] for v in vectors]  # subtracted from the lack
+        c = max(chain(*starts, *moves), default=0).bit_length()
+    else:
+        starts = [[*state, *(sum(map(mul, state, v)) for v in vectors)]
+                  for state, _ in frontier.values()]
+        moves = [[*u, *(sum(map(mul, u, v)) for v in vectors)] for u in vectors]
+        c = (max(map(abs, chain(*starts)), default=0)
+             + max(budget - size, 0) * max(map(abs, chain(*moves)), default=0)).bit_length()
+    lanes = range(0, len(starts[0]) * (c + 1), c + 1)
+    tops = sum(1 << (lane + c) for lane in lanes)  # bit c of every field
+    if clip:
+        offset, state_mask, state_zero = 0, -1, 0
+        ones = tops >> c
+        tests = [sum(1 << (lane + c) for x, lane in zip(v, lanes) if x) for v in vectors]
+    else:
+        rank = len(starts[0]) - n
+        offset, state_mask = tops, (1 << (rank * (c + 1))) - 1
+        state_zero = tops & state_mask
+        signs = tops - state_zero  # bit c of every product field
+        tests = [1 << (lane + c) for lane in lanes[rank:]]
+    # per j: the packed unit e_j, the mask of field j, the support bit and the packed step
+    steps = [(1 << s, field << s, 1 << j, pack(move, lanes))
+             for j, (s, move) in enumerate(zip(shifts, moves))]
+    frontier = {pack(t, shifts): (offset + pack(values, lanes), mask)
+                for (t, (_, mask)), values in zip(frontier.items(), starts)}
     solutions: list[int] = []
     # field j of a, nonzero -> (support bitmask, a) for every solution a and every j in supp(a)
     by_coordinate: dict[int, list[tuple[int, int]]] = {}
-    suppliers: dict[tuple[bool, ...], list] = {}  # clip: state support -> its steps
+    suppliers: dict[int, list] = {}  # lacking fields or clear sign bits -> their steps
     length = size
     while frontier and length <= budget:
         for p, (state, mask) in frontier.items():
-            if state == zero:
+            if state & state_mask == state_zero:
                 solutions.append(p)
-                for _, _, f, _ in steps:
+                for _, f, _, _ in steps:
                     if p & f:
                         by_coordinate.setdefault(p & f, []).append((mask, p))
-        next_frontier: dict[int, tuple[tuple[int, ...], int]] = {}
+        next_frontier: dict[int, tuple[int, int]] = {}
         for p, (state, mask) in frontier.items():
-            if state == zero:
+            if state & state_mask == state_zero:
                 continue
-            if clip:
-                positive = tuple(map(bool, state))
-                allowed = suppliers.get(positive)
-                if allowed is None:
-                    allowed = suppliers[positive] = [
-                        step for step in steps if any(y and x for y, x in zip(positive, step[0]))]
-            for v, unit, f, bit in allowed if clip else steps:
-                if not clip and sum(map(mul, state, v)) >= 0:
-                    continue
+            key = ((state | tops) - ones) & tops if clip else signs & ~state
+            allowed = suppliers.get(key)
+            if allowed is None:
+                allowed = suppliers[key] = [s for s, test in zip(steps, tests) if key & test]
+            for unit, f, bit, step in allowed:
                 p2 = p + unit
                 if p2 in next_frontier:
                     continue
@@ -152,9 +209,11 @@ def _minimal_solutions(vectors, frontier: dict, size: int, budget: int,
                         break
                 else:
                     if clip:
-                        state2 = tuple(map(max, map(add, state, v), zeros))
+                        difference = (state | tops) - step
+                        kept = difference & tops
+                        state2 = (difference & ((kept << 1) - (kept >> c))) ^ kept
                     else:
-                        state2 = tuple(map(add, state, v))
+                        state2 = state + step
                     next_frontier[p2] = (state2, mask2)
         frontier = next_frontier
         length += 1

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zsl import atoms, intlinalg
@@ -333,6 +333,65 @@ def test_packed_kernel_matches_tuple_reference(inputs):
         tuple_minimal_solutions(vectors, dict(frontier), size, budget, clip)
 
 
+# 0, ±(2^k - 1), ±2^k and ±(2^k + 1): the values at the edges of a field
+EDGES = sorted({s * ((1 << k) + d) for k in range(6) for d in (-1, 0, 1) for s in (1, -1)})
+LARGE = sorted({s * ((1 << k) + d) for k in range(6, 11) for d in (-1, 0, 1) for s in (1, -1)})
+
+
+@st.composite
+def edge_kernel_inputs(draw):
+    """Inputs that put the packed fields of ``_minimal_solutions`` at their
+    edges: entries 0, ±(2^k - 1), ±2^k and ±(2^k + 1); start frontiers of
+    one to four tuples of length ``size`` (non-unit for size > 1), with
+    states drawn from those values and from larger ones; budgets from one
+    below ``size`` up.  With clip on, the vectors and states keep the signs
+    of ``minimal_covers``, and a vector entry often exceeds the lack it
+    meets, so the step saturates."""
+    rank = draw(st.integers(1, 3))
+    clip = draw(st.booleans())
+    entries = st.sampled_from([x for x in EDGES if x <= 0] if clip else EDGES)
+    vectors = draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=5))
+    n = len(vectors)
+    size = draw(st.integers(0 if clip else 1, 3))
+    values = st.sampled_from([x for x in EDGES + LARGE if x >= 0] if clip else EDGES + LARGE)
+    frontier = {}
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+        t = tuple(picks.count(j) for j in range(n))
+        mask = sum(1 << j for j, c in enumerate(t) if c)
+        frontier[t] = (draw(st.tuples(*[values] * rank)), mask)
+    budget = draw(st.integers(max(size - 1, 0), size + 4))
+    return vectors, frontier, size, budget, clip
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_kernel_inputs())
+# the start state (-4,) meets (-4,) at inner product 16 = 2^4, the largest
+# value: its field must hold 16 + 2^5, and no step is taken
+@example(([(-4,)], {(1,): ((-4,), 1)}, 1, 1, False))
+def test_packed_kernel_matches_tuple_reference_at_field_edges(inputs):
+    vectors, frontier, size, budget, clip = inputs
+    assert _minimal_solutions(vectors, dict(frontier), size, budget, clip) == \
+        tuple_minimal_solutions(vectors, dict(frontier), size, budget, clip)
+
+
+def test_zero_inner_products_do_not_step():
+    # on this ground many states meet a ground element at inner product 0:
+    # the state (1, 0) of e_0 against (0, 1) and (0, -1), the state (0, 1)
+    # of e_1 against (1, 0) and (-1, 0); such a step is not taken
+    ground = GroundSet.from_elements(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
+    n = len(ground)
+    frontier = {tuple(int(i == j) for i in range(n)): (v, 1 << j)
+                for j, v in enumerate(ground.elements)}
+    for budget in range(1, 7):
+        args = (ground.elements, frontier, 1, budget, False)
+        assert _minimal_solutions(*args) == tuple_minimal_solutions(*args)
+    got = enumerate_atoms(ground)
+    assert got.complete
+    assert [a.mult for a in got.atoms] == [a.mult for a in brute_force_atoms(ground, 4)]
+    assert [a.mult for a in got.atoms] == [(0, 0, 1, 1, 1), (0, 1, 0, 1, 0), (1, 0, 1, 0, 0)]
+
+
 @pytest.mark.parametrize("vectors, state", [
     ([(-1, 0), (0, 1)], (1, 1)),   # a positive vector entry
     ([(-1, 0), (0, -1)], (1, -1)),  # a negative start state entry
@@ -362,15 +421,36 @@ def test_long_single_atom_at_the_field_edges(k, m_offset, budget_offset):
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("budget_offset", [-1, 0, 1])
 def test_count_at_the_top_of_a_field(k, budget_offset):
-    # from the zero tuple, each copy of (-1,) lowers the clipped state (m,)
-    # by one, so the one solution is (m,); at budget m - 1 = 2^k - 2 the last
-    # child holds the count m = 2^k - 1, the largest below its guard bit
+    # from the zero tuple, each copy of the vector lowers coordinate 0 of
+    # the clipped state (m, ...) by one, so the one solution is (m,); at
+    # budget m - 1 = 2^k - 2 the last child holds the count m = 2^k - 1, the
+    # largest below its guard bit, and the lack m sits at the top of its own
+    # field.  In rank 2 the second coordinate reaches 0 with the first, or
+    # after one step and then saturates
     m = (1 << k) - 1
     budget = m + budget_offset
-    args = ([(-1,)], {(0,): ((m,), 0)}, 0, budget, True)
+    for vector, lack in [((-1,), (m,)), ((-1, -1), (m, m)), ((-1, -1), (m, 1))]:
+        args = ([vector], {(0,): (lack, 0)}, 0, budget, True)
+        got = _minimal_solutions(*args)
+        assert got == tuple_minimal_solutions(*args)
+        assert got == (([(m,)], True) if budget >= m else ([], False))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("lack_offset", [-1, 0])
+@pytest.mark.parametrize("excess", [0, 1])
+def test_clipped_steps_saturate_at_field_edges(k, lack_offset, excess):
+    # the lack (l, 1) with l = 2^k - 1 or 2^k; c and d supply l + excess on
+    # coordinate 0, so a step by either takes it from l straight to 0 (and
+    # d also takes coordinate 1 past 0 when excess is 1).  The covers are d
+    # alone, c with b and l copies of a with b, found in that order
+    l = (1 << k) + lack_offset
+    a, b = (-1, 0), (0, -1)
+    c, d = (-(l + excess), 0), (-(l + excess), -(1 + excess))
+    args = ([a, b, c, d], {(0, 0, 0, 0): ((l, 1), 0)}, 0, l + 1, True)
     got = _minimal_solutions(*args)
     assert got == tuple_minimal_solutions(*args)
-    assert got == (([(m,)], True) if budget >= m else ([], False))
+    assert got == ([(0, 0, 0, 1), (0, 1, 1, 0), (l, 1, 0, 0)], True)
 
 
 def test_square_ground_hilbert_basis():
