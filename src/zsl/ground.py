@@ -234,9 +234,6 @@ class _SequenceOps:
     def length(self):
         return sum(self.mult)
 
-    def is_trivial(self) -> bool:
-        return not any(self.mult)
-
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """(n, D): the multiplicities are n / D, with integer numerators n
         and one positive common denominator D."""
@@ -297,11 +294,6 @@ class _SequenceOps:
         core = tuple(m - b if b else m for m, b in zip(self.mult, bal))
         cls = type(self)
         return cls(self.ground, tuple(bal)), cls(self.ground, core)
-
-    def divides(self, other) -> bool:
-        """Componentwise v_g(self) <= v_g(other); grounds must match."""
-        self._check_same_ground(other)
-        return all(a <= b for a, b in zip(self.mult, other.mult))
 
     def _check_same_ground(self, other):
         if self.ground is not other.ground and self.ground != other.ground:

@@ -18,10 +18,14 @@ unions of sets of lengths) is a second, existence-only search
 over the same packed residuals and the atoms by nonincreasing length: a
 length budget that the remaining atoms must meet exactly cuts a branch that
 its longest atom cannot fill and skips the atoms too long for the slack left
-above the shortest atom length.  The unions of sets of lengths run it on the
-distinct k-fold atom sums, each built and held as one packed int.  The
-catenary degree grows a tree over the factorizations under a bound that
-rises only when no factorization outside the tree is within it.  The minimal
+above the shortest atom length.  It stays apart from the bucket search: one
+kernel for both, its buckets sorted by length and the length window found
+by bisection, made perfbench's ``factorize`` pass about 12 % slower and the
+``union_of_lengths`` extremes for k = 4..6 on the rank-3 block monoid half
+again as slow.  The unions of sets of lengths run it on the distinct k-fold
+atom sums, each built and held as one packed int.  The catenary degree
+grows a tree over the factorizations under a bound that rises only when no
+factorization outside the tree is within it.  The minimal
 atom covers behind omega, tau and the tame degree are minimal solutions of a
 linear system, found by the completion search of
 ``atoms._minimal_solutions``; tau runs the length search only on the cover
@@ -536,23 +540,21 @@ def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, 
     """Componentwise-minimal atom multisets whose product is divisible by the
     given atom, as factorization-count vectors.
 
-    The search is ``atoms._minimal_solutions`` with, as the state of a
-    multiset z, what u still lacks on supp(u) (the only coordinates u <= x
-    reads), and the negated atoms projected onto supp(u) as the vectors.
-    Clipped at 0, lack(z + e_j) = max(lack(z) - p_j, 0), and z covers exactly
-    when its lack is 0.  In any order of adding the atoms of a minimal cover
-    each atom supplies a coordinate still lacking (else the cover without
-    that copy would cover too), so the rule <lack, -p_j> < 0 loses no cover;
-    and a parent that does not cover dominates no cover, so the dominance
-    lemma of the kernel holds unchanged.  Each atom added lowers the total
-    lack, so the search ends within sum(u) atoms.
+    The search is ``atoms._minimal_solutions`` with u on supp(u) (the only
+    coordinates u <= x reads) as the need and the atoms projected there as
+    the supplies: the state of a multiset z is what u still lacks there,
+    lack(z + e_j) = max(lack(z) - p_j, 0), and z covers exactly when its
+    lack is 0.  In any order of adding the atoms of a minimal cover each
+    atom supplies a coordinate still lacking (else the cover without that
+    copy would cover too), so taking only such supplies loses no cover; and
+    a parent that does not cover dominates no cover, so the dominance lemma
+    of the kernel holds unchanged.  Each atom added lowers the total lack,
+    so the search ends within sum(u) atoms.
     """
     u = monoid.atoms[atom_index]
     support = [k for k, x in enumerate(u) if x]
-    need = tuple(u[k] for k in support)
-    vectors = [tuple(-a[k] for k in support) for a in monoid.atoms]
-    frontier = {(0,) * monoid.atom_count: (need, 0)}
-    covers, _ = _minimal_solutions(vectors, frontier, 0, sum(u), clip=True)
+    supplies = [[a[k] for k in support] for a in monoid.atoms]
+    covers, _ = _minimal_solutions(supplies, sum(u), need=[u[k] for k in support])
     return sorted(covers)
 
 

@@ -279,8 +279,6 @@ UNREFERENCED_ON_PURPOSE = {
     "exists_length": "perfbench wraps it and checks every query's set of lengths with it",
     "circuit_length": "perfbench wraps it",
     "PresentedMonoid.divides": "perfbench counts its calls; the tests' literal replays divide with it",
-    "_SequenceOps.divides": "sequence divisibility, which the tests state subsequences and "
-                            "atom incomparability with",
 }
 
 

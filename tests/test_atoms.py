@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,9 +94,8 @@ def test_r3_davenport_five_and_length5_count():
 
 def test_atoms_pairwise_incomparable():
     atoms = enumerate_atoms(PM3)
-    for a, b in combinations(atoms.atoms, 2):
-        assert not a.divides(b)
-        assert not b.divides(a)
+    for a, b in permutations(atoms.atoms, 2):
+        assert not all(map(le, a.mult, b.mult))
 
 
 def random_ground(rng, r):
@@ -263,14 +263,25 @@ def test_indexed_enumerator_matches_linear_scan_and_brute_force(ground, budget):
         [a.mult for a in brute_force_atoms(ground, budget)]
 
 
-def tuple_minimal_solutions(vectors, frontier, size, budget, clip):
-    """The completion kernel with each count tuple held as a tuple and
-    dominance tested coordinate by coordinate: a reference for the packed
-    ints of ``_minimal_solutions``."""
-    zero = (0,) * len(vectors[0]) if vectors else ()
+def tuple_minimal_solutions(vectors, budget, need=None):
+    """The completion kernel with each count tuple and state held as a tuple,
+    every step taken by the inner-product rule and dominance tested
+    coordinate by coordinate: a reference for the packed ints of
+    ``_minimal_solutions``, from the same two starts."""
+    n = len(vectors)
+    if need is None:
+        zero = (0,) * len(vectors[0]) if vectors else ()
+        steps = vectors
+        frontier = {tuple(int(i == j) for i in range(n)): (tuple(v), 1 << j)
+                    for j, v in enumerate(vectors)}
+        length = 1
+    else:
+        zero = (0,) * len(need)
+        steps = [tuple(-x for x in v) for v in vectors]  # each added to the lack
+        frontier = {(0,) * n: (tuple(need), 0)}
+        length = 0
     solutions = []
     by_coordinate = {}
-    length = size
     while frontier and length <= budget:
         for t, (state, mask) in frontier.items():
             if state == zero:
@@ -282,7 +293,7 @@ def tuple_minimal_solutions(vectors, frontier, size, budget, clip):
         for t, (state, mask) in frontier.items():
             if state == zero:
                 continue
-            for j, v in enumerate(vectors):
+            for j, v in enumerate(steps):
                 if sum(s * x for s, x in zip(state, v)) >= 0:
                     continue
                 t2 = list(t)
@@ -294,10 +305,10 @@ def tuple_minimal_solutions(vectors, frontier, size, budget, clip):
                 if any(not found_mask & ~mask2 and all(a <= b for a, b in zip(found, t2))
                        for found_mask, found in by_coordinate.get((j, t2[j]), ())):
                     continue
-                if clip:
-                    state2 = tuple(max(s + x, 0) for s, x in zip(state, v))
-                else:
+                if need is None:
                     state2 = tuple(s + x for s, x in zip(state, v))
+                else:
+                    state2 = tuple(max(s + x, 0) for s, x in zip(state, v))
                 next_frontier[t2] = (state2, mask2)
         frontier = next_frontier
         length += 1
@@ -306,31 +317,24 @@ def tuple_minimal_solutions(vectors, frontier, size, budget, clip):
 
 @st.composite
 def kernel_inputs(draw):
-    """With clip off, vectors in [-3, 3]^r, r <= 3, and the unit-tuple
-    frontier of ``enumerate_atoms``; with clip on, the shape of
-    ``minimal_covers``: vectors in [-3, 0]^r, the negated atoms, and the
-    zero tuple with a nonnegative state."""
+    """Arguments of ``_minimal_solutions`` in the shapes of its two callers:
+    vectors in [-3, 3]^r, r <= 3, as for ``enumerate_atoms``; or, as for
+    ``minimal_covers``, supplies in [0, 3]^r and a need in [0, 4]^r.
+    Budgets from 0 up."""
     rank = draw(st.integers(1, 3))
-    clip = draw(st.booleans())
-    entries = st.integers(-3, 0) if clip else st.integers(-3, 3)
+    covers = draw(st.booleans())
+    entries = st.integers(0, 3) if covers else st.integers(-3, 3)
     vectors = draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=7))
-    n = len(vectors)
-    if clip:
-        need = draw(st.tuples(*[st.integers(0, 4)] * rank))
-        frontier, size = {(0,) * n: (need, 0)}, 0
-    else:
-        frontier = {tuple(int(i == j) for i in range(n)): (v, 1 << j)
-                    for j, v in enumerate(vectors)}
-        size = 1
-    return vectors, frontier, size, draw(st.integers(1, 8)), clip
+    budget = draw(st.integers(0, 8))
+    if covers:
+        return vectors, budget, draw(st.tuples(*[st.integers(0, 4)] * rank))
+    return vectors, budget
 
 
 @settings(max_examples=400, deadline=None)
 @given(kernel_inputs())
-def test_packed_kernel_matches_tuple_reference(inputs):
-    vectors, frontier, size, budget, clip = inputs
-    assert _minimal_solutions(vectors, dict(frontier), size, budget, clip) == \
-        tuple_minimal_solutions(vectors, dict(frontier), size, budget, clip)
+def test_packed_kernel_matches_tuple_reference(args):
+    assert _minimal_solutions(*args) == tuple_minimal_solutions(*args)
 
 
 # 0, ±(2^k - 1), ±2^k and ±(2^k + 1): the values at the edges of a field
@@ -340,39 +344,31 @@ LARGE = sorted({s * ((1 << k) + d) for k in range(6, 11) for d in (-1, 0, 1) for
 
 @st.composite
 def edge_kernel_inputs(draw):
-    """Inputs that put the packed fields of ``_minimal_solutions`` at their
-    edges: entries 0, ±(2^k - 1), ±2^k and ±(2^k + 1); start frontiers of
-    one to four tuples of length ``size`` (non-unit for size > 1), with
-    states drawn from those values and from larger ones; budgets from one
-    below ``size`` up.  With clip on, the vectors and states keep the signs
-    of ``minimal_covers``, and a vector entry often exceeds the lack it
-    meets, so the step saturates."""
+    """Arguments that put the packed fields of ``_minimal_solutions`` at
+    their edges: entries 0, ±(2^k - 1), ±2^k and ±(2^k + 1), and larger
+    ones up to ±1025 in the vectors or the need; budgets from 0 up.  With a
+    need, the supplies and the need are nonnegative, as for
+    ``minimal_covers``, and a supply often exceeds the lack it meets, so the
+    step saturates."""
     rank = draw(st.integers(1, 3))
-    clip = draw(st.booleans())
-    entries = st.sampled_from([x for x in EDGES if x <= 0] if clip else EDGES)
+    covers = draw(st.booleans())
+    edges = [x for x in EDGES if x >= 0] if covers else EDGES
+    large = [x for x in LARGE if x >= 0] if covers else LARGE
+    entries = st.sampled_from(edges) | st.sampled_from(large)
     vectors = draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=5))
-    n = len(vectors)
-    size = draw(st.integers(0 if clip else 1, 3))
-    values = st.sampled_from([x for x in EDGES + LARGE if x >= 0] if clip else EDGES + LARGE)
-    frontier = {}
-    for _ in range(draw(st.integers(1, 4))):
-        picks = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
-        t = tuple(picks.count(j) for j in range(n))
-        mask = sum(1 << j for j, c in enumerate(t) if c)
-        frontier[t] = (draw(st.tuples(*[values] * rank)), mask)
-    budget = draw(st.integers(max(size - 1, 0), size + 4))
-    return vectors, frontier, size, budget, clip
+    budget = draw(st.integers(0, 5))
+    if covers:
+        return vectors, budget, draw(st.tuples(*[entries] * rank))
+    return vectors, budget
 
 
 @settings(max_examples=400, deadline=None)
 @given(edge_kernel_inputs())
-# the start state (-4,) meets (-4,) at inner product 16 = 2^4, the largest
+# the state (-4,) of e_0 meets (-4,) at inner product 16 = 2^4, the largest
 # value: its field must hold 16 + 2^5, and no step is taken
-@example(([(-4,)], {(1,): ((-4,), 1)}, 1, 1, False))
-def test_packed_kernel_matches_tuple_reference_at_field_edges(inputs):
-    vectors, frontier, size, budget, clip = inputs
-    assert _minimal_solutions(vectors, dict(frontier), size, budget, clip) == \
-        tuple_minimal_solutions(vectors, dict(frontier), size, budget, clip)
+@example(([(-4,)], 1))
+def test_packed_kernel_matches_tuple_reference_at_field_edges(args):
+    assert _minimal_solutions(*args) == tuple_minimal_solutions(*args)
 
 
 def test_zero_inner_products_do_not_step():
@@ -380,11 +376,8 @@ def test_zero_inner_products_do_not_step():
     # the state (1, 0) of e_0 against (0, 1) and (0, -1), the state (0, 1)
     # of e_1 against (1, 0) and (-1, 0); such a step is not taken
     ground = GroundSet.from_elements(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
-    n = len(ground)
-    frontier = {tuple(int(i == j) for i in range(n)): (v, 1 << j)
-                for j, v in enumerate(ground.elements)}
     for budget in range(1, 7):
-        args = (ground.elements, frontier, 1, budget, False)
+        args = (ground.elements, budget)
         assert _minimal_solutions(*args) == tuple_minimal_solutions(*args)
     got = enumerate_atoms(ground)
     assert got.complete
@@ -393,15 +386,16 @@ def test_zero_inner_products_do_not_step():
 
 
 @pytest.mark.parametrize("vectors, state", [
-    ([(-1, 0), (0, 1)], (1, 1)),   # a positive vector entry
-    ([(-1, 0), (0, -1)], (1, -1)),  # a negative start state entry
+    ([(1, 0), (0, -1)], (1, 1)),  # a negative supply entry
+    ([(1, 0), (0, 1)], (1, -1)),  # a negative need entry
 ])
 def test_clip_contract_violation_raises(vectors, state):
     # outside the contract the supplier steps would differ from the
-    # inner-product rule, so the kernel refuses rather than answer
-    with pytest.raises(ValueError, match="clip needs nonpositive vectors"):
-        _minimal_solutions(vectors, {(0, 0): (state, 0)}, 0, 4, True)
-    _minimal_solutions(vectors, {(0, 0): (state, 0)}, 0, 4, False)
+    # inner-product rule, so the kernel refuses rather than answer; without
+    # a need the vectors may have any signs
+    with pytest.raises(ValueError, match="supplies and need must be nonnegative"):
+        _minimal_solutions(vectors, 4, need=state)
+    _minimal_solutions(vectors, 4)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -421,16 +415,16 @@ def test_long_single_atom_at_the_field_edges(k, m_offset, budget_offset):
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("budget_offset", [-1, 0, 1])
 def test_count_at_the_top_of_a_field(k, budget_offset):
-    # from the zero tuple, each copy of the vector lowers coordinate 0 of
-    # the clipped state (m, ...) by one, so the one solution is (m,); at
+    # from the zero tuple, each copy of the supply lowers coordinate 0 of
+    # the clipped lack (m, ...) by one, so the one solution is (m,); at
     # budget m - 1 = 2^k - 2 the last child holds the count m = 2^k - 1, the
     # largest below its guard bit, and the lack m sits at the top of its own
     # field.  In rank 2 the second coordinate reaches 0 with the first, or
     # after one step and then saturates
     m = (1 << k) - 1
     budget = m + budget_offset
-    for vector, lack in [((-1,), (m,)), ((-1, -1), (m, m)), ((-1, -1), (m, 1))]:
-        args = ([vector], {(0,): (lack, 0)}, 0, budget, True)
+    for supply, lack in [((1,), (m,)), ((1, 1), (m, m)), ((1, 1), (m, 1))]:
+        args = ([supply], budget, lack)
         got = _minimal_solutions(*args)
         assert got == tuple_minimal_solutions(*args)
         assert got == (([(m,)], True) if budget >= m else ([], False))
@@ -445,9 +439,9 @@ def test_clipped_steps_saturate_at_field_edges(k, lack_offset, excess):
     # d also takes coordinate 1 past 0 when excess is 1).  The covers are d
     # alone, c with b and l copies of a with b, found in that order
     l = (1 << k) + lack_offset
-    a, b = (-1, 0), (0, -1)
-    c, d = (-(l + excess), 0), (-(l + excess), -(1 + excess))
-    args = ([a, b, c, d], {(0, 0, 0, 0): ((l, 1), 0)}, 0, l + 1, True)
+    a, b = (1, 0), (0, 1)
+    c, d = (l + excess, 0), (l + excess, 1 + excess)
+    args = ([a, b, c, d], l + 1, (l, 1))
     got = _minimal_solutions(*args)
     assert got == tuple_minimal_solutions(*args)
     assert got == ([(0, 0, 0, 1), (0, 1, 1, 0), (l, 1, 0, 0)], True)
@@ -889,7 +883,7 @@ def test_decomposition_of_atom_is_itself():
     g = GroundSet.from_elements(1, [(2,), (-3,)])
     u = Sequence(g, (3, 2))
     dec = rational_elementary_decomposition(u)
-    assert dec.balanced.is_trivial()
+    assert not any(dec.balanced.mult)
     assert dec.parts == ((u, Fraction(1)),)
     assert dec.reassemble() == u.rational()
 
@@ -937,7 +931,7 @@ def fraction_peel(seq):
     s = seq.rational() if isinstance(seq, Sequence) else seq
     balanced, current = s.split_balanced()
     parts = []
-    while not current.is_trivial():
+    while any(current.mult):
         candidates = _elementary_atoms_on(s.ground, current.support(), DEFAULT_BUDGET)
         atom = min(candidates, key=lambda a: a.mult)
         alpha = min(Fraction(current.mult[i]) / atom.mult[i] for i in atom.support())
