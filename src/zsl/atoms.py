@@ -17,14 +17,13 @@ reported through the ``complete`` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, repeat
 from math import comb, gcd, isqrt
 from operator import add, lshift, mul
 
-from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, up_to_sign
+from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, _Record, up_to_sign
 from .intlinalg import (
     det_bareiss,
     primitive_kernel_vector,
@@ -35,8 +34,7 @@ from .intlinalg import (
 DEFAULT_BUDGET = 20
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class AtomSet(_Record):
     """Atoms of the zero-sum monoid over a ground set, canonically sorted."""
 
     ground: GroundSet
@@ -237,8 +235,7 @@ def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:
     return AtomSet(ground, seqs, complete)
 
 
-@dataclass(frozen=True)
-class DavenportResult:
+class DavenportResult(_Record):
     """Largest atom length, exactly or as a certified lower bound."""
 
     value: int
@@ -530,8 +527,7 @@ def _max_last_divisor(columns) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class ElementaryDecomposition:
+class ElementaryDecomposition(_Record):
     """A zero-sum sequence written as balanced-part times rational powers of
     elementary atoms."""
 

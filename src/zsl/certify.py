@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import (
@@ -22,7 +21,7 @@ from .atoms import (
     rational_elementary_decomposition,
 )
 from .constructions import fibonacci_witness, hypercube_pm, r3_extremal_atoms
-from .ground import GroundSet, RationalSequence, Sequence, _require
+from .ground import GroundSet, RationalSequence, Sequence, _Record, _require
 from .invariants import (
     block_monoid,
     catenary_element,
@@ -49,13 +48,13 @@ from .models import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_Record):
     name: str
     passed: bool
     seconds: float
     details: dict
-    error: str | None = None
+    error: str | None
+    __hash__ = None
 
 
 def check_rank2_hypercube() -> dict:

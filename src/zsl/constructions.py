@@ -12,9 +12,7 @@ sequence of length F_{r+2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ground import GroundSet, Sequence
+from .ground import GroundSet, Sequence, _Record
 
 VERIFY_LIMIT = 8
 
@@ -58,8 +56,7 @@ def _diagonal_stack_sequence(r: int) -> list[tuple[int, ...]]:
     return terms
 
 
-@dataclass(frozen=True)
-class FibonacciWitness:
+class FibonacciWitness(_Record):
     """Certified length lower bound for the signed hypercube Davenport constant."""
 
     rank: int

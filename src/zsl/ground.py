@@ -13,10 +13,10 @@ ground elements; rational sequences carry exact ``Fraction`` multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 
 Vector = tuple[int, ...]
 
@@ -79,8 +79,46 @@ def _json_ints(value, field: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class _Record:
+    """An immutable value: its fields are the subclass's own annotations, in
+    order, set positionally, then ``__post_init__`` runs.  It replaces
+    ``dataclasses``, whose ``inspect`` import and generated classes cost each
+    README example ~13 ms (``cli`` pass 1.61 -> 1.41 s); a field is set by
+    ``object.__setattr__``, as filling ``__dict__`` makes field loads 3x slower."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroundSet(_Record):
     """Finite indexed subset of Z^r with its sign partition."""
 
     rank: int
@@ -322,8 +360,7 @@ class _SequenceOps:
         return {"mult": [_encode_mult(m) for m in self.mult]}
 
 
-@dataclass(frozen=True)
-class Sequence(_SequenceOps):
+class Sequence(_SequenceOps, _Record):
     """Ordinary sequence: nonnegative integer multiplicities."""
 
     ground: GroundSet
@@ -363,8 +400,7 @@ class Sequence(_SequenceOps):
                         tuple(Fraction(m) if m else _ZERO for m in self.mult))
 
 
-@dataclass(frozen=True)
-class RationalSequence(_SequenceOps):
+class RationalSequence(_SequenceOps, _Record):
     """Rational sequence: nonnegative exact rational multiplicities."""
 
     ground: GroundSet

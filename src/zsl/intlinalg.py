@@ -13,10 +13,11 @@ dozen rows/columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb, gcd, lcm
 from operator import add, mul
+
+from .ground import _Record
 
 
 def matrix_dims(m) -> tuple[int, int]:
@@ -213,8 +214,7 @@ def smith_normal_form(m) -> list[int]:
     return diag
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
+class QuotientStructure(_Record):
     """Structure of Z^n modulo a sublattice: torsion factors and free rank."""
 
     invariant_factors: tuple[int, ...]

@@ -37,14 +37,13 @@ Everything is deterministic: outputs are canonically sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge, mul, sub
 
 from .atoms import AtomSet, _minimal_solutions
+from .ground import _Record
 
 
-@dataclass(frozen=True)
-class PresentedMonoid:
+class PresentedMonoid(_Record):
     ambient_dim: int
     atoms: tuple[tuple[int, ...], ...]
 
@@ -435,8 +434,7 @@ def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
     return _has_length(monoid, x, target)
 
 
-@dataclass(frozen=True)
-class UnionOfLengths:
+class UnionOfLengths(_Record):
     k: int
     values: frozenset[int]
     rho: int

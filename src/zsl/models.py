@@ -12,13 +12,11 @@ disagreement raised rather than smoothed over.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
-from .ground import _json_fields, _json_int, _json_ints, _json_list, _require
+from .ground import _json_fields, _json_int, _json_ints, _json_list, _Record, _require
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
     PresentedMonoid,
@@ -31,8 +29,7 @@ from .invariants import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(_Record):
     """Finite abelian group in invariant-factor form n_1 | n_2 | ... | n_t."""
 
     factors: tuple[int, ...]
@@ -349,6 +346,8 @@ def monext_theta_check(model: MonextModel, samples: int = 100,
     to splittings in the product, and the equality of sets of lengths, all
     on seeded random samples.
     """
+    import random
+
     h0 = model.h0
     if not h0.atom_count:
         raise ValueError("h0 has no atoms, so there is no element to sample")
@@ -446,8 +445,7 @@ def fp_rank1_invariants(group: FiniteAbelianGroup, budget: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AcmSpec:
+class AcmSpec(_Record):
     """Parameters of N0^Omega(c, Lambda): coordinate count, weights, towers."""
 
     size: int
@@ -676,8 +674,7 @@ def acm_report(spec: AcmSpec | AcmModel, level_budget: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TowerData:
+class TowerData(_Record):
     """Numeric tower data: uniform dimension, cycle/faithful tower ranks, and
     the ideal class group.  Faithful tower rank lists cover only the
     unfaithful members (the leading faithful module carries no rank)."""

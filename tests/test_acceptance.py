@@ -151,6 +151,13 @@ def test_oracle_gate_fails_on_a_skewed_oracle(monkeypatch, name, skew):
     assert result.error.startswith("AssertionError")
 
 
+def test_check_results_compare_but_do_not_hash():
+    result = certify.CheckResult("01", True, 0.5, {}, None)
+    assert result == certify.CheckResult("01", True, 0.5, {}, None)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(result)
+
+
 def test_certify_suite_all_green():
     results = certify.run_suite()
     assert len(results) == 11
@@ -160,10 +167,15 @@ def test_certify_suite_all_green():
 
 # criterion 01 with davenport patched to report 999; prints PASS or FAIL
 PATCHED_CRITERION_01 = """
-import dataclasses
 from zsl import certify
+from zsl.atoms import DavenportResult
 real = certify.davenport
-certify.davenport = lambda *a, **kw: dataclasses.replace(real(*a, **kw), value=999)
+
+def patched(*a, **kw):
+    r = real(*a, **kw)
+    return DavenportResult(999, r.exact, r.witnesses)
+
+certify.davenport = patched
 (result,) = certify.run_suite(["01"])
 print("PASS" if result.passed else "FAIL", result.error)
 """

@@ -701,3 +701,68 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
     [base] = {m for m, _ in factored}
     assert {x for _, x in factored} == invariants.elements_up_to(base, 2)
     assert set(factored.values()) == {1}
+
+
+# the README's CLI examples, in order: certify, then the quick tour, whose
+# hypercube writes the g0.json the rest read
+README_COMMANDS = [line.split("#")[0].split()[1:]
+                   for line in (Path(__file__).parents[1] / "README.md").read_text(
+                       encoding="utf-8").splitlines() if line.startswith("zsl ")]
+# runs main on its arguments; the last stdout line is its exit status and
+# the names in sys.modules
+LOADED = """
+import json, sys
+from zsl.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def loaded_modules(cwd, code, *argv):
+    """The exit status and modules of a fresh ``python -S`` running code:
+    without the site module no .pth file imports anything first."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zsl.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    status, modules = json.loads(out.splitlines()[-1])
+    return status, set(modules)
+
+
+@pytest.fixture(scope="module")
+def tour_modules(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("tour")
+    write(cwd, "seq.json", {"mult": [1, 1, 1, 1, 1, 1]})
+    write(cwd, "acm.json", {"omega": 5, "c": ["1", "1", "1", "3/2", "3/2"],
+                            "lambda": [[1, 2], [3, 4]]})
+    write(cwd, "towers.json", {"udim": 1, "cycle_towers": [{"ranks": [1, 1]}, {"ranks": [2, 1]}],
+                               "faithful_towers": [], "class_group": [2]})
+    modules = {}
+    for argv in README_COMMANDS:
+        status, modules[argv[0]] = loaded_modules(cwd, LOADED, *argv)
+        assert status == 0, argv
+    return modules
+
+
+def test_readme_commands_load_only_the_modules_they_run(tour_modules):
+    base = {"zsl", "zsl.cli", "zsl.ground"}
+    expected = {
+        "hypercube": base | {"zsl.constructions"},
+        "atoms": base | {"zsl.intlinalg", "zsl.atoms"},
+        "tame": base | {"zsl.intlinalg", "zsl.atoms", "zsl.invariants"},
+        "acm": base | {"zsl.intlinalg", "zsl.atoms", "zsl.invariants", "zsl.models"},
+    }
+    for command, zsl_modules in expected.items():
+        assert {m for m in tour_modules[command] if m.split(".")[0] == "zsl"} == zsl_modules
+    # only the sampled theta check draws random numbers
+    assert "random" not in tour_modules["acm"]
+
+
+def test_no_readme_command_imports_dataclasses_or_inspect(tour_modules, tmp_path):
+    # the parse found every example: certify and the tour's 17
+    assert len(tour_modules) == len(README_COMMANDS) == 18
+    for command, modules in tour_modules.items():
+        assert not modules & {"dataclasses", "inspect"}, command
+    everything = ("import json, sys, zsl.certify, zsl.cli, zsl.constructions, zsl.models\n"
+                  "print(json.dumps([0, sorted(sys.modules)]))")
+    _, modules = loaded_modules(tmp_path, everything)
+    assert "zsl.certify" in modules and not modules & {"dataclasses", "inspect"}

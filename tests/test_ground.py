@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsl import intlinalg
 from zsl.ground import GroundSet, RationalSequence, Sequence, negate
+from zsl.invariants import PresentedMonoid
+from zsl.models import AcmSpec, FiniteAbelianGroup
 
 PM2 = GroundSet.from_elements(2, [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)])
 
@@ -237,3 +240,76 @@ def test_zero_sum_divisibility_is_componentwise():
             if divides(t, s):
                 rest = Sequence(PM2, tuple(a - b for a, b in zip(s.mult, t.mult)))
                 assert rest.is_zero_sum()
+
+
+# the value records: GroundSet and the sequences here, and the reports and
+# specs of the other modules, all on the one record base
+def test_records_reject_assignment_and_deletion():
+    s = seq(PM2, [((1, 0), 1)])
+    for record, name in ((PM2, "rank"), (s, "mult"), (s, "extra"),
+                         (FiniteAbelianGroup((2,)), "factors")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(record, name)
+    assert s.mult == (0, 0, 0, 0, 1, 0)
+
+
+def test_records_equal_by_type_and_fields():
+    copy = GroundSet.from_elements(2, PM2.elements)
+    assert copy is not PM2 and copy == PM2 and hash(copy) == hash(PM2)
+    ones = Sequence(PM2, (1,) * 6)
+    assert ones == Sequence(copy, (1,) * 6) and hash(ones) == hash(Sequence(PM2, (1,) * 6))
+    assert ones != Sequence(PM2, (2,) + (1,) * 5)
+    assert FiniteAbelianGroup((2, 4)) == FiniteAbelianGroup((2, 4))
+    assert hash(FiniteAbelianGroup((2, 4))) == hash(FiniteAbelianGroup((2, 4)))
+    # same fields, different types
+    rational = RationalSequence(PM2, (1,) * 6)
+    assert ones != rational and ones.rational() == rational
+    assert ones.__eq__(PM2) is NotImplemented and ones.__eq__((PM2, ones.mult)) is NotImplemented
+
+
+def test_record_repr_names_every_field():
+    g = GroundSet.from_elements(1, [(-2,), (3,)])
+    assert repr(g) == "GroundSet(rank=1, elements=((-2,), (3,)), plus=(True, True))"
+    assert repr(Sequence(g, (0, 2))) == f"Sequence(ground={g!r}, mult=(0, 2))"
+    assert repr(FiniteAbelianGroup((2, 4))) == "FiniteAbelianGroup(factors=(2, 4))"
+
+
+def test_record_wrong_field_count_raises():
+    with pytest.raises(TypeError, match=r"Sequence takes the fields \('ground', 'mult'\)"):
+        Sequence(PM2)
+    with pytest.raises(TypeError, match="GroundSet"):
+        GroundSet(1, ((1,),), (True,), None)
+
+
+def test_ground_cached_properties_computed_once_per_instance(monkeypatch):
+    calls = []
+    rank_over_q = intlinalg.rank_over_q
+
+    def counted(rows):
+        calls.append(rows)
+        return rank_over_q(rows)
+
+    monkeypatch.setattr(intlinalg, "rank_over_q", counted)
+    g = GroundSet.from_elements(2, PM2.elements)
+    assert g.span_rank == g.span_rank == 2 and len(calls) == 1
+    assert g.neg_index is g.neg_index and g.plus_indices is g.plus_indices
+    copy = GroundSet.from_elements(2, PM2.elements)
+    assert copy.span_rank == 2 and len(calls) == 2
+    assert copy.neg_index == g.neg_index and copy.neg_index is not g.neg_index
+
+
+def test_post_init_still_validates():
+    with pytest.raises(ValueError, match="does not match ground set"):
+        Sequence(PM2, (1,))
+    with pytest.raises(ValueError, match="multiplicities in N0"):
+        Sequence(PM2, (-1, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="zero vector"):
+        PresentedMonoid(2, [(0, 0)])
+    with pytest.raises(ValueError, match="level coordinate"):
+        AcmSpec(0, (), ())
+    with pytest.raises(ValueError, match="two coordinates"):
+        AcmSpec(2, (1, 2), ((1,),))
+    # and still normalizes the fields it is given
+    assert AcmSpec(3, (1, 2, 2), ((2, 1),)).towers == ((1, 2),)
