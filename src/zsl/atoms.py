@@ -8,8 +8,9 @@ dominates an already-found minimal solution is discarded.  That dominance
 test runs only on the new child t + e_j of a partial vector, and only against
 the atoms whose j-th coordinate equals the child's, screened by support
 bitmask.  A partial vector, its running sum and the sum's inner products with
-every ground element are packed ints of fixed-width fields: a child is two
-additions, and the terms it may take are read off the sign bits of the
+every ground element are packed ints of the guard-bit lanes of
+``ground._Lanes``: a child is two additions, the dominance test one
+subtraction, and the terms it may take are read off the sign bits of the
 products (see ``_minimal_solutions``).  Complete runs return the full Hilbert
 basis of the kernel cone; a length budget acts as a safety valve and is
 reported through the ``complete`` flag.
@@ -21,9 +22,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, repeat
 from math import comb, gcd, isqrt
-from operator import add, lshift, mul
+from operator import add, mul
 
-from .ground import GroundSet, RationalSequence, Sequence, _encode_mult, _Record, up_to_sign
+from .ground import (GroundSet, RationalSequence, Sequence, _encode_mult, _Lanes, _Record,
+                     up_to_sign)
 from .intlinalg import (
     det_bareiss,
     primitive_kernel_vector,
@@ -94,47 +96,37 @@ def _minimal_solutions(vectors, budget: int,
     pass ran about 12 % faster, but the complete signed 4-cube at budget 27
     took 8.9-13.1 s against 6.4-10.1 s (2-core host, Python 3.11).
 
-    Each count tuple is held as one int p of w-bit fields, t_j in bits
-    [j * w, (j + 1) * w), with w = (budget + 1).bit_length() + 1.  No count
-    exceeds the length of its tuple, and the rounds run only while the
-    length is at most the budget, so the longest tuple they read or make is
-    a child of length budget + 1: every count lies below the field's top
-    bit, the guard bit G_j = 2^(w - 1).  The child t + e_j is p + 2^(j * w), and
-    the key (j, t2_j) is the field itself, p2 masked to bits of field j: a
-    distinct nonzero int for each pair with t2_j >= 1.  For the dominance
-    test, set every guard and subtract a stored solution: field j of
-    (p2 | G) - a holds t2_j + G_j - a_j, which lies in [1, 2 G_j) because
-    both counts lie in [0, G_j), so no field borrows from the next and G_j
-    survives exactly when a_j <= t2_j; hence a <= t2 exactly when
-    ((p2 | G) - a) & G == G.  The solutions are unpacked into tuples once,
-    at the end.
+    Each count tuple is one int p of ``counts = _Lanes(n, budget + 1)``,
+    t_j in field j of w bits.  No count exceeds the length of its tuple, and
+    the rounds run only while the length is at most the budget, so no count
+    of a tuple they read or make, at most a child of length budget + 1,
+    exceeds budget + 1.  The child t + e_j is p + 2^(j * w), and the key
+    (j, t2_j) is p2 masked to field j: a distinct nonzero int for each pair
+    with t2_j >= 1.  With G the guards, a solution a lies below t2 exactly
+    when ((p2 | G) - a) & G == G.  The solutions are unpacked at the end.
 
-    Each state is one int too, of (c + 1)-bit fields.  A state is read
-    (zero test, step list) only in the round of its tuple, so only while
-    the tuple's length is at most the budget; a child made in the last
-    round is stored but never read.  The steps of a state are looked up
-    under one int key, listed once per key in increasing j and kept, so the
-    children come in increasing j.
+    Each state is one int of ``lanes`` too, with guards T at bit c of each
+    field.  A state is read (zero test, step list) only in the round of its
+    tuple, so only while the tuple's length is at most the budget; a child
+    made in the last round is stored but never read.  The steps of a state
+    are looked up under one int key, listed once per key in increasing j and
+    kept, so the children come in increasing j.
 
-    - Without ``need`` the fields hold x + 2^c for r + n values x: the
-      coordinates s_k, then the inner products <s, v_j>.  Packed step i adds
-      to them the entries of v_i, then row i of the Gram matrix, and the
-      state of e_i is packed step i.  A state read is a sum of at most
-      ``budget`` steps, so |x| <= B for each of its values, B the budget
-      times the largest |entry| of a step, and c = B.bit_length() gives
-      |x| < 2^c.  Each field then lies in [1, 2^(c + 1)), so the fields of
-      an int are unique, and a child's state is the int sum of its
-      parent's and the packed step.  Bit c of a field is set exactly when
-      x >= 0: s = 0 exactly when its coordinate fields all hold 2^c, and
-      the key is the clear bits c of the product fields, the j with
+    - Without ``need`` the lanes are ``_Lanes(r + n, B)`` and the state is
+      T + pack(x) for r + n values x: the coordinates s_k, then the inner
+      products <s, v_j>.  Packed step i packs the entries of v_i, then row
+      i of the Gram matrix: the state of e_i is T plus packed step i, and a
+      child's is its parent's plus the packed step.  A state read is a sum
+      of at most ``budget`` steps, so |x| <= B, the budget times the largest
+      |entry| of a step: each field holds x + 2^c, with bit c set exactly
+      when x >= 0.  s = 0 exactly when its coordinate fields all hold 2^c,
+      and the key is the clear bits c of the product fields, the j with
       <s, v_j> < 0.
-    - With ``need`` the fields hold the r coordinates of the lack, with no
-      offset, and step j subtracts v_j.  The lack never grows, so with c
-      the bit length of the largest need or supply entry, all of them lie
-      below 2^c.  With T the int of every bit c, field k of
-      X = (s | T) - v_j holds s_k + 2^c - v_jk, in [1, 2^(c + 1)): no field
-      borrows, and bit c survives exactly when s_k - v_jk >= 0.  With K the
-      surviving bits, (K << 1) - (K >> c) is all ones on the surviving
+    - With ``need`` the lanes are ``_Lanes(r, largest need or supply
+      entry)``, the state is pack(lack), and step j subtracts v_j.  The lack
+      never grows, so no value exceeds that largest, and bit c of
+      X = (s | T) - v_j survives exactly where s_k - v_jk >= 0.  With K
+      the surviving bits, (K << 1) - (K >> c) is all ones on the surviving
       fields and zero elsewhere, so (X & that) ^ K holds s_k - v_jk where
       that is nonnegative and 0 elsewhere: max(s - v_j, 0).  s = 0 exactly
       when the int is 0, and the key is ((s | T) - ones) & T, ones the
@@ -146,37 +138,29 @@ def _minimal_solutions(vectors, budget: int,
     if need is None and not vectors:
         return [], True
 
-    def pack(values, lanes):
-        return sum(map(lshift, values, lanes))
-
     n = len(vectors)
-    width = (budget + 1).bit_length() + 1
-    field = (1 << (width - 1)) - 1
-    shifts = range(0, n * width, width)
-    guards = sum(1 << (s + width - 1) for s in shifts)
+    counts = _Lanes(n, budget + 1)
     if clip:
         moves = vectors
-        c = max(chain(need, *moves), default=0).bit_length()
-        lanes = range(0, len(need) * (c + 1), c + 1)
+        lanes = _Lanes(len(need), max(chain(need, *moves), default=0))
     else:
         moves = [[*u, *(sum(map(mul, u, v)) for v in vectors)] for u in vectors]
-        c = (budget * max(map(abs, chain(*moves)))).bit_length()
-        lanes = range(0, len(moves[0]) * (c + 1), c + 1)
-    tops = sum(1 << (lane + c) for lane in lanes)  # bit c of every field
+        lanes = _Lanes(len(moves[0]), budget * max(map(abs, chain(*moves))))
+    guards, tops, c = counts.guards, lanes.guards, lanes.width - 1
     # per j: the packed unit e_j, the mask of field j, the support bit and the packed step
-    steps = [(1 << s, field << s, 1 << j, pack(move, lanes))
-             for j, (s, move) in enumerate(zip(shifts, moves))]
+    steps = [(1 << s, counts.field << s, 1 << j, lanes.pack(move))
+             for j, (s, move) in enumerate(zip(counts.shifts, moves))]
     if clip:
         state_mask, state_zero = -1, 0
         ones = tops >> c
-        tests = [sum(1 << (lane + c) for x, lane in zip(v, lanes) if x) for v in vectors]
-        frontier, length = {0: (pack(need, lanes), 0)}, 0
+        tests = [lanes.pack(map(bool, v)) << c for v in vectors]
+        frontier, length = {0: (lanes.pack(need), 0)}, 0
     else:
         rank = len(vectors[0])
-        state_mask = (1 << (rank * (c + 1))) - 1
+        state_mask = (1 << lanes.shifts[rank]) - 1
         state_zero = tops & state_mask
         signs = tops - state_zero  # bit c of every product field
-        tests = [1 << (lane + c) for lane in lanes[rank:]]
+        tests = [1 << (s + c) for s in lanes.shifts[rank:]]
         frontier = {unit: (tops + step, bit) for unit, _, bit, step in steps}
         length = 1
     solutions: list[int] = []
@@ -217,7 +201,7 @@ def _minimal_solutions(vectors, budget: int,
                     next_frontier[p2] = (state2, mask2)
         frontier = next_frontier
         length += 1
-    return [tuple((p >> s) & field for s in shifts) for p in solutions], not frontier
+    return list(map(counts.unpack, solutions)), not frontier
 
 
 def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
-from operator import attrgetter
+from operator import and_, attrgetter, lshift, rshift
 
 Vector = tuple[int, ...]
 
@@ -116,6 +117,39 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class _Lanes:
+    """``count`` fields of w = largest.bit_length() + 1 bits in one int, field
+    i in bits [i * w, (i + 1) * w) from ``shifts[i]`` on.  ``field`` masks
+    its low w - 1 bits, so no value 0 <= v <= ``largest`` reaches its top
+    bit, the guard G_i, and ``guards`` is G, every G_i set.  ``pack(v)`` is
+    the int sum of the v_i * 2^(i * w), for any ints v_i.
+
+    For A = pack(a) and B = pack(b), every a_i and b_i in [0, largest],
+    (A | G) - B is the sum of the (a_i + 2^(w - 1) - b_i) * 2^(i * w), each
+    coefficient in [1, 2^w): these are its fields, no field borrows from the
+    next, and G_i survives exactly when b_i <= a_i.  So ((A | G) - B) & G
+    == G exactly when b <= a, and then ((A | G) - B) ^ G == pack(a - b).
+    Packed values add fieldwise while every field stays at most ``largest``.
+    For |x_i| <= largest, G + pack(x) likewise holds x_i + 2^(w - 1) in
+    field i, whose G_i is set exactly when x_i >= 0.
+    """
+
+    __slots__ = ("width", "shifts", "guards", "field")
+
+    def __init__(self, count: int, largest: int):
+        self.width = width = largest.bit_length() + 1
+        self.shifts = range(0, count * width, width)
+        self.field = (1 << (width - 1)) - 1
+        # the sum of the 2^(i * w) over i < count, a geometric series, at bit w - 1
+        self.guards = ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)
+
+    def pack(self, values) -> int:
+        return sum(map(lshift, values, self.shifts))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        return tuple(map(and_, map(rshift, repeat(packed), self.shifts), repeat(self.field)))
 
 
 class GroundSet(_Record):

@@ -10,9 +10,9 @@ of lengths and the catenary degree, each once: it branches only on the atoms
 whose lowest support coordinate is the residual's lowest nonzero coordinate,
 one of which every factorization of the residual uses, and picks them in
 nondecreasing index order while that coordinate stays lowest.  It holds each
-residual as one int of fixed-width fields with a guard bit on top of each
-field, wide enough that subtracting an atom never borrows across fields, so
-one int subtraction both removes an atom and tells whether it fit.  Whether
+residual as one int of the guard-bit lanes of ``ground._Lanes``, wide enough
+that subtracting an atom never borrows across fields, so one int
+subtraction both removes an atom and tells whether it fit.  Whether
 an element has a factorization of one given length (behind tau and the
 unions of sets of lengths) is a second, existence-only search
 over the same packed residuals and the atoms by nonincreasing length: a
@@ -40,7 +40,7 @@ from __future__ import annotations
 from operator import ge, mul, sub
 
 from .atoms import AtomSet, _minimal_solutions
-from .ground import _Record
+from .ground import _Lanes, _Record
 
 
 class PresentedMonoid(_Record):
@@ -87,35 +87,39 @@ class PresentedMonoid(_Record):
         object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
         object.__setattr__(self, "_packings", {})
 
-    def _packed(self, width: int):
-        """The atoms in search order packed into ``width``-bit fields, with
-        their lengths, the guard bits, per search position the fields of
-        the coordinates that no atom from that position on touches (read
-        only by the length search), and per coordinate i the bucket of
-        (packed atom, atom index) pairs, by atom index, of the atoms whose
-        lowest support coordinate is i.  Built on first use of a width and
-        kept."""
-        packing = self._packings.get(width)
+    def _lanes(self, largest: int) -> _Lanes:
+        """The lanes of ``ambient_dim`` fields that hold ``largest`` and
+        every atom coordinate, kept with their packing."""
+        largest = max(largest, self._largest_coordinate)
+        packing = self._packings.get(largest.bit_length() + 1)
+        return (packing or self._packed(_Lanes(self.ambient_dim, largest)))[0]
+
+    def _packed(self, lanes: _Lanes):
+        """The lanes, the atoms in search order packed in them with their
+        lengths, per search position the fields of the coordinates that no
+        atom from that position on touches (read only by the length search),
+        and per coordinate i the bucket of (packed atom, atom index) pairs,
+        by atom index, of the atoms whose lowest support coordinate is i.
+        Built on first use of a lane width and kept."""
+        packing = self._packings.get(lanes.width)
         if packing is None:
-            shifts = range(0, self.ambient_dim * width, width)
-            field = (1 << (width - 1)) - 1
-            packed = [sum(v << s for v, s in zip(a, shifts) if v) for a in self.atoms]
+            packed = list(map(lanes.pack, self.atoms))
             ordered = [self.atoms[i] for i in self._search_order]
             uncovered = []
-            mask = sum(field << s for s in shifts)
+            mask = lanes.pack([lanes.field] * self.ambient_dim)
             for a in reversed(ordered):
-                mask &= ~sum(field << s for v, s in zip(a, shifts) if v)
+                mask &= ~lanes.pack(lanes.field if v else 0 for v in a)
                 uncovered.append(mask)
             uncovered.reverse()
-            buckets = [[] for _ in shifts]
+            buckets = [[] for _ in lanes.shifts]
             for i, a in enumerate(self.atoms):
                 buckets[next(k for k, v in enumerate(a) if v)].append((packed[i], i))
-            packing = (tuple(packed[i] for i in self._search_order),
+            packing = (lanes,
+                       tuple(packed[i] for i in self._search_order),
                        tuple(sum(a) for a in ordered),
-                       sum(1 << (s + width - 1) for s in shifts),
                        tuple(uncovered),
                        tuple(map(tuple, buckets)))
-            self._packings[width] = packing
+            self._packings[lanes.width] = packing
         return packing
 
     @property
@@ -158,16 +162,16 @@ def free_monoid(k: int) -> PresentedMonoid:
 def _factorization_counts(monoid: PresentedMonoid, x):
     """Yield the count vectors of the factorizations of x, a nonnegative
     element of the ambient dimension, each once, in no fixed order:
-    ``_packed_factorization_counts`` on x packed in w-bit fields, with
-    w = (largest coordinate of x and of the atoms).bit_length() + 1."""
-    width = _field_width(monoid, x)
-    return _packed_factorization_counts(monoid, width, _pack(x, width))
+    ``_packed_factorization_counts`` on x packed in lanes that hold its
+    largest coordinate."""
+    lanes = monoid._lanes(max(x, default=0))
+    return _packed_factorization_counts(monoid, lanes, lanes.pack(x))
 
 
-def _packed_factorization_counts(monoid: PresentedMonoid, width: int, residual: int):
+def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residual: int):
     """Yield the count vectors of the factorizations of the element x packed
-    as ``residual`` in ``width``-bit fields, each once, in no fixed order.
-    Every coordinate of x and of the atoms must lie below the guard bit.
+    as ``residual`` in ``lanes``, each once, in no fixed order.  The lanes
+    must hold every coordinate of x.
 
     Depth-first with an explicit stack, so that the depth is not bounded by
     the recursion limit.  A node is a residual r and a place in a bucket.
@@ -198,19 +202,17 @@ def _packed_factorization_counts(monoid: PresentedMonoid, width: int, residual: 
     path to a zero residual yields the multiset of the atoms it
     subtracted, a factorization of x.
 
-    A residual is one int of w-bit fields, coordinate i in bits
-    [i * w, (i + 1) * w).  Every value held in a field, residual or atom,
-    is below the field's top bit, the guard bit G_i.  Setting the
-    guards and subtracting a packed atom A leaves r_i + G_i - a_i, which
-    lies in [1, 2 G_i), in every field, so no borrow crosses into the next
-    field, and G_i survives exactly when a_i <= r_i: A fits when every
-    guard survives, and clearing the guards then gives r - A.  Residuals
-    only shrink from x, so no field overflows.  The residual is zero
-    exactly when the int is, and the lowest set bit of a nonzero residual
-    lies in the field of its lowest nonzero coordinate.
+    A residual is one int of the lanes, coordinate i in field i, and
+    residuals only shrink from x, so every value, residual or atom, stays
+    at or below the lanes' largest: an atom A fits exactly when the guards
+    G survive in (r | G) - A, and clearing them gives r - A
+    (``ground._Lanes``).  The residual is zero exactly when the int is, and
+    the lowest set bit of a nonzero residual lies in the field of its
+    lowest nonzero coordinate.
     """
     n = monoid.atom_count
-    _, _, guards, _, buckets = monoid._packed(width)
+    guards, width = lanes.guards, lanes.width
+    buckets = monoid._packed(lanes)[4]
     path: list[int] = []  # the atom index subtracted at each depth so far
     stack = [(0, residual, -1, -1, 0)]
     while stack:
@@ -236,19 +238,11 @@ def _packed_factorization_counts(monoid: PresentedMonoid, width: int, residual: 
                 stack.append((depth, fitted ^ guards, index, i, p))
 
 
-def _has_length(monoid: PresentedMonoid, x, target: int) -> bool:
-    """Whether x, a nonnegative element of the ambient dimension, is a sum
-    of exactly ``target`` atoms: ``_packed_has_length`` on x packed at the
-    field width of ``_factorization_counts``."""
-    width = _field_width(monoid, x)
-    return _packed_has_length(monoid, width, _pack(x, width), sum(x), target)
-
-
-def _packed_has_length(monoid: PresentedMonoid, width: int, residual: int,
+def _packed_has_length(monoid: PresentedMonoid, lanes: _Lanes, residual: int,
                        total: int, target: int) -> bool:
-    """Whether the element packed as ``residual`` in ``width``-bit fields,
-    of total length ``total``, is a sum of exactly ``target`` atoms.  Every
-    coordinate of it and of the atoms must lie below the guard bit.
+    """Whether the element packed as ``residual`` in ``lanes``, of total
+    length ``total``, is a sum of exactly ``target`` atoms.  The lanes must
+    hold every coordinate of the element.
 
     Depth-first over the atoms in search order, by nonincreasing length,
     with an explicit stack, stopping at the first hit: each atom takes
@@ -275,7 +269,8 @@ def _packed_has_length(monoid: PresentedMonoid, width: int, residual: int,
     from slack lmax - lmin on it is position 0.
     """
     n = len(monoid._search_order)
-    atoms, lengths, guards, uncovered, _ = monoid._packed(width)
+    _, atoms, lengths, uncovered, _ = monoid._packed(lanes)
+    guards = lanes.guards
     if not residual or not n:
         return not residual and not target
     lmin = lengths[-1]
@@ -307,14 +302,6 @@ def _packed_has_length(monoid: PresentedMonoid, width: int, residual: int,
             total -= length
             stack.append((pos, residual, left, total))
     return False
-
-
-def _field_width(monoid: PresentedMonoid, x) -> int:
-    return max(max(x, default=0), monoid._largest_coordinate).bit_length() + 1
-
-
-def _pack(x, width: int) -> int:
-    return sum(v << (i * width) for i, v in enumerate(x))
 
 
 def _element(monoid: PresentedMonoid, x) -> tuple[int, ...]:
@@ -431,7 +418,8 @@ def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
     x = _element(monoid, x)
     if any(v < 0 for v in x):
         return False
-    return _has_length(monoid, x, target)
+    lanes = monoid._lanes(max(x, default=0))
+    return _packed_has_length(monoid, lanes, lanes.pack(x), sum(x), target)
 
 
 class UnionOfLengths(_Record):
@@ -451,30 +439,24 @@ class UnionOfLengths(_Record):
         }
 
 
-def _sum_width(monoid: PresentedMonoid, k: int) -> int:
-    """The field width of the packed sums of k atoms: every coordinate of
-    such a sum, at most k times the largest atom coordinate, lies below the
-    guard bit, so the sums add without carries and ``_packed_has_length``
-    takes them as they are."""
-    return (k * monoid._largest_coordinate).bit_length() + 1
-
-
-def _unpack(packed: int, width: int, dim: int) -> tuple[int, ...]:
-    field = (1 << width) - 1
-    return tuple(packed >> (i * width) & field for i in range(dim))
+def _sum_lanes(monoid: PresentedMonoid, k: int) -> _Lanes:
+    """The lanes of the packed sums of k atoms: every coordinate of such a
+    sum is at most k times the largest atom coordinate, so the sums add
+    fieldwise and ``_packed_has_length`` takes them as they are."""
+    return monoid._lanes(k * monoid._largest_coordinate)
 
 
 def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
     """Yield (packed, total) for each distinct sum of k atoms whose total
     length is at least min_total, once, so that a caller can stop at the
-    first that works: the sum packed at ``_sum_width(monoid, k)`` and its
+    first that works: the sum packed in ``_sum_lanes(monoid, k)`` and its
     total length.
 
     Depth-first over nonincreasing atom lengths, with an explicit stack; a
     branch stops as soon as its remaining picks at the current length can no
     longer reach min_total.
     """
-    atoms, lengths, *_ = monoid._packed(_sum_width(monoid, k))
+    _, atoms, lengths, *_ = monoid._packed(_sum_lanes(monoid, k))
     n = len(atoms)
     seen: set[int] = set()
     stack = [(0, k, 0, 0)]
@@ -521,8 +503,8 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
 
     def member(l: int) -> bool:
         small, big = min(k, l), max(k, l)
-        width = _sum_width(monoid, small)
-        return l == k or any(_packed_has_length(monoid, width, s, total, big)
+        lanes = _sum_lanes(monoid, small)
+        return l == k or any(_packed_has_length(monoid, lanes, s, total, big)
                              for s, total in _k_fold_sums(monoid, small, big * lmin))
 
     band = range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1)
@@ -664,7 +646,7 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     The product of a cover z is at least u, so its quotient sum z_i a_i - u
     is nonnegative, of total length T = sum z_i |a_i| - |u|; as |z| <= omega,
     every coordinate is at most omega times the largest atom coordinate, so
-    at ``_sum_width(monoid, omega)`` it packs as sum z_i A_i - U with no
+    in ``_sum_lanes(monoid, omega)`` it packs as sum z_i A_i - U with no
     carry or borrow.  A factorization of k atoms has total length between
     k * lmin and k * lmax, lmin and lmax being the shortest and longest atom
     lengths, so its length lies in ceil(T / lmax) .. T // lmin: the least
@@ -676,8 +658,8 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     """
     covers = minimal_covers(monoid, atom_index)
     w = max(sum(z) for z in covers)
-    width = _sum_width(monoid, w)
-    packed = [_pack(a, width) for a in monoid.atoms]
+    lanes = _sum_lanes(monoid, w)
+    packed = list(map(lanes.pack, monoid.atoms))
     lengths = monoid.atom_lengths()
     lmin, lmax = min(lengths), max(lengths)
     t = 0
@@ -686,8 +668,8 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
         total = sum(map(mul, z, lengths)) - lengths[atom_index]
         if total // lmin > t:
             least = next((k for k in range(-(-total // lmax), total // lmin + 1)
-                          if _packed_has_length(monoid, width, residual, total, k)), None)
-        elif next(_packed_factorization_counts(monoid, width, residual), None) is not None:
+                          if _packed_has_length(monoid, lanes, residual, total, k)), None)
+        elif next(_packed_factorization_counts(monoid, lanes, residual), None) is not None:
             least = t
         else:
             least = None
@@ -711,6 +693,5 @@ def elements_up_to(monoid: PresentedMonoid, level: int) -> set[tuple[int, ...]]:
     """Distinct sums of at most ``level`` atoms (the identity excluded)."""
     out: set[tuple[int, ...]] = set()
     for k in range(1, level + 1):
-        width = _sum_width(monoid, k)
-        out.update(_unpack(s, width, monoid.ambient_dim) for s, _ in _k_fold_sums(monoid, k))
+        out.update(map(_sum_lanes(monoid, k).unpack, (s for s, _ in _k_fold_sums(monoid, k))))
     return out

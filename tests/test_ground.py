@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsl import intlinalg
-from zsl.ground import GroundSet, RationalSequence, Sequence, negate
+from zsl.ground import GroundSet, RationalSequence, Sequence, _Lanes, negate
 from zsl.invariants import PresentedMonoid
 from zsl.models import AcmSpec, FiniteAbelianGroup
 
@@ -313,3 +313,38 @@ def test_post_init_still_validates():
         AcmSpec(2, (1, 2), ((1,),))
     # and still normalizes the fields it is given
     assert AcmSpec(3, (1, 2, 2), ((2, 1),)).towers == ((1, 2),)
+
+
+@st.composite
+def lane_cases(draw):
+    """A lane count, a largest value 2^k - 1 or 2^k (the last value of one
+    width and the first of the next), and two vectors of values at most
+    that largest, the second often below the first."""
+    count = draw(st.integers(0, 8))
+    largest = (1 << draw(st.integers(0, 12))) - draw(st.integers(0, 1))
+    a = draw(st.lists(st.integers(0, largest), min_size=count, max_size=count))
+    below = draw(st.booleans())
+    b = [draw(st.integers(0, x if below else largest)) for x in a]
+    return count, largest, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_cases())
+def test_lanes_round_trip_fit_test_and_guards(case):
+    count, largest, a, b = case
+    lanes = _Lanes(count, largest)
+    A, B, G = lanes.pack(a), lanes.pack(b), lanes.guards
+    assert lanes.unpack(A) == tuple(a) and lanes.unpack(B) == tuple(b)
+    # the guard test says exactly whether b fits in a, and then subtracts
+    fits = all(y <= x for x, y in zip(a, b))
+    assert (((A | G) - B) & G == G) == fits
+    if fits:
+        assert ((A | G) - B) ^ G == lanes.pack([x - y for x, y in zip(a, b)])
+    # no value up to largest touches a guard bit; one guard per field
+    assert A & G == B & G == lanes.pack([largest] * count) & G == 0
+    assert bin(G).count("1") == count
+    # signed values: field i of G + pack(x) holds x_i + 2^(w - 1)
+    x = [p - q for p, q in zip(b, a)]
+    full, top = (1 << lanes.width) - 1, 1 << (lanes.width - 1)
+    signed = G + lanes.pack(x)
+    assert [(signed >> s) & full for s in lanes.shifts] == [v + top for v in x]

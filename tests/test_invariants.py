@@ -453,7 +453,7 @@ def search_order_and_masks(monoid):
 
 
 def tuple_length_search(monoid, x, target):
-    """The length-budget search of ``invariants._has_length`` over tuple
+    """The length-budget search of ``invariants.exists_length`` over tuple
     residuals: whether x has a factorization of ``target`` atoms, and the
     search positions of the nodes it expanded, in order.  The slack jump
     walks forward atom by atom instead of reading a table."""
@@ -488,12 +488,12 @@ def tuple_length_search(monoid, x, target):
 
 
 def packed_length_search(monoid, x, target):
-    """``invariants._has_length`` on x, with the search positions of the
+    """``invariants.exists_length`` on x, with the search positions of the
     nodes it expanded: the kernel reads the packed atom of a node exactly
     when it expands it, so a recording tuple in the monoid's packing cache
     sees each.  The cache entry is restored afterwards."""
-    width = invariants._field_width(monoid, x)
-    packing = monoid._packed(width)
+    lanes = monoid._lanes(max(x, default=0))
+    packing = monoid._packed(lanes)
     expanded = []
 
     class Recording(tuple):
@@ -501,11 +501,11 @@ def packed_length_search(monoid, x, target):
             expanded.append(pos)
             return tuple.__getitem__(self, pos)
 
-    monoid._packings[width] = (Recording(packing[0]),) + packing[1:]
+    monoid._packings[lanes.width] = (lanes, Recording(packing[1])) + packing[2:]
     try:
-        hit = invariants._has_length(monoid, x, target)
+        hit = invariants.exists_length(monoid, x, target)
     finally:
-        monoid._packings[width] = packing
+        monoid._packings[lanes.width] = packing
     return hit, expanded
 
 
@@ -711,10 +711,10 @@ def test_exists_length_matches_reference_and_set_of_lengths(case):
 def unpacked_k_fold_sums(monoid, k, min_total=0):
     """The sums of ``invariants._k_fold_sums`` as vectors, in its order; each
     packed sum must carry its own total length."""
-    width = invariants._sum_width(monoid, k)
+    unpack = invariants._sum_lanes(monoid, k).unpack
     sums = []
     for packed, total in invariants._k_fold_sums(monoid, k, min_total):
-        s = invariants._unpack(packed, width, monoid.ambient_dim)
+        s = unpack(packed)
         assert sum(s) == total, s
         sums.append(s)
     return sums
@@ -904,8 +904,8 @@ def test_negative_coordinates_never_reach_the_search(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the search was given a negative coordinate")
 
-    monkeypatch.setattr(invariants, "_factorization_counts", unreachable)
-    monkeypatch.setattr(invariants, "_has_length", unreachable)
+    monkeypatch.setattr(invariants, "_packed_factorization_counts", unreachable)
+    monkeypatch.setattr(invariants, "_packed_has_length", unreachable)
     x = (-1, 2, 0, 0, 1, 0)
     for target in range(0, 4):
         assert exists_length(B2, x, target) is False
