@@ -103,7 +103,8 @@ def _minimal_solutions(vectors, budget: int,
     exceeds budget + 1.  The child t + e_j is p + 2^(j * w), and the key
     (j, t2_j) is p2 masked to field j: a distinct nonzero int for each pair
     with t2_j >= 1.  With G the guards, a solution a lies below t2 exactly
-    when ((p2 | G) - a) & G == G.  The solutions are unpacked at the end.
+    when ((p2 | G) - a) & G == G.  The solutions are unpacked at the end,
+    column by column (``_Lanes.unpack_all``).
 
     Each state is one int of ``lanes`` too, with guards T at bit c of each
     field.  A state is read (zero test, step list) only in the round of its
@@ -201,7 +202,7 @@ def _minimal_solutions(vectors, budget: int,
                     next_frontier[p2] = (state2, mask2)
         frontier = next_frontier
         length += 1
-    return list(map(counts.unpack, solutions)), not frontier
+    return counts.unpack_all(solutions), not frontier
 
 
 def enumerate_atoms(ground: GroundSet, budget: int | None = None) -> AtomSet:

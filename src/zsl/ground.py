@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from math import lcm
-from operator import and_, attrgetter, lshift, rshift
+from operator import attrgetter, lshift
 
 Vector = tuple[int, ...]
 
@@ -134,13 +133,19 @@ class _Lanes:
     Packed values add fieldwise while every field stays at most ``largest``.
     For |x_i| <= largest, G + pack(x) likewise holds x_i + 2^(w - 1) in
     field i, whose G_i is set exactly when x_i >= 0.
+
+    With ``lex``, value i goes to field count - 1 - i instead (``shifts``
+    runs downwards), so for values in [0, largest] the int order of the
+    packed tuples is their lexicographic order.
     """
 
     __slots__ = ("width", "shifts", "guards", "field")
 
-    def __init__(self, count: int, largest: int):
+    def __init__(self, count: int, largest: int, lex: bool = False):
         self.width = width = largest.bit_length() + 1
         self.shifts = range(0, count * width, width)
+        if lex:
+            self.shifts = self.shifts[::-1]
         self.field = (1 << (width - 1)) - 1
         # the sum of the 2^(i * w) over i < count, a geometric series, at bit w - 1
         self.guards = ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)
@@ -148,8 +153,14 @@ class _Lanes:
     def pack(self, values) -> int:
         return sum(map(lshift, values, self.shifts))
 
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        return tuple(map(and_, map(rshift, repeat(packed), self.shifts), repeat(self.field)))
+    def unpack_all(self, packed: list[int]) -> list[tuple[int, ...]]:
+        """The values packed in each int of ``packed``, read column by
+        column: one comprehension per field over the whole list, then one
+        ``zip``."""
+        if not self.shifts:
+            return [()] * len(packed)
+        field = self.field
+        return list(zip(*[[p >> s & field for p in packed] for s in self.shifts]))
 
 
 class GroundSet(_Record):

@@ -12,7 +12,13 @@ one of which every factorization of the residual uses, and picks them in
 nondecreasing index order while that coordinate stays lowest.  It holds each
 residual as one int of the guard-bit lanes of ``ground._Lanes``, wide enough
 that subtracting an atom never borrows across fields, so one int
-subtraction both removes an atom and tells whether it fit.  Whether
+subtraction both removes an atom and tells whether it fit.  Each node
+carries its factorization so far as one int too: the count vector, in lex
+lanes whose int order is the order of the count vectors, so sorting the
+ints sorts the factorizations and each is unpacked only for public output.
+For a set of lengths the same search carries the length subtracted instead
+and stops at one factorization per length: it cuts every node whose window
+of possible lengths holds no length not yet found.  Whether
 an element has a factorization of one given length (behind tau and the
 unions of sets of lengths) is a second, existence-only search
 over the same packed residuals and the atoms by nonincreasing length: a
@@ -24,8 +30,9 @@ by bisection, made perfbench's ``factorize`` pass about 12 % slower and the
 ``union_of_lengths`` extremes for k = 4..6 on the rank-3 block monoid half
 again as slow.  The unions of sets of lengths run it on the distinct k-fold
 atom sums, each built and held as one packed int.  The catenary degree
-grows a tree over the factorizations under a bound that rises only when no
-factorization outside the tree is within it.  The minimal
+grows a tree over the sorted packed factorizations under a bound that rises
+only when no factorization outside the tree is within it, each distance one
+guarded subtraction, a field mask and a multiply-by-ones sum.  The minimal
 atom covers behind omega, tau and the tame degree are minimal solutions of a
 linear system, found by the completion search of
 ``atoms._minimal_solutions``; tau runs the length search only on the cover
@@ -37,6 +44,7 @@ Everything is deterministic: outputs are canonically sorted.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import ge, mul, sub
 
 from .atoms import AtomSet, _minimal_solutions
@@ -79,11 +87,15 @@ class PresentedMonoid(_Record):
         object.__setattr__(self, "_search_order", tuple(order))
         # slack s -> the first search position whose atom is at most lmin + s
         # long, for s = 0 .. lmax - lmin (see _packed_has_length)
-        lengths = [sum(atoms[i]) for i in order]
-        lmin = lengths[-1] if lengths else 0
+        object.__setattr__(self, "_lengths", tuple(map(sum, atoms)))
+        lengths = [self._lengths[i] for i in order]
+        # the shortest and longest atom lengths, 1 and 1 without atoms
+        lmin, lmax = (lengths[-1], lengths[0]) if lengths else (1, 1)
+        object.__setattr__(self, "_lmin", lmin)
+        object.__setattr__(self, "_lmax", lmax)
         object.__setattr__(self, "_slack_start", tuple(
             next(p for p, length in enumerate(lengths) if length <= lmin + s)
-            for s in range(lengths[0] - lmin + 1 if lengths else 0)))
+            for s in range(lmax - lmin + 1 if lengths else 0)))
         object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
         object.__setattr__(self, "_packings", {})
 
@@ -127,7 +139,7 @@ class PresentedMonoid(_Record):
         return len(self.atoms)
 
     def atom_lengths(self) -> tuple[int, ...]:
-        return tuple(sum(a) for a in self.atoms)
+        return self._lengths
 
     def element(self, counts) -> tuple[int, ...]:
         """Image of a factorization-count vector: sum of count_i * atom_i."""
@@ -159,22 +171,34 @@ def free_monoid(k: int) -> PresentedMonoid:
     return PresentedMonoid(k, basis)
 
 
-def _factorization_counts(monoid: PresentedMonoid, x):
-    """Yield the count vectors of the factorizations of x, a nonnegative
-    element of the ambient dimension, each once, in no fixed order:
-    ``_packed_factorization_counts`` on x packed in lanes that hold its
-    largest coordinate."""
+def _count_lanes(monoid: PresentedMonoid, total: int) -> _Lanes:
+    """The lex lanes of the packed count vectors of the factorizations of an
+    element of total length ``total``, atom i in field n - 1 - i.  A
+    factorization of k atoms, each at least lmin long, has total length at
+    least k * lmin, so its length k, and with it every count and every sum
+    of counts, is at most total // lmin."""
+    return _Lanes(monoid.atom_count, total // monoid._lmin, lex=True)
+
+
+def _factorization_counts(monoid: PresentedMonoid, x, one_per_length: bool = False):
+    """``_packed_factorization_counts`` on x, a nonnegative element of the
+    ambient dimension, packed in lanes that hold its largest coordinate."""
     lanes = monoid._lanes(max(x, default=0))
-    return _packed_factorization_counts(monoid, lanes, lanes.pack(x))
+    return _packed_factorization_counts(monoid, lanes, lanes.pack(x), sum(x), one_per_length)
 
 
-def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residual: int):
-    """Yield the count vectors of the factorizations of the element x packed
-    as ``residual`` in ``lanes``, each once, in no fixed order.  The lanes
-    must hold every coordinate of x.
+def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residual: int,
+                                 total: int, one_per_length: bool = False):
+    """Yield the factorizations of the element x packed as ``residual`` in
+    ``lanes``, of total length ``total``, each once, in no fixed order, as
+    count vectors packed in ``_count_lanes(monoid, total)``.  With
+    ``one_per_length``, yield instead the length of one factorization of
+    each length that x has, each length once.  The lanes must hold every
+    coordinate of x.
 
     Depth-first with an explicit stack, so that the depth is not bounded by
-    the recursion limit.  A node is a residual r and a place in a bucket.
+    the recursion limit.  A node is a residual r, its depth, an accumulator
+    and a place in a bucket.
     Bucket i holds the atoms whose lowest support coordinate is i, by atom
     index.  A nonzero r branches only on the atoms of bucket i for its
     lowest nonzero coordinate i, from the node's place on: each child
@@ -209,22 +233,43 @@ def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residua
     (``ground._Lanes``).  The residual is zero exactly when the int is, and
     the lowest set bit of a nonzero residual lies in the field of its
     lowest nonzero coordinate.
+
+    The accumulator adds one step per atom subtracted.  Enumerating, the
+    step of atom i is the 1 of its count field, so the accumulator is the
+    packed count vector of the path; no count or length exceeds the count
+    lanes' largest (``_count_lanes``), so no field carries.  With
+    ``one_per_length`` the step is the atom's length, so the accumulator is
+    the length c subtracted so far.  The atoms that complete a node of
+    depth d then sum to total - c in length, each between lmin and lmax
+    long, the shortest and longest atom lengths, so the node's
+    factorizations have lengths in the window d + ceil((total - c) / lmax)
+    .. d + (total - c) // lmin, just d at a zero residual.  A node whose
+    window holds no length yielded so far is cut: every factorization below
+    it has a length already yielded, so no length is lost, and a zero
+    residual whose length was yielded is not yielded again.
     """
-    n = monoid.atom_count
     guards, width = lanes.guards, lanes.width
     buckets = monoid._packed(lanes)[4]
-    path: list[int] = []  # the atom index subtracted at each depth so far
-    stack = [(0, residual, -1, -1, 0)]
+    lmin, lmax = monoid._lmin, monoid._lmax
+    if one_per_length:
+        steps = monoid._lengths
+        yielded = 0  # bit l set once length l is yielded
+    else:
+        steps = [1 << s for s in _count_lanes(monoid, total).shifts]
+    stack = [(0, residual, 0, -1, 0)]
     while stack:
-        depth, residual, index, low, place = stack.pop()
-        if depth:
-            del path[depth - 1:]
-            path.append(index)
+        depth, residual, acc, low, place = stack.pop()
+        if one_per_length:
+            rest = total - acc
+            window = (2 << depth + rest // lmin) - (1 << depth - -rest // lmax)
+            if not window & ~yielded:
+                continue
         if not residual:
-            counts = [0] * n
-            for k in path:
-                counts[k] += 1
-            yield tuple(counts)
+            if one_per_length:
+                yielded |= 1 << depth
+                yield depth
+            else:
+                yield acc
             continue
         i = ((residual & -residual).bit_length() - 1) // width
         if i != low:
@@ -235,7 +280,7 @@ def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residua
             atom, index = bucket[p]
             fitted = (residual | guards) - atom
             if fitted & guards == guards:
-                stack.append((depth, fitted ^ guards, index, i, p))
+                stack.append((depth, fitted ^ guards, acc + steps[index], i, p))
 
 
 def _packed_has_length(monoid: PresentedMonoid, lanes: _Lanes, residual: int,
@@ -318,6 +363,13 @@ def _nonnegative_element(monoid: PresentedMonoid, x) -> tuple[int, ...]:
     return x
 
 
+def _sorted_factorizations(monoid: PresentedMonoid, x) -> tuple[_Lanes, list[int]]:
+    """The count lanes of x, a nonnegative element of the ambient dimension,
+    and its factorizations packed in them, sorted: as the lanes are lex,
+    in the order of their count vectors."""
+    return _count_lanes(monoid, sum(x)), sorted(_factorization_counts(monoid, x))
+
+
 def factorizations(monoid: PresentedMonoid, x) -> list[tuple[int, ...]]:
     """All ways to write x as a nonnegative combination of the atoms, as
     count vectors (the length of a factorization is the sum of its vector).
@@ -325,12 +377,13 @@ def factorizations(monoid: PresentedMonoid, x) -> list[tuple[int, ...]]:
     Empty exactly when x is not in the monoid.  Output sorted by count
     vector, so results are schedule-independent.
     """
-    return sorted(_factorization_counts(monoid, _nonnegative_element(monoid, x)))
+    lanes, zs = _sorted_factorizations(monoid, _nonnegative_element(monoid, x))
+    return lanes.unpack_all(zs)
 
 
 def set_of_lengths(monoid: PresentedMonoid, x) -> tuple[int, ...]:
     x = _nonnegative_element(monoid, x)
-    return tuple(sorted({sum(z) for z in _factorization_counts(monoid, x)}))
+    return tuple(sorted(_factorization_counts(monoid, x, one_per_length=True)))
 
 
 def distance(z, w) -> int:
@@ -342,19 +395,35 @@ def distance(z, w) -> int:
     return max(dz, dw)
 
 
-def catenary_from_factorizations(zs) -> int:
-    """Least N whose distance-at-most-N graph on the given factorization
-    count vectors is connected, for vectors in any order.
+def _packed_lengths(lanes: _Lanes, zs: list[int]) -> list[int]:
+    """The length of each count vector packed in ``zs`` in ``lanes``, whose
+    largest is at least every length.
+
+    With G the guards and w the width, ones = G >> (w - 1) has a 1 in every
+    field, and field j of z * ones is the sum of fields 0 .. j of z.  No
+    such partial sum exceeds |z| <= largest < 2^(w - 1), so no field carries
+    into the next, and field n - 1 holds |z|."""
+    width, field = lanes.width, lanes.field
+    ones, top = lanes.guards >> (width - 1), (len(lanes.shifts) - 1) * width
+    return [z * ones >> top & field for z in zs]
+
+
+def _packed_catenary(lanes: _Lanes, zs: list[int]) -> int:
+    """Least N whose distance-at-most-N graph on the count vectors packed in
+    ``zs`` in ``lanes`` is connected, for lanes whose largest is at least
+    every length.  Exact in any order, but much faster on sorted vectors:
+    on the 9,519 factorizations of the rank-3 element of every ground
+    element twice, 18 s in the search's order against 1.4-2.5 s sorted
+    (2-core host, Python 3.11).
 
     A tree T grows from the first vector under a bound B, starting at 0.
     Each vector of T is expanded once: it lowers the link of every vector
     outside T, the least distance to T seen so far (at first the largest
-    length, which no distance exceeds), with
-    d(z, w) = max(|z|, |w|) - sum_i min(z_i, w_i) summed over the support of
-    the expanded z only.  A vector whose link drops to at most B joins T at
-    once, unexpanded and without a scan for the least link.  Only when
-    every vector of T is expanded and none outside is within B does B rise
-    to the least link, and a vector at that link joins.
+    length, which no distance exceeds).  A vector whose link drops to at
+    most B joins T at once, unexpanded and without a scan for the least
+    link.  Only when every vector of T is expanded and none outside is
+    within B does B rise to the least link, and a vector at that link
+    joins.
 
     The result is exact.  Every vector joins T by an edge of length at most
     the B of that moment, so T stays connected at the final B, and
@@ -363,11 +432,25 @@ def catenary_from_factorizations(zs) -> int:
     to T, and the least link m is the shortest edge leaving T.  Every path
     from the first vector to one outside T takes an edge leaving T, so the
     graph at any N < m is not connected and c >= m, the new B.
+
+    The distance d(z, w) = max(|z|, |w|) - sum_i min(z_i, w_i) takes three
+    int operations on Z = pack(z) and W = pack(w), beside the lengths of
+    ``_packed_lengths``.  Every count is at most the lanes' largest, so
+    D = (Z | G) - W holds z_i + 2^(w - 1) - w_i in field i, its guard G_i
+    set exactly when z_i >= w_i (``ground._Lanes``).  With K = D & G the
+    surviving guards, K - (K >> (w - 1)) masks the low w - 1 bits of their
+    fields, and P = D & that holds max(z_i - w_i, 0) in field i.  Its
+    horizontal sum, P times ones read from field n - 1 as in
+    ``_packed_lengths``, is S = sum_i max(z_i - w_i, 0) = |z| -
+    sum_i min(z_i, w_i), with no carry: no partial sum exceeds S <= |z|
+    <= largest.  So d(z, w) = S + max(|w| - |z|, 0).
     """
     k = len(zs)
-    if k <= 1:
+    if k <= 1 or not lanes.shifts:  # without atoms every vector is empty
         return 0
-    lengths = [sum(z) for z in zs]
+    guards, field, c = lanes.guards, lanes.field, lanes.width - 1
+    ones, top = guards >> c, (len(lanes.shifts) - 1) * lanes.width
+    lengths = _packed_lengths(lanes, zs)
     outside = list(range(1, k))
     link = [max(lengths)] * (k - 1)
     pending = [0]  # vectors of T not yet expanded
@@ -375,12 +458,15 @@ def catenary_from_factorizations(zs) -> int:
     while True:
         while pending and outside:
             u = pending.pop()
-            lu = lengths[u]
-            support = [(i, c) for i, c in enumerate(zs[u]) if c]
+            raised, lu = zs[u] | guards, lengths[u]
             kept, kept_link = [], []
             for v, best in zip(outside, link):
-                cv = zs[v]
-                d = max(lu, lengths[v]) - sum(min(c, cv[i]) for i, c in support)
+                diff = raised - zs[v]
+                survived = diff & guards
+                d = (diff & survived - (survived >> c)) * ones >> top & field
+                lv = lengths[v]
+                if lv > lu:
+                    d += lv - lu
                 if d < best:
                     best = d
                 if best <= bound:
@@ -397,11 +483,31 @@ def catenary_from_factorizations(zs) -> int:
         pending.append(outside.pop(j))
 
 
+def catenary_from_factorizations(zs) -> int:
+    """Least N whose distance-at-most-N graph on the given factorization
+    count vectors is connected, for vectors in any order: ``_packed_catenary``
+    on them packed in the lex lanes of their largest length, sorted.  A
+    ragged list, or a count that is negative, a bool or not an int, raises
+    ValueError.
+    """
+    sizes = set(map(len, zs))
+    if len(sizes) > 1:
+        raise ValueError(f"count vectors of {sorted(sizes)} entries: a ragged list")
+    counts = list(chain.from_iterable(zs))
+    if not set(map(type, counts)) <= {int}:  # a bool is not an int count
+        bad = next(c for c in counts if type(c) is not int)
+        raise ValueError(f"counts must be integers, got {bad!r}")
+    if min(counts, default=0) < 0:
+        raise ValueError(f"counts must be nonnegative, got {min(counts)}")
+    lanes = _Lanes(sizes.pop() if sizes else 0, max(map(sum, zs), default=0), lex=True)
+    return _packed_catenary(lanes, sorted(map(lanes.pack, zs)))
+
+
 def catenary_element(monoid: PresentedMonoid, x) -> int:
-    zs = factorizations(monoid, x)
+    lanes, zs = _sorted_factorizations(monoid, _nonnegative_element(monoid, x))
     if not zs:
         raise ValueError("element is not in the monoid")
-    return catenary_from_factorizations(zs)
+    return _packed_catenary(lanes, zs)
 
 
 def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
@@ -498,8 +604,7 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
         raise ValueError("monoid has no atoms")
     if strategy not in ("exhaustive", "extremes"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    lens = monoid.atom_lengths()
-    lmin, lmax = min(lens), max(lens)
+    lmin, lmax = monoid._lmin, monoid._lmax
 
     def member(l: int) -> bool:
         small, big = min(k, l), max(k, l)
@@ -661,7 +766,7 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     lanes = _sum_lanes(monoid, w)
     packed = list(map(lanes.pack, monoid.atoms))
     lengths = monoid.atom_lengths()
-    lmin, lmax = min(lengths), max(lengths)
+    lmin, lmax = monoid._lmin, monoid._lmax
     t = 0
     for z in covers:
         residual = sum(map(mul, z, packed)) - packed[atom_index]
@@ -669,7 +774,7 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
         if total // lmin > t:
             least = next((k for k in range(-(-total // lmax), total // lmin + 1)
                           if _packed_has_length(monoid, lanes, residual, total, k)), None)
-        elif next(_packed_factorization_counts(monoid, lanes, residual), None) is not None:
+        elif next(_packed_factorization_counts(monoid, lanes, residual, total), None) is not None:
             least = t
         else:
             least = None
@@ -693,5 +798,5 @@ def elements_up_to(monoid: PresentedMonoid, level: int) -> set[tuple[int, ...]]:
     """Distinct sums of at most ``level`` atoms (the identity excluded)."""
     out: set[tuple[int, ...]] = set()
     for k in range(1, level + 1):
-        out.update(map(_sum_lanes(monoid, k).unpack, (s for s, _ in _k_fold_sums(monoid, k))))
+        out.update(_sum_lanes(monoid, k).unpack_all([s for s, _ in _k_fold_sums(monoid, k)]))
     return out

@@ -20,6 +20,9 @@ from .ground import _json_fields, _json_int, _json_ints, _json_list, _Record, _r
 from .intlinalg import lattice_quotient, rank_over_q, smith_normal_form
 from .invariants import (
     PresentedMonoid,
+    _packed_catenary,
+    _packed_lengths,
+    _sorted_factorizations,
     atom_invariants,
     catenary_from_factorizations,
     elements_up_to,
@@ -640,10 +643,10 @@ def acm_report(spec: AcmSpec | AcmModel, level_budget: int = 4) -> dict:
     factorial = len(sums) == 1 and sums[0] == 1
     max_c = 0
     for x in sorted(elements_up_to(monoid, level_budget)):
-        zs = factorizations(monoid, x)
-        if len(set(map(sum, zs))) > 1:
+        lanes, zs = _sorted_factorizations(monoid, x)
+        if len(set(_packed_lengths(lanes, zs))) > 1:
             raise AssertionError(f"half-factoriality failed at {x}")
-        max_c = max(max_c, catenary_from_factorizations(zs))
+        max_c = max(max_c, _packed_catenary(lanes, zs))
     if factorial and max_c != 0:
         raise AssertionError("factorial case must have catenary 0")
     if max_c > 2:

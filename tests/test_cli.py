@@ -616,9 +616,9 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
         covers[monoid, atom_index] += 1
         return search_covers(monoid, atom_index)
 
-    def counted_counts(monoid, x):  # the full search; exists_length has its own
+    def counted_counts(monoid, x, one_per_length=False):  # exists_length has its own
         factored[monoid, tuple(x)] += 1
-        return search_counts(monoid, x)
+        return search_counts(monoid, x, one_per_length)
 
     monkeypatch.setattr(invariants, "minimal_covers", counted_covers)
     monkeypatch.setattr(invariants, "_factorization_counts", counted_counts)

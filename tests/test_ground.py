@@ -334,7 +334,7 @@ def test_lanes_round_trip_fit_test_and_guards(case):
     count, largest, a, b = case
     lanes = _Lanes(count, largest)
     A, B, G = lanes.pack(a), lanes.pack(b), lanes.guards
-    assert lanes.unpack(A) == tuple(a) and lanes.unpack(B) == tuple(b)
+    assert lanes.unpack_all([A]) == [tuple(a)] and lanes.unpack_all([B]) == [tuple(b)]
     # the guard test says exactly whether b fits in a, and then subtracts
     fits = all(y <= x for x, y in zip(a, b))
     assert (((A | G) - B) & G == G) == fits
@@ -348,3 +348,20 @@ def test_lanes_round_trip_fit_test_and_guards(case):
     full, top = (1 << lanes.width) - 1, 1 << (lanes.width - 1)
     signed = G + lanes.pack(x)
     assert [(signed >> s) & full for s in lanes.shifts] == [v + top for v in x]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_cases(), st.booleans())
+def test_lex_lanes_order_and_column_unpack(case, lex):
+    # lex lanes put value i in field count - 1 - i, so the packed ints
+    # compare as the tuples do; unpack_all reads a whole list back, column
+    # by column, in either layout
+    count, largest, a, b = case
+    lanes = _Lanes(count, largest, lex=lex)
+    A, B = lanes.pack(a), lanes.pack(b)
+    assert lanes.unpack_all([A, B, A]) == [tuple(a), tuple(b), tuple(a)]
+    assert lanes.unpack_all([]) == []
+    assert lanes.guards == _Lanes(count, largest).guards
+    if lex:
+        assert (A < B) == (a < b) and (A == B) == (a == b)
+        assert lanes.shifts[0] == (count - 1) * lanes.width if count else not lanes.shifts

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zsl.atoms import enumerate_atoms
 from zsl import invariants
-from zsl.ground import GroundSet, Sequence
+from zsl.ground import GroundSet, Sequence, _Lanes
 from zsl.invariants import (
     PresentedMonoid,
     atom_invariants,
@@ -131,6 +131,22 @@ def test_catenary_from_zero_one_and_two_factorizations():
     c = (1, 1, 0)
     d = (1, 0, 1)
     assert catenary_from_factorizations([c, d]) == 1
+
+
+@pytest.mark.parametrize("zs, problem", [
+    ([(1,), (0, 1)], "ragged"),
+    ([(0, 1), (1,)], "ragged"),
+    ([(1, -1), (0, 0)], "nonnegative"),
+    ([(-1,)], "nonnegative"),
+    ([(True, 0), (0, 1)], "integers"),
+    ([(1.0, 0), (0, 1)], "integers"),
+    ([(0, "1")], "integers"),
+], ids=["ragged", "ragged-longer-later", "negative", "negative-single",
+        "bool", "float", "string"])
+def test_catenary_from_factorizations_refuses_malformed_vectors(zs, problem):
+    # packed, such vectors would give arbitrary numbers; they are refused
+    with pytest.raises(ValueError, match=problem):
+        catenary_from_factorizations(zs)
 
 
 def test_union_k1_trivial():
@@ -548,17 +564,26 @@ def length_band(monoid, x):
     return -(-total // max(lengths)), total // min(lengths)
 
 
+def search_counts(monoid, x):
+    """The count vectors the full search yields for x, in its order."""
+    packed = list(invariants._factorization_counts(monoid, x))
+    return invariants._count_lanes(monoid, sum(x)).unpack_all(packed)
+
+
 def assert_packed_search_matches_reference(monoid, x):
     """The full search yields the count vectors of the decreasing-length
-    tuple search, each once, in the order of its own tuple twin; and at
+    tuple search, each once, in the order of its own tuple twin, and the
+    one-per-length search yields each of their lengths once; and at
     every target of the length band and one beyond each end of it, the
     length-budget search gives the same answer as the bounded tuple
     reference and expands the same nodes as its tuple twin."""
     x = tuple(x)
-    got = list(invariants._factorization_counts(monoid, x))
+    got = search_counts(monoid, x)
     assert sorted(got) == sorted(tuple_factorization_counts(monoid, x)), x
     assert len(set(got)) == len(got), x
     assert got == list(tuple_lowest_coordinate_counts(monoid, x)), x
+    lengths = list(invariants._factorization_counts(monoid, x, one_per_length=True))
+    assert sorted(lengths) == sorted(set(map(sum, got))), x
     lo, hi = length_band(monoid, x)
     for target in range(lo - 1, hi + 2):
         want = next(tuple_factorization_counts(monoid, x, target), None) is not None
@@ -654,6 +679,17 @@ def test_rank3_element_of_every_ground_element_twice():
     assert len(want) == 9519
     assert sorted({sum(z) for z in want}) == list(range(6, 15))
     assert factorizations(monoid, x) == want
+    assert set_of_lengths(monoid, x) == tuple(range(6, 15))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monoid_elements())
+def test_factorizations_are_the_sorted_count_vectors(case):
+    # the packed ints sort as their count vectors do, so the output order
+    # is that of the sorted tuples
+    monoid, elements = case
+    for x in elements:
+        assert factorizations(monoid, x) == sorted(tuple_factorization_counts(monoid, x)), x
 
 
 @st.composite
@@ -708,15 +744,27 @@ def test_exists_length_matches_reference_and_set_of_lengths(case):
             assert exists_length(monoid, x, target) == want == (target in lengths), (x, target)
 
 
+@settings(max_examples=200, deadline=None)
+@given(length_cases())
+def test_one_per_length_search_matches_full_enumeration(case):
+    # the window cut keeps one factorization of every length and yields
+    # each length once, for sums of atoms, mostly non-members and the zero
+    # element alike
+    monoid, elements = case
+    for x in elements + [(0,) * monoid.ambient_dim]:
+        got = list(invariants._factorization_counts(monoid, x, one_per_length=True))
+        want = sorted({sum(z) for z in tuple_factorization_counts(monoid, x)})
+        assert sorted(got) == want, x
+        assert set_of_lengths(monoid, x) == tuple(want), x
+
+
 def unpacked_k_fold_sums(monoid, k, min_total=0):
     """The sums of ``invariants._k_fold_sums`` as vectors, in its order; each
     packed sum must carry its own total length."""
-    unpack = invariants._sum_lanes(monoid, k).unpack
-    sums = []
-    for packed, total in invariants._k_fold_sums(monoid, k, min_total):
-        s = unpack(packed)
+    found = list(invariants._k_fold_sums(monoid, k, min_total))
+    sums = invariants._sum_lanes(monoid, k).unpack_all([packed for packed, _ in found])
+    for s, (_, total) in zip(sums, found):
         assert sum(s) == total, s
-        sums.append(s)
     return sums
 
 
@@ -865,6 +913,39 @@ def count_vector_lists(draw):
 @given(count_vector_lists())
 def test_catenary_matches_kruskal_reference_on_arbitrary_vectors(zs):
     assert catenary_from_factorizations(zs) == kruskal_catenary(zs)
+
+
+@st.composite
+def packed_count_lists(draw):
+    """The entry count and a list of count vectors, possibly empty or of
+    one vector, shuffled; often with one vector of a single count
+    2^k - 1 or 2^k, k >= 4, above every other length, so that a count
+    sits at the lanes' largest value."""
+    dim = draw(st.integers(1, 4))
+    zs = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), max_size=8))
+    if draw(st.booleans()):
+        edge = (1 << draw(st.integers(4, 7))) - draw(st.integers(0, 1))
+        i = draw(st.integers(0, dim - 1))
+        zs.append((0,) * i + (edge,) + (0,) * (dim - 1 - i))
+    return dim, draw(st.permutations(zs))
+
+
+@settings(max_examples=300, deadline=None)
+@example((2, []))
+@example((1, [(15,)]))
+@example((3, [(16, 0, 0), (0, 0, 1), (0, 1, 0)]))
+@given(packed_count_lists())
+def test_packed_catenary_matches_kruskal_reference(case):
+    # the kernel on count vectors packed in the lex lanes of their largest
+    # length, sorted as catenary_element feeds it and in any other order
+    dim, zs = case
+    lanes = _Lanes(dim, max(map(sum, zs), default=0), lex=True)
+    packed = list(map(lanes.pack, zs))
+    assert lanes.unpack_all(packed) == zs
+    assert invariants._packed_lengths(lanes, packed) == [sum(z) for z in zs]
+    want = kruskal_catenary(zs)
+    assert invariants._packed_catenary(lanes, sorted(packed)) == want
+    assert invariants._packed_catenary(lanes, packed) == want
 
 
 def test_catenary_bound_rises_along_a_chain():
