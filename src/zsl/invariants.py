@@ -16,17 +16,18 @@ subtraction both removes an atom and tells whether it fit.  Each node
 carries its factorization so far as one int too: the count vector, in lex
 lanes whose int order is the order of the count vectors, so sorting the
 ints sorts the factorizations and each is unpacked only for public output.
-For a set of lengths the same search carries the length subtracted instead
-and stops at one factorization per length: it cuts every node whose window
-of possible lengths holds no length not yet found.  Whether
-an element has a factorization of one given length (behind tau and the
-unions of sets of lengths) is a second, existence-only search
-over the same packed residuals and the atoms by nonincreasing length: a
-length budget that the remaining atoms must meet exactly cuts a branch that
-its longest atom cannot fill and skips the atoms too long for the slack left
-above the shortest atom length.  It stays apart from the bucket search: one
-kernel for both, its buckets sorted by length and the length window found
-by bisection, made perfbench's ``factorize`` pass about 12 % slower and the
+For a set of lengths, and for the least length of each cover quotient
+behind tau, the same search carries the length subtracted instead and
+stops at one factorization per length: it cuts every node whose window of
+possible lengths holds no length not yet found.  Whether an element has a
+factorization of one given length (behind the unions of sets of lengths)
+is a second, existence-only search over the same packed residuals and the
+atoms by nonincreasing length: a length budget that the remaining atoms
+must meet exactly cuts a branch that its longest atom cannot fill and
+skips the atoms too long for the slack left above the shortest atom
+length.  It stays apart from the bucket search: one kernel for both, its
+buckets sorted by length and the length window found by bisection, made
+perfbench's ``factorize`` pass about 12 % slower and the
 ``union_of_lengths`` extremes for k = 4..6 on the rank-3 block monoid half
 again as slow.  The unions of sets of lengths run it on the distinct k-fold
 atom sums, each built and held as one packed int.  The catenary degree
@@ -35,8 +36,7 @@ only when no factorization outside the tree is within it, each distance one
 guarded subtraction, a field mask and a multiply-by-ones sum.  The minimal
 atom covers behind omega, tau and the tame degree are minimal solutions of a
 linear system, found by the completion search of
-``atoms._minimal_solutions``; tau runs the length search only on the cover
-quotients whose length band reaches above tau so far, each packed once.
+``atoms._minimal_solutions``.
 Set-level invariants (catenary, omega, tau, tame degree, unions of sets of
 lengths) are derived from these.
 Everything is deterministic: outputs are canonically sorted.
@@ -752,32 +752,21 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     is nonnegative, of total length T = sum z_i |a_i| - |u|; as |z| <= omega,
     every coordinate is at most omega times the largest atom coordinate, so
     in ``_sum_lanes(monoid, omega)`` it packs as sum z_i A_i - U with no
-    carry or borrow.  A factorization of k atoms has total length between
-    k * lmin and k * lmax, lmin and lmax being the shortest and longest atom
-    lengths, so its length lies in ceil(T / lmax) .. T // lmin: the least
-    length is the first hit of an ascending scan of that band, and no hit
-    means the quotient left the monoid.  The band prune is exact: a cover
-    with T // lmin <= tau so far has no factorization longer than tau, so
-    its least length cannot raise tau, and it is only checked to lie in the
-    monoid, by the first factorization the search yields.
+    carry or borrow.  The one-per-length factorization search yields each
+    length of the quotient once, so its least yield is the least length,
+    and no yield means the quotient left the monoid.
     """
     covers = minimal_covers(monoid, atom_index)
     w = max(sum(z) for z in covers)
     lanes = _sum_lanes(monoid, w)
     packed = list(map(lanes.pack, monoid.atoms))
     lengths = monoid.atom_lengths()
-    lmin, lmax = monoid._lmin, monoid._lmax
     t = 0
     for z in covers:
         residual = sum(map(mul, z, packed)) - packed[atom_index]
         total = sum(map(mul, z, lengths)) - lengths[atom_index]
-        if total // lmin > t:
-            least = next((k for k in range(-(-total // lmax), total // lmin + 1)
-                          if _packed_has_length(monoid, lanes, residual, total, k)), None)
-        elif next(_packed_factorization_counts(monoid, lanes, residual, total), None) is not None:
-            least = t
-        else:
-            least = None
+        least = min(_packed_factorization_counts(monoid, lanes, residual, total,
+                                                 one_per_length=True), default=None)
         if least is None:
             raise AssertionError("cover quotient left the monoid")
         t = max(t, least)

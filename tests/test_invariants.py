@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, product
 
@@ -321,17 +322,25 @@ def test_minimal_covers_match_predicate_search_on_random_monoids(monoid):
         assert minimal_covers(monoid, i) == covers
         u = monoid.atoms[i]
         w = max(sum(z) for z in covers)
-        t = max(min(set_of_lengths(monoid, [x - y for x, y in zip(monoid.element(z), u)]))
+        t = max(least_length(monoid, [x - y for x, y in zip(monoid.element(z), u)])
                 for z in covers)
         assert atom_invariants(monoid, i) == {
             "omega": w, "tau": t, "tame": 0 if w <= 1 else max(w, t + 1)}
 
 
+def least_length(monoid, x):
+    """The least factorization length of x, None outside the monoid: the
+    first hit of an ascending ``exists_length`` scan of its length band,
+    apart from the one-per-length search that tau reads it from."""
+    lo, hi = length_band(monoid, x)
+    return next((k for k in range(lo, hi + 1) if exists_length(monoid, x, k)), None)
+
+
 def tau_from_covers(monoid, atom_index):
     """tau by its definition over ``minimal_covers``: the largest least
-    length of a cover quotient, taken from its whole set of lengths."""
+    length of a cover quotient."""
     u = monoid.atoms[atom_index]
-    return max(min(set_of_lengths(monoid, [x - y for x, y in zip(monoid.element(z), u)]))
+    return max(least_length(monoid, [x - y for x, y in zip(monoid.element(z), u)])
                for z in minimal_covers(monoid, atom_index))
 
 
@@ -339,8 +348,8 @@ def tau_from_covers(monoid, atom_index):
 def block_monoids(draw):
     # vectors of [-2, 2]^r and their negatives, with up to 30 atoms of
     # length at most 7: more and longer covers than small_block_monoids, so
-    # that the band prune of atom_invariants both skips covers and meets
-    # covers at its boundary (longer atoms make the reference take seconds)
+    # that many cover quotients have several lengths (longer atoms make the
+    # reference take seconds)
     rank = draw(st.integers(2, 3))
     base = draw(st.sets(st.tuples(*[st.integers(-2, 2)] * rank).filter(any),
                         min_size=3, max_size=5))
@@ -357,38 +366,84 @@ def test_tau_matches_cover_quotient_lengths_on_random_monoids(monoid):
         assert atom_invariants(monoid, i)["tau"] == tau_from_covers(monoid, i)
 
 
+# omega and tau of the 41 atoms of the signed 3-cube monoid, by atom index
+RANK3_OMEGA = (2, 2, 3, 2, 3, 2, 3, 3, 4, 3, 4, 4, 5, 2, 3, 3, 4, 4, 5, 4, 5,
+               2, 3, 3, 4, 4, 5, 4, 5, 4, 5, 5, 2, 3, 3, 3, 4, 4, 4, 4, 5)
+RANK3_TAU = (4, 4, 4, 4, 4, 4, 4, 4, 7, 4, 5, 5, 6, 4, 4, 4, 5, 5, 6, 5, 6,
+             4, 4, 4, 5, 5, 6, 5, 6, 5, 6, 6, 4, 4, 4, 4, 7, 5, 5, 5, 6)
+
+
+@cache
+def rank3_monoid():
+    from zsl.constructions import hypercube_pm
+    return block_monoid(enumerate_atoms(hypercube_pm(3)))
+
+
+def test_rank3_atom_invariants_per_atom():
+    # the per-atom values behind the maxima of the CI step "Rank-3 tame
+    # degree": tau 4, 5, 6 and 7 on 19, 12, 8 and 2 atoms; the reference
+    # agrees on all 41 and is checked here on one atom of each
+    # (omega, tau) pair
+    m3 = rank3_monoid()
+    rows = [atom_invariants(m3, i) for i in range(m3.atom_count)]
+    assert [row["omega"] for row in rows] == list(RANK3_OMEGA)
+    assert [row["tau"] for row in rows] == list(RANK3_TAU)
+    assert all(row["tame"] == max(row["omega"], row["tau"] + 1) for row in rows)
+    assert Counter(row["tau"] for row in rows) == {4: 19, 5: 12, 6: 8, 7: 2}
+    assert Counter(row["tame"] for row in rows) == {5: 19, 6: 12, 7: 8, 8: 2}
+    assert m3.atoms[10] == (0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0)
+    assert rows[10] == {"omega": 4, "tau": 5, "tame": 6}
+    pairs = {(w, t): i for i, (w, t) in enumerate(zip(RANK3_OMEGA, RANK3_TAU))}
+    assert len(pairs) == 5
+    for i in pairs.values():
+        assert tau_from_covers(m3, i) == RANK3_TAU[i]
+
+
+def test_tau_does_not_depend_on_the_atom_order():
+    # the search branches in atom order; with the rank-3 atoms reversed, a
+    # cover quotient of atom 39 (now 1) yields a length above tau 5 first,
+    # so tau is the least length yielded, not the first
+    m3 = rank3_monoid()
+    reversed_m3 = PresentedMonoid(m3.ambient_dim, m3.atoms[::-1])
+    u = reversed_m3.atoms[1]
+    firsts = [next(invariants._factorization_counts(
+        reversed_m3, [x - y for x, y in zip(reversed_m3.element(z), u)], one_per_length=True))
+        for z in minimal_covers(reversed_m3, 1)]
+    assert max(firsts) > 5
+    assert atom_invariants(reversed_m3, 1) == atom_invariants(m3, 39) == {
+        "omega": 4, "tau": 5, "tame": 6}
+
+
 @pytest.mark.parametrize("atoms, atom_index, cover", [
     # u = (2, 2): the cover (0, 3) + (3, 0) leaves (1, 1), of total length
-    # 2 < lmin = 3, which the band prune skips at tau 0
+    # 2, below the shortest atom length 3
     ([(0, 3), (2, 2), (3, 0)], 1, (1, 0, 1)),
-    # u = (2, 1): the cover (1, 0, 1) leaves the atom (2, 1), so tau is 1
-    # when the cover 2 * (1, 2) leaves (0, 3), of total length 3 = lmin
+    # u = (2, 1): the cover 2 * (1, 2) leaves (0, 3), as long as the
+    # shortest atom but not an atom
     ([(1, 2), (2, 1), (3, 0)], 1, (2, 0, 0)),
 ])
-def test_band_pruned_cover_quotient_outside_the_monoid_raises(atoms, atom_index, cover):
+def test_cover_quotient_outside_the_monoid_raises(atoms, atom_index, cover):
     # two-coordinate atom sets do not present saturated monoids: the
-    # quotient of the given cover has no factorization, and the band prune
-    # skips it, so only the membership check on skipped covers catches it
+    # quotient of the given cover has no factorization, so the search
+    # yields no length for it
     monoid = PresentedMonoid(2, atoms)
-    covers = minimal_covers(monoid, atom_index)
+    assert cover in minimal_covers(monoid, atom_index)
     u = monoid.atoms[atom_index]
     quotient = [x - y for x, y in zip(monoid.element(cover), u)]
-    assert set_of_lengths(monoid, quotient) == ()
-    before = covers[:covers.index(cover)]
-    tau_before = max(min(set_of_lengths(monoid, [x - y for x, y in zip(monoid.element(z), u)]))
-                     for z in before)
-    assert sum(quotient) // min(monoid.atom_lengths()) == tau_before
+    assert least_length(monoid, quotient) is None
     with pytest.raises(AssertionError, match="cover quotient left the monoid"):
         atom_invariants(monoid, atom_index)
 
 
-def test_band_pruned_cover_is_checked_without_a_length_search(monkeypatch):
-    # every cover of u = (2, 2) is skipped by the band prune, so the quotient
-    # outside the monoid is caught by the membership check alone
+def test_atom_invariants_runs_no_length_existence_search(monkeypatch):
+    # tau reads each cover quotient's least length off the one-per-length
+    # factorization search, also when a quotient leaves the monoid
     def unreachable(*args):
-        raise AssertionError("the length search ran on a skipped cover")
+        raise AssertionError("the length existence search ran")
 
+    want = [tau_from_covers(B2, i) for i in range(B2.atom_count)]
     monkeypatch.setattr(invariants, "_packed_has_length", unreachable)
+    assert [atom_invariants(B2, i)["tau"] for i in range(B2.atom_count)] == want
     monoid = PresentedMonoid(2, [(0, 3), (2, 2), (3, 0)])
     with pytest.raises(AssertionError, match="cover quotient left the monoid"):
         atom_invariants(monoid, 1)
