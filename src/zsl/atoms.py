@@ -13,7 +13,9 @@ every ground element are packed ints of the guard-bit lanes of
 subtraction, and the terms it may take are read off the sign bits of the
 products (see ``_minimal_solutions``).  Complete runs return the full Hilbert
 basis of the kernel cone; a length budget acts as a safety valve and is
-reported through the ``complete`` flag.
+reported through the ``complete`` flag.  The same search, with the running
+sum less a need in the same offset fields, finds the minimal atom covers of
+``invariants``: a tuple covers when every sign bit is set.
 """
 
 from __future__ import annotations
@@ -55,30 +57,30 @@ class AtomSet(_Record):
 
 def _minimal_solutions(vectors, budget: int,
                        need=None) -> tuple[list[tuple[int, ...]], bool]:
-    """Componentwise-minimal count tuples t whose state reaches zero, of
-    length at most ``budget``, and whether the search ended because the
-    frontier emptied.  Breadth-first, in rounds of equal length; t may take
-    e_j only when its state has negative inner product with the step d_j
-    that e_j adds to the state.
+    """Componentwise-minimal count tuples t whose state is final, of length
+    at most ``budget``, and whether the search ended because the frontier
+    emptied.  Breadth-first, in rounds of equal length; the state of t is
+    its running sum s = sum_j t_j v_j, less ``need`` if given, and a child
+    t + e_j adds v_j to it.
 
-    - Without ``need`` the state of t is its running sum sum_j t_j v_j, so
-      d_j = v_j, and the search starts from the unit tuples e_j at length 1:
-      the result is the Hilbert basis of the kernel cone of the vectors.
-    - With ``need`` the vectors are supplies and the state of t is its lack
-      max(need - sum_j t_j v_j, 0), coordinatewise: d_j = -v_j, clipped at
-      0.  The search starts from the zero tuple at length 0, whose lack is
-      ``need``.  The supplies and the need must be nonnegative, or a
-      ValueError is raised, so every lack is nonnegative.  Each term
-      -lack_k * v_jk of <lack, d_j> is then at most 0, and the product is
-      negative exactly when some k has lack_k > 0 and v_jk > 0: the steps
-      from a lack are the supplies positive somewhere on its support, and
-      no inner product is taken.
+    - Without ``need`` a state is final when it is zero, and t may take e_j
+      only when <s, v_j> < 0.  The search starts from the unit tuples e_j at
+      length 1: the result is the Hilbert basis of the kernel cone of the
+      vectors.
+    - With ``need`` the vectors are supplies, s is the deficit, and a state
+      is final when it is nonnegative: t covers the need.  The search starts
+      from the zero tuple at length 0, whose deficit is -need.  The supplies
+      and the need must be nonnegative, or a ValueError is raised, and t may
+      take e_j only when v_j is positive on a coordinate where s is
+      negative.  That is the rule above for the lack max(-s, 0) and the step
+      -v_j: each term -lack_k * v_jk of <lack, -v_j> is at most 0, and the
+      product is negative exactly there.
 
     Round L holds the frontier tuples of length L, none of which dominates a
-    solution.  Its zero-state tuples are solutions; every other tuple t
-    spawns the children t2 = t + e_j allowed by the inner-product rule, and a
-    child that dominates a solution found so far (all of length <= L) is
-    dropped.  Only the children need the dominance test:
+    solution.  Its final-state tuples are solutions; every other tuple t
+    spawns the children t2 = t + e_j allowed by the step rule, and a child
+    that dominates a solution found so far (all of length <= L) is dropped.
+    Only the children need the dominance test:
 
     - a frontier tuple of length L was tested when it was made, against
       every solution shorter than L, and a solution of length L lies below
@@ -106,57 +108,51 @@ def _minimal_solutions(vectors, budget: int,
     when ((p2 | G) - a) & G == G.  The solutions are unpacked at the end,
     column by column (``_Lanes.unpack_all``).
 
-    Each state is one int of ``lanes`` too, with guards T at bit c of each
-    field.  A state is read (zero test, step list) only in the round of its
+    Each state is one int T + pack(x) of ``lanes`` too, T its guards at bit
+    c of each field, and a child's state is its parent's plus packed step
+    j.  A state is read (final test, step list) only in the round of its
     tuple, so only while the tuple's length is at most the budget; a child
-    made in the last round is stored but never read.  The steps of a state
-    are looked up under one int key, listed once per key in increasing j and
-    kept, so the children come in increasing j.
+    made in the last round is stored but never read.  Every value x of a
+    state read lies in [-B, B] for the ``largest`` B of the lanes, so its
+    field holds x + 2^c, with bit c set exactly when x >= 0.  The steps of a
+    state are listed under the clear guards of the fields that steer them,
+    once per key in increasing j and kept, so the children come in
+    increasing j.
 
-    - Without ``need`` the lanes are ``_Lanes(r + n, B)`` and the state is
-      T + pack(x) for r + n values x: the coordinates s_k, then the inner
-      products <s, v_j>.  Packed step i packs the entries of v_i, then row
-      i of the Gram matrix: the state of e_i is T plus packed step i, and a
-      child's is its parent's plus the packed step.  A state read is a sum
-      of at most ``budget`` steps, so |x| <= B, the budget times the largest
-      |entry| of a step: each field holds x + 2^c, with bit c set exactly
-      when x >= 0.  s = 0 exactly when its coordinate fields all hold 2^c,
-      and the key is the clear bits c of the product fields, the j with
+    - Without ``need`` the lanes are ``_Lanes(r + n, B)`` and x is the
+      coordinates s_k, then the inner products <s, v_j>.  Packed step i
+      packs the entries of v_i, then row i of the Gram matrix: the state of
+      e_i is T plus packed step i.  A state read is a sum of at most
+      ``budget`` steps, so |x| <= B, the budget times the largest |entry| of
+      a step.  s = 0 exactly when its coordinate fields all hold 2^c, and
+      the key is the clear bits c of the product fields, the j with
       <s, v_j> < 0.
-    - With ``need`` the lanes are ``_Lanes(r, largest need or supply
-      entry)``, the state is pack(lack), and step j subtracts v_j.  The lack
-      never grows, so no value exceeds that largest, and bit c of
-      X = (s | T) - v_j survives exactly where s_k - v_jk >= 0.  With K
-      the surviving bits, (K << 1) - (K >> c) is all ones on the surviving
-      fields and zero elsewhere, so (X & that) ^ K holds s_k - v_jk where
-      that is nonnegative and 0 elsewhere: max(s - v_j, 0).  s = 0 exactly
-      when the int is 0, and the key is ((s | T) - ones) & T, ones the
-      lowest bit of every field: bit c survives where s_k >= 1.
+    - With ``need`` the lanes are ``_Lanes(r, B)``, B the larger of the
+      largest need entry and the budget times the largest supply entry, and
+      x is s itself: packed step j packs v_j, and the zero tuple's state is
+      T - pack(need).  A state read adds at most ``budget`` supplies to
+      -need, so s_k lies in [-need_k, budget * max v] within [-B, B].  t
+      covers exactly when every guard is set, and the key is the clear
+      guards, the coordinates still lacking.
     """
-    clip = need is not None
-    if clip and any(x < 0 for x in chain(need, *vectors)):
+    if need is not None and any(x < 0 for x in chain(need, *vectors)):
         raise ValueError("supplies and need must be nonnegative")
     if need is None and not vectors:
         return [], True
 
     n = len(vectors)
     counts = _Lanes(n, budget + 1)
-    if clip:
-        moves = vectors
-        lanes = _Lanes(len(need), max(chain(need, *moves), default=0))
-    else:
+    if need is None:
         moves = [[*u, *(sum(map(mul, u, v)) for v in vectors)] for u in vectors]
         lanes = _Lanes(len(moves[0]), budget * max(map(abs, chain(*moves))))
+    else:
+        moves = vectors
+        lanes = _Lanes(len(need), max([*need, budget * max(chain(*moves), default=0)]))
     guards, tops, c = counts.guards, lanes.guards, lanes.width - 1
     # per j: the packed unit e_j, the mask of field j, the support bit and the packed step
     steps = [(1 << s, counts.field << s, 1 << j, lanes.pack(move))
              for j, (s, move) in enumerate(zip(counts.shifts, moves))]
-    if clip:
-        state_mask, state_zero = -1, 0
-        ones = tops >> c
-        tests = [lanes.pack(map(bool, v)) << c for v in vectors]
-        frontier, length = {0: (lanes.pack(need), 0)}, 0
-    else:
+    if need is None:
         rank = len(vectors[0])
         state_mask = (1 << lanes.shifts[rank]) - 1
         state_zero = tops & state_mask
@@ -164,10 +160,14 @@ def _minimal_solutions(vectors, budget: int,
         tests = [1 << (s + c) for s in lanes.shifts[rank:]]
         frontier = {unit: (tops + step, bit) for unit, _, bit, step in steps}
         length = 1
+    else:
+        state_mask = state_zero = signs = tops
+        tests = [lanes.pack(map(bool, v)) << c for v in vectors]
+        frontier, length = {0: (tops - lanes.pack(need), 0)}, 0
     solutions: list[int] = []
     # field j of a, nonzero -> (support bitmask, a) for every solution a and every j in supp(a)
     by_coordinate: dict[int, list[tuple[int, int]]] = {}
-    suppliers: dict[int, list] = {}  # lacking fields or clear sign bits -> their steps
+    suppliers: dict[int, list] = {}  # clear sign bits -> their steps
     while frontier and length <= budget:
         for p, (state, mask) in frontier.items():
             if state & state_mask == state_zero:
@@ -179,7 +179,7 @@ def _minimal_solutions(vectors, budget: int,
         for p, (state, mask) in frontier.items():
             if state & state_mask == state_zero:
                 continue
-            key = ((state | tops) - ones) & tops if clip else signs & ~state
+            key = signs & ~state
             allowed = suppliers.get(key)
             if allowed is None:
                 allowed = suppliers[key] = [s for s, test in zip(steps, tests) if key & test]
@@ -193,13 +193,7 @@ def _minimal_solutions(vectors, budget: int,
                     if not found_mask & ~mask2 and (raised - found) & guards == guards:
                         break
                 else:
-                    if clip:
-                        difference = (state | tops) - step
-                        kept = difference & tops
-                        state2 = (difference & ((kept << 1) - (kept >> c))) ^ kept
-                    else:
-                        state2 = state + step
-                    next_frontier[p2] = (state2, mask2)
+                    next_frontier[p2] = (state + step, mask2)
         frontier = next_frontier
         length += 1
     return counts.unpack_all(solutions), not frontier

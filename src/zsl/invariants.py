@@ -627,14 +627,14 @@ def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, 
 
     The search is ``atoms._minimal_solutions`` with u on supp(u) (the only
     coordinates u <= x reads) as the need and the atoms projected there as
-    the supplies: the state of a multiset z is what u still lacks there,
-    lack(z + e_j) = max(lack(z) - p_j, 0), and z covers exactly when its
-    lack is 0.  In any order of adding the atoms of a minimal cover each
-    atom supplies a coordinate still lacking (else the cover without that
-    copy would cover too), so taking only such supplies loses no cover; and
-    a parent that does not cover dominates no cover, so the dominance lemma
-    of the kernel holds unchanged.  Each atom added lowers the total lack,
-    so the search ends within sum(u) atoms.
+    the supplies p_j: the state of a multiset z is sum_j z_j p_j - u there,
+    and z covers exactly when it is nonnegative.  In any order of adding the
+    atoms of a minimal cover each atom supplies a coordinate where the
+    state is still negative (else the cover without that copy would cover
+    too), so taking only such supplies loses no cover; and a parent that
+    does not cover dominates no cover, so the dominance lemma of the kernel
+    holds unchanged.  Each atom added raises a negative coordinate by at
+    least 1, so the search ends within sum(u) atoms.
     """
     u = monoid.atoms[atom_index]
     support = [k for k, x in enumerate(u) if x]

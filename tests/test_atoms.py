@@ -267,7 +267,10 @@ def tuple_minimal_solutions(vectors, budget, need=None):
     """The completion kernel with each count tuple and state held as a tuple,
     every step taken by the inner-product rule and dominance tested
     coordinate by coordinate: a reference for the packed ints of
-    ``_minimal_solutions``, from the same two starts."""
+    ``_minimal_solutions``, from the same two starts.  With a need the state
+    is the lack max(need - sum_j t_j v_j, 0), clipped at 0 after each step,
+    and a tuple covers when it is zero: an independent formulation of the
+    deficit the packed kernel holds."""
     n = len(vectors)
     if need is None:
         zero = (0,) * len(vectors[0]) if vectors else ()
@@ -349,7 +352,7 @@ def edge_kernel_inputs(draw):
     ones up to ±1025 in the vectors or the need; budgets from 0 up.  With a
     need, the supplies and the need are nonnegative, as for
     ``minimal_covers``, and a supply often exceeds the lack it meets, so the
-    step saturates."""
+    step takes the deficit past 0."""
     rank = draw(st.integers(1, 3))
     covers = draw(st.booleans())
     edges = [x for x in EDGES if x >= 0] if covers else EDGES
@@ -389,7 +392,7 @@ def test_zero_inner_products_do_not_step():
     ([(1, 0), (0, -1)], (1, 1)),  # a negative supply entry
     ([(1, 0), (0, 1)], (1, -1)),  # a negative need entry
 ])
-def test_clip_contract_violation_raises(vectors, state):
+def test_negative_supply_or_need_raises(vectors, state):
     # outside the contract the supplier steps would differ from the
     # inner-product rule, so the kernel refuses rather than answer; without
     # a need the vectors may have any signs
@@ -415,36 +418,69 @@ def test_long_single_atom_at_the_field_edges(k, m_offset, budget_offset):
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("budget_offset", [-1, 0, 1])
 def test_count_at_the_top_of_a_field(k, budget_offset):
-    # from the zero tuple, each copy of the supply lowers coordinate 0 of
-    # the clipped lack (m, ...) by one, so the one solution is (m,); at
-    # budget m - 1 = 2^k - 2 the last child holds the count m = 2^k - 1, the
-    # largest below its guard bit, and the lack m sits at the top of its own
-    # field.  In rank 2 the second coordinate reaches 0 with the first, or
-    # after one step and then saturates
+    # from the zero tuple, each copy of the supply raises coordinate 0 of
+    # the deficit (-m, ...) by one, so the one solution is (m,); at budget
+    # m - 1 = 2^k - 2 the last child holds the count m = 2^k - 1, the
+    # largest below its guard bit, and at budgets m - 1 and m the deficit -m
+    # starts at the bottom of its own field.  In rank 2 the second
+    # coordinate reaches 0 with the first, or after one step and then grows
+    # past 0
     m = (1 << k) - 1
     budget = m + budget_offset
-    for supply, lack in [((1,), (m,)), ((1, 1), (m, m)), ((1, 1), (m, 1))]:
-        args = ([supply], budget, lack)
+    for supply, need in [((1,), (m,)), ((1, 1), (m, m)), ((1, 1), (m, 1))]:
+        args = ([supply], budget, need)
         got = _minimal_solutions(*args)
         assert got == tuple_minimal_solutions(*args)
         assert got == (([(m,)], True) if budget >= m else ([], False))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-@pytest.mark.parametrize("lack_offset", [-1, 0])
+@pytest.mark.parametrize("need_offset", [-1, 0])
 @pytest.mark.parametrize("excess", [0, 1])
-def test_clipped_steps_saturate_at_field_edges(k, lack_offset, excess):
-    # the lack (l, 1) with l = 2^k - 1 or 2^k; c and d supply l + excess on
-    # coordinate 0, so a step by either takes it from l straight to 0 (and
-    # d also takes coordinate 1 past 0 when excess is 1).  The covers are d
-    # alone, c with b and l copies of a with b, found in that order
-    l = (1 << k) + lack_offset
+def test_clipped_steps_saturate_at_field_edges(k, need_offset, excess):
+    # the need (l, 1) with l = 2^k - 1 or 2^k; c and d supply l + excess on
+    # coordinate 0, so a step by either takes its deficit from -l straight
+    # to 0 or past it (and d also takes coordinate 1 past 0 when excess is
+    # 1).  The covers are d alone, c with b and l copies of a with b, found
+    # in that order
+    l = (1 << k) + need_offset
     a, b = (1, 0), (0, 1)
     c, d = (l + excess, 0), (l + excess, 1 + excess)
     args = ([a, b, c, d], l + 1, (l, 1))
     got = _minimal_solutions(*args)
     assert got == tuple_minimal_solutions(*args)
     assert got == ([(0, 0, 0, 1), (0, 1, 1, 0), (l, 1, 0, 0)], True)
+
+
+@pytest.mark.parametrize("budget, m", [
+    (7, 1), (5, 3), (3, 5),  # budget * m = 2^k - 1: the cover's deficit tops its field
+    (4, 2), (2, 8),  # = 2^k
+    (3, 3), (3, 11), (1, 17),  # = 2^k + 1
+])
+def test_deficit_lanes_hold_budget_times_the_largest_supply(budget, m):
+    # the one supply (m, 1) against the need (0, budget): it is taken while
+    # coordinate 1 lacks, so the cover is budget copies, whose deficit
+    # budget * m on coordinate 0 is the largest value a state read can hold.
+    # One budget less reads no cover and stops short
+    args = ([(m, 1)], budget, (0, budget))
+    got = _minimal_solutions(*args)
+    assert got == tuple_minimal_solutions(*args)
+    assert got == ([(budget,)], True)
+    args = ([(m, 1)], budget - 1, (0, budget))
+    got = _minimal_solutions(*args)
+    assert got == tuple_minimal_solutions(*args)
+    assert got == ([], False)
+
+
+@pytest.mark.parametrize("need, budget", [(5, 2), (9, 7), (17, 15), (17, 3)])
+def test_deficit_lanes_hold_a_need_beyond_the_budget(need, budget):
+    # the supply (1,) covers the need (need,) only at length need > budget:
+    # the start deficit -need is the value of largest size, and no state
+    # read covers
+    args = ([(1,)], budget, (need,))
+    got = _minimal_solutions(*args)
+    assert got == tuple_minimal_solutions(*args)
+    assert got == ([], False)
 
 
 def test_square_ground_hilbert_basis():

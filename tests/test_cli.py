@@ -62,6 +62,10 @@ def test_atoms_bad_json_exit2(capsys, tmp_path):
 ACM_JSON = {"omega": 5, "c": ["1", "1", "1", "3/2", "3/2"], "lambda": [[1, 2], [3, 4]]}
 # a ground set without atoms: as H0 it leaves monext nothing to sample
 ATOMLESS = {"rank": 1, "elements": []}
+# the atoms of H2 reach length 3, so at --budget 2 a command that needs its
+# monoid stops before any report, and -o OUT must not be written
+SHORT = ["--budget", "2", "-o", "OUT"]
+H2_ELEMENT = {"mult": [1, 0, 0, 0, 0, 1]}  # (-1, -1) and (1, 1)
 
 
 @pytest.mark.parametrize("ground,argv", [
@@ -91,10 +95,19 @@ ATOMLESS = {"rank": 1, "elements": []}
     (None, ["hypercube", "--rank", "17"]),
     (None, ["fib", "--rank", "17"]),
     (ATOMLESS, ["monext", "--h0", "GROUND", "--d", "group:2"]),
+    (H2_ELEMENT, ["lengths", "-i", "H2", "--element", "GROUND", *SHORT]),
+    (H2_ELEMENT, ["catenary", "-i", "H2", "--element", "GROUND", *SHORT]),
+    (None, ["unions", "-i", "GROUND", "--k", "2", *SHORT]),
+    (None, ["omega", "-i", "GROUND", "--atom", "0", *SHORT]),
+    (None, ["tame", "-i", "GROUND", "--atom", "0", *SHORT]),
+    (None, ["monext", "--h0", "GROUND", "--d", "group:2", *SHORT]),
 ])
 def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     path = h2 if ground is None else write(tmp_path, "g.json", ground)
-    argv = [path if a == "GROUND" else h2 if a == "H2" else a for a in argv]
+    out = tmp_path / "out.json"
+    short = "OUT" in argv
+    argv = [path if a == "GROUND" else h2 if a == "H2" else str(out) if a == "OUT" else a
+            for a in argv]
     try:
         code, _, err = run(capsys, *argv)
     except SystemExit as exc:  # argparse prints its usage, then "zsl <command>: error: ..."
@@ -105,6 +118,9 @@ def test_bad_input_exit2_without_traceback(capsys, h2, tmp_path, ground, argv):
     assert "Traceback" not in err
     if ground is ATOMLESS:
         assert "h0" in err
+    if short:  # a valid input whose atom enumeration stops at --budget
+        assert err == "error: atom enumeration hit the budget; raise --budget\n"
+        assert not [p for p in tmp_path.iterdir() if "out.json" in p.name]
 
 
 def test_probe_r4_report(capsys):
