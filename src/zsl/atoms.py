@@ -15,7 +15,8 @@ products (see ``_minimal_solutions``).  Complete runs return the full Hilbert
 basis of the kernel cone; a length budget acts as a safety valve and is
 reported through the ``complete`` flag.  The same search, with the running
 sum less a need in the same offset fields, finds the minimal atom covers of
-``invariants``: a tuple covers when every sign bit is set.
+``invariants``: a tuple covers when every sign bit is set, and one that does
+not steps only on the supplies of its lowest lacking coordinate.
 """
 
 from __future__ import annotations
@@ -71,10 +72,13 @@ def _minimal_solutions(vectors, budget: int,
       is final when it is nonnegative: t covers the need.  The search starts
       from the zero tuple at length 0, whose deficit is -need.  The supplies
       and the need must be nonnegative, or a ValueError is raised, and t may
-      take e_j only when v_j is positive on a coordinate where s is
-      negative.  That is the rule above for the lack max(-s, 0) and the step
-      -v_j: each term -lack_k * v_jk of <lack, -v_j> is at most 0, and the
-      product is negative exactly there.
+      take e_j only when v_j is positive on k, the lowest coordinate where s
+      is negative (Knuth's dancing links branch on one uncovered column
+      too).  No minimal cover c is lost: if t <= c does not cover, c covers
+      k, so some j with c_j > t_j has v_jk > 0, and t + e_j <= c.  That
+      child dominates no solution found so far, all shorter than c, as c is
+      minimal; so by induction from the zero tuple c is reached in round
+      |c|.
 
     Round L holds the frontier tuples of length L, none of which dominates a
     solution.  Its final-state tuples are solutions; every other tuple t
@@ -117,7 +121,8 @@ def _minimal_solutions(vectors, budget: int,
     field holds x + 2^c, with bit c set exactly when x >= 0.  The steps of a
     state are listed under the clear guards of the fields that steer them,
     once per key in increasing j and kept, so the children come in
-    increasing j.
+    increasing j: the steps whose test bits meet key & (-key | spread), all
+    of key without ``need`` (spread = -1), its lowest bit with it (0).
 
     - Without ``need`` the lanes are ``_Lanes(r + n, B)`` and x is the
       coordinates s_k, then the inner products <s, v_j>.  Packed step i
@@ -133,7 +138,8 @@ def _minimal_solutions(vectors, budget: int,
       T - pack(need).  A state read adds at most ``budget`` supplies to
       -need, so s_k lies in [-need_k, budget * max v] within [-B, B].  t
       covers exactly when every guard is set, and the key is the clear
-      guards, the coordinates still lacking.
+      guards, the coordinates still lacking; its lowest bit, key & -key, is
+      the guard of the lowest.
     """
     if need is not None and any(x < 0 for x in chain(need, *vectors)):
         raise ValueError("supplies and need must be nonnegative")
@@ -164,10 +170,11 @@ def _minimal_solutions(vectors, budget: int,
         state_mask = state_zero = signs = tops
         tests = [lanes.pack(map(bool, v)) << c for v in vectors]
         frontier, length = {0: (tops - lanes.pack(need), 0)}, 0
+    spread = -(need is None)  # key & (-key | spread): the whole key, or its lowest bit
     solutions: list[int] = []
     # field j of a, nonzero -> (support bitmask, a) for every solution a and every j in supp(a)
     by_coordinate: dict[int, list[tuple[int, int]]] = {}
-    suppliers: dict[int, list] = {}  # clear sign bits -> their steps
+    suppliers: dict[int, list] = {}  # clear sign bits -> the steps they allow
     while frontier and length <= budget:
         for p, (state, mask) in frontier.items():
             if state & state_mask == state_zero:
@@ -182,7 +189,8 @@ def _minimal_solutions(vectors, budget: int,
             key = signs & ~state
             allowed = suppliers.get(key)
             if allowed is None:
-                allowed = suppliers[key] = [s for s, test in zip(steps, tests) if key & test]
+                chosen = key & (-key | spread)
+                allowed = suppliers[key] = [s for s, test in zip(steps, tests) if chosen & test]
             for unit, f, bit, step in allowed:
                 p2 = p + unit
                 if p2 in next_frontier:

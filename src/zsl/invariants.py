@@ -35,8 +35,8 @@ grows a tree over the sorted packed factorizations under a bound that rises
 only when no factorization outside the tree is within it, each distance one
 guarded subtraction, a field mask and a multiply-by-ones sum.  The minimal
 atom covers behind omega, tau and the tame degree are minimal solutions of a
-linear system, found by the completion search of
-``atoms._minimal_solutions``.
+linear system over the atoms that can supply, found by the completion
+search of ``atoms._minimal_solutions``.
 Set-level invariants (catenary, omega, tau, tame degree, unions of sets of
 lengths) are derived from these.
 Everything is deterministic: outputs are canonically sorted.
@@ -621,26 +621,36 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
     return UnionOfLengths(k, frozenset({lam, k, rho}), rho, lam, False)
 
 
-def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, ...]]:
-    """Componentwise-minimal atom multisets whose product is divisible by the
-    given atom, as factorization-count vectors.
-
-    The search is ``atoms._minimal_solutions`` with u on supp(u) (the only
-    coordinates u <= x reads) as the need and the atoms projected there as
-    the supplies p_j: the state of a multiset z is sum_j z_j p_j - u there,
-    and z covers exactly when it is nonnegative.  In any order of adding the
-    atoms of a minimal cover each atom supplies a coordinate where the
-    state is still negative (else the cover without that copy would cover
-    too), so taking only such supplies loses no cover; and a parent that
-    does not cover dominates no cover, so the dominance lemma of the kernel
-    holds unchanged.  Each atom added raises a negative coordinate by at
-    least 1, so the search ends within sum(u) atoms.
-    """
+def _covers(monoid: PresentedMonoid, atom_index: int):
+    """(kept, covers): the indices of the atoms nonzero on supp(u), u the
+    given atom, increasing, and the minimal covers of u as count tuples over
+    those atoms, in no fixed order (see ``minimal_covers``)."""
     u = monoid.atoms[atom_index]
     support = [k for k, x in enumerate(u) if x]
-    supplies = [[a[k] for k in support] for a in monoid.atoms]
-    covers, _ = _minimal_solutions(supplies, sum(u), need=[u[k] for k in support])
-    return sorted(covers)
+    kept = [i for i, a in enumerate(monoid.atoms) if any(a[k] for k in support)]
+    supplies = [[monoid.atoms[i][k] for k in support] for i in kept]
+    return kept, _minimal_solutions(supplies, sum(u), need=[u[k] for k in support])[0]
+
+
+def minimal_covers(monoid: PresentedMonoid, atom_index: int) -> list[tuple[int, ...]]:
+    """Componentwise-minimal atom multisets whose product is divisible by the
+    given atom, as factorization-count vectors, sorted.
+
+    The search is ``atoms._minimal_solutions`` with u on supp(u) (the only
+    coordinates u <= x reads) as the need and, as the supplies p_j, the
+    atoms nonzero there, projected there.  A minimal cover holds no atom
+    that is zero on supp(u): without one copy of it the multiset still
+    covers u.  So the dropped atoms take count 0 in every cover, and the
+    covers over the kept atoms, mapped back, are all of them.  The state of
+    a multiset z is sum_j z_j p_j - u, and z covers exactly when it is
+    nonnegative; each step raises a negative coordinate by at least 1, so
+    the search ends within sum(u) atoms.
+    """
+    kept, covers = _covers(monoid, atom_index)
+    columns = [(0,) * len(covers)] * monoid.atom_count
+    for i, column in zip(kept, zip(*covers)):
+        columns[i] = column
+    return sorted(zip(*columns))
 
 
 def omega(monoid: PresentedMonoid, atom_index: int, mode: str = "minimal-cover"):
@@ -748,6 +758,8 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     factorization length of (product of a minimal cover) / atom; the tame
     degree max(omega, tau + 1) for a non-prime atom and 0 for a prime one.
 
+    The covers stay count tuples over the atoms that can supply (see
+    ``minimal_covers``), and each quotient is built from those atoms alone.
     The product of a cover z is at least u, so its quotient sum z_i a_i - u
     is nonnegative, of total length T = sum z_i |a_i| - |u|; as |z| <= omega,
     every coordinate is at most omega times the largest atom coordinate, so
@@ -756,15 +768,17 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     length of the quotient once, so its least yield is the least length,
     and no yield means the quotient left the monoid.
     """
-    covers = minimal_covers(monoid, atom_index)
-    w = max(sum(z) for z in covers)
+    kept, covers = _covers(monoid, atom_index)
+    w = max(map(sum, covers))
     lanes = _sum_lanes(monoid, w)
-    packed = list(map(lanes.pack, monoid.atoms))
-    lengths = monoid.atom_lengths()
+    u, lengths = monoid.atoms[atom_index], monoid.atom_lengths()
+    packed = [lanes.pack(monoid.atoms[i]) for i in kept]
+    lengths = [lengths[i] for i in kept]
+    packed_u, length_u = lanes.pack(u), sum(u)
     t = 0
     for z in covers:
-        residual = sum(map(mul, z, packed)) - packed[atom_index]
-        total = sum(map(mul, z, lengths)) - lengths[atom_index]
+        residual = sum(map(mul, z, packed)) - packed_u
+        total = sum(map(mul, z, lengths)) - length_u
         least = min(_packed_factorization_counts(monoid, lanes, residual, total,
                                                  one_per_length=True), default=None)
         if least is None:

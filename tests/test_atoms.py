@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
-from operator import le
+from operator import le, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,14 +263,17 @@ def test_indexed_enumerator_matches_linear_scan_and_brute_force(ground, budget):
         [a.mult for a in brute_force_atoms(ground, budget)]
 
 
-def tuple_minimal_solutions(vectors, budget, need=None):
+def tuple_minimal_solutions(vectors, budget, need=None, any_lacking=False):
     """The completion kernel with each count tuple and state held as a tuple,
     every step taken by the inner-product rule and dominance tested
     coordinate by coordinate: a reference for the packed ints of
     ``_minimal_solutions``, from the same two starts.  With a need the state
     is the lack max(need - sum_j t_j v_j, 0), clipped at 0 after each step,
     and a tuple covers when it is zero: an independent formulation of the
-    deficit the packed kernel holds."""
+    deficit the packed kernel holds.  A tuple then steps only on the
+    supplies positive on its lowest lacking coordinate, as the kernel does;
+    with ``any_lacking`` it steps by the inner-product rule, on every supply
+    positive on some lacking coordinate, the kernel's earlier rule."""
     n = len(vectors)
     if need is None:
         zero = (0,) * len(vectors[0]) if vectors else ()
@@ -296,8 +299,10 @@ def tuple_minimal_solutions(vectors, budget, need=None):
         for t, (state, mask) in frontier.items():
             if state == zero:
                 continue
+            lowest = None if need is None or any_lacking else next(k for k, x in enumerate(state) if x)
             for j, v in enumerate(steps):
-                if sum(s * x for s, x in zip(state, v)) >= 0:
+                helps = v[lowest] < 0 if lowest is not None else sum(map(mul, state, v)) < 0
+                if not helps:
                     continue
                 t2 = list(t)
                 t2[j] += 1
@@ -337,7 +342,30 @@ def kernel_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(kernel_inputs())
 def test_packed_kernel_matches_tuple_reference(args):
-    assert _minimal_solutions(*args) == tuple_minimal_solutions(*args)
+    got = _minimal_solutions(*args)
+    assert got == tuple_minimal_solutions(*args)
+    if len(args) == 3:
+        # the lowest lacking coordinate finds the covers of the any-lacking
+        # rule, and its frontier, a subset of that rule's, empties no later
+        covers, complete = tuple_minimal_solutions(*args, any_lacking=True)
+        assert sorted(got[0]) == sorted(covers)
+        assert got[1] or not complete
+
+
+@pytest.mark.parametrize("supplies, need", [
+    ([(0, 1), (0, 2)], (1, 1)),  # coordinate 0 lacks and nothing supplies it
+    ([(1, 0, 0), (0, 0, 1), (1, 0, 1)], (0, 1, 1)),  # likewise coordinate 1
+])
+@pytest.mark.parametrize("budget", range(7))
+def test_unsuppliable_need_ends_at_once(supplies, need, budget):
+    # the zero tuple lacks its lowest coordinate and has no step, so the
+    # search ends complete with no cover at every budget, 0 included; the
+    # any-lacking rule first steps on the other coordinates and, at budget
+    # 0, stops short
+    args = (supplies, budget, need)
+    assert _minimal_solutions(*args) == ([], True)
+    assert tuple_minimal_solutions(*args) == ([], True)
+    assert tuple_minimal_solutions(*args, any_lacking=True) == ([], budget > 0)
 
 
 # 0, ±(2^k - 1), ±2^k and ±(2^k + 1): the values at the edges of a field

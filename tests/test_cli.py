@@ -625,7 +625,7 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
     acm atom enumeration per acm_report; one product factorization per level
     element of fp_rank1_invariants."""
     covers, factored = Counter(), Counter()
-    search_covers = invariants.minimal_covers
+    search_covers = invariants._covers
     search_counts = invariants._factorization_counts
 
     def counted_covers(monoid, atom_index):
@@ -636,7 +636,7 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
         factored[monoid, tuple(x)] += 1
         return search_counts(monoid, x, one_per_length)
 
-    monkeypatch.setattr(invariants, "minimal_covers", counted_covers)
+    monkeypatch.setattr(invariants, "_covers", counted_covers)
     monkeypatch.setattr(invariants, "_factorization_counts", counted_counts)
 
     monoid = AcmModel(ACM_SPEC).presented()
