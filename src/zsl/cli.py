@@ -271,18 +271,18 @@ def cmd_unions(args) -> dict:
 
 
 def cmd_catenary(args) -> dict:
-    from .invariants import catenary_from_factorizations, factorizations
+    from .invariants import _packed_catenary, _packed_lengths, _sorted_factorizations
 
     ground = _load_ground(args)
     monoid = _monoid_for(args, ground)
     seq = _load_sequence(ground, args.element)
-    zs = factorizations(monoid, seq.mult)
+    lanes, zs = _sorted_factorizations(monoid, seq.mult)
     if not zs:
         raise InputError("element is not a zero-sum sequence over the ground set")
     return {
-        "catenary": catenary_from_factorizations(zs),
-        "lengths": sorted(set(map(sum, zs))),
-        "factorizations": zs,
+        "catenary": _packed_catenary(lanes, zs),
+        "lengths": sorted(set(_packed_lengths(lanes, zs))),
+        "factorizations": lanes.unpack_all(zs),
     }
 
 

@@ -239,47 +239,52 @@ def lattice_quotient(gens, ambient_dim: int) -> QuotientStructure:
     return QuotientStructure(factors, ambient_dim - len(nonzero))
 
 
-def primitive_kernel_vector(vectors) -> list[int] | None:
-    """Primitive integer relation z with sum_j z_j * vectors[j] = 0.
-
-    Returns None unless the relations form a lattice of rank exactly one;
-    otherwise z is the generator of that lattice whose free coordinate (the
-    one column without a pivot) is positive.
+def kernel_basis(vectors) -> list[list[int]]:
+    """One primitive integer relation z with sum_j z_j * vectors[j] = 0 per
+    free column, in column order: a basis over Q of the relations, so there
+    are len(vectors) - rank of them.
 
     Integer Gauss-Jordan on the matrix with the vectors as columns, each
     row divided by its content after every step, leaves pivot row i with
-    p_i at its pivot column, c_i at the free column f and 0 elsewhere, so
-    a relation satisfies p_i * z_pivot(i) + c_i * z_f = 0 for every i.
-    Taking z_f = L = lcm(|p_i|) makes every z_pivot(i) = -c_i * L / p_i an
-    integer; dividing by the content of z leaves the primitive relation
-    with z_f > 0.
+    p_i at its pivot column, c_i at each free column f and 0 at the other
+    pivot columns, so a relation satisfies p_i * z_pivot(i) + sum_f c_i *
+    z_f = 0 for every i.  The relation of free column f sets z_f = L =
+    lcm(|p_i|), every other free coordinate to 0 and z_pivot(i) = -c_i * L
+    / p_i, an integer; dividing by its content leaves it primitive with
+    z_f > 0.  It is the only relation of the basis nonzero at f, so the
+    relations are independent.
     """
-    if not vectors:
-        return None
     k = len(vectors)
-    rows = len(vectors[0])
+    rows = len(vectors[0]) if vectors else 0
     a = [[v[i] for v in vectors] for i in range(rows)]
     pivots: list[int] = []
-    free = None
+    free: list[int] = []
     for col in range(k):
         rank = len(pivots)
         pivot_row = next((i for i in range(rank, rows) if a[i][col]), None)
         if pivot_row is None:
-            if free is not None:
-                return None
-            free = col
+            free.append(col)
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
         for i in range(rows):
             if i != rank and a[i][col]:
                 a[i] = _eliminate(a[i], a[rank], col)
         pivots.append(col)
-    if free is None:
-        return None
     scale = lcm(*(a[i][col] for i, col in enumerate(pivots)))
-    z = [0] * k
-    z[free] = scale
-    for i, col in enumerate(pivots):
-        z[col] = -a[i][free] * scale // a[i][col]
-    content = gcd(*z)
-    return [x // content for x in z]
+    basis = []
+    for f in free:
+        z = [0] * k
+        z[f] = scale
+        for i, col in enumerate(pivots):
+            z[col] = -a[i][f] * scale // a[i][col]
+        content = gcd(*z)
+        basis.append([x // content for x in z])
+    return basis
+
+
+def primitive_kernel_vector(vectors) -> list[int] | None:
+    """The one relation of ``kernel_basis(vectors)``, the generator of the
+    relations with its free coordinate positive, or None unless the
+    relations form a lattice of rank exactly one."""
+    basis = kernel_basis(vectors)
+    return basis[0] if len(basis) == 1 else None

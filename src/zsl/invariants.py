@@ -30,7 +30,9 @@ buckets sorted by length and the length window found by bisection, made
 perfbench's ``factorize`` pass about 12 % slower and the
 ``union_of_lengths`` extremes for k = 4..6 on the rank-3 block monoid half
 again as slow.  The unions of sets of lengths run it on the distinct k-fold
-atom sums, each built and held as one packed int.  The catenary degree
+atom sums, each built and held as one packed int with its values under
+linear forms that vanish on the shortest atoms; a sum whose values rule out
+the wanted length, by one guarded subtraction, is skipped.  The catenary degree
 grows a tree over the sorted packed factorizations under a bound that rises
 only when no factorization outside the tree is within it, each distance one
 guarded subtraction, a field mask and a multiply-by-ones sum.  The minimal
@@ -44,11 +46,13 @@ Everything is deterministic: outputs are canonically sorted.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from operator import ge, mul, sub
 
 from .atoms import AtomSet, _minimal_solutions
 from .ground import _Lanes, _Record
+from .intlinalg import kernel_basis
 
 
 class PresentedMonoid(_Record):
@@ -98,6 +102,7 @@ class PresentedMonoid(_Record):
             for s in range(lmax - lmin + 1 if lengths else 0)))
         object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
         object.__setattr__(self, "_packings", {})
+        object.__setattr__(self, "_sum_packings", {})
 
     def _lanes(self, largest: int) -> _Lanes:
         """The lanes of ``ambient_dim`` fields that hold ``largest`` and
@@ -132,6 +137,56 @@ class PresentedMonoid(_Record):
                        tuple(uncovered),
                        tuple(map(tuple, buckets)))
             self._packings[lanes.width] = packing
+        return packing
+
+    @cached_property
+    def _lattice(self):
+        """(values, tops): per atom in search order, its values under the G
+        of ``union_of_lengths``; per excess d > 0, per g, the largest g(b)
+        over the atoms b with |b| - lmin = d."""
+        f = kernel_basis(list(zip(*(a for a in self.atoms if sum(a) == self._lmin))))
+        values = [[sum(map(mul, g, self.atoms[i])) for g in f + [[-x for x in g] for g in f]]
+                  for i in self._search_order]
+        tops = {}
+        for v, i in zip(values, self._search_order):
+            if (d := self._lengths[i] - self._lmin) > 0:
+                tops[d] = list(map(max, tops.get(d, v), v))
+        return values, tops
+
+    def _sum_packing(self, k: int):
+        """(lanes, atoms, lengths, low, flags, bounds), built on first use of
+        a k and kept: ``_sum_lanes(self, k)``; the atoms in search order,
+        each A + (pack(g(a) for g in G) << shift) with G's lanes above the
+        sum lanes; their lengths; low = 2^shift - 1; G's guards << shift;
+        and per excess e the prune's test value of ``union_of_lengths``.
+
+        G's lanes hold 2kM + 1, M the largest |g(a)|, so a sum s of k atoms
+        packs as S + (pack(g(s)) << shift) with |g(s)| <= kM, S < 2^shift.
+        bounds[e] = ((guards + pack(B)) << shift) | low, B = bound_g(e)
+        clipped to [-kM - 1, kM], which decides every g(s) <= B alike.  So
+        bounds[e] - s = ((guards + pack(B - g(s))) << shift) + low - S, with
+        |B - g(s)| <= 2kM + 1, and the guard of g survives exactly when
+        g(s) <= B (``ground._Lanes``).  g(s) is a function of s, so the
+        packed ints tell the sums apart exactly as S does.
+        """
+        packing = self._sum_packings.get(k)
+        if packing is None:
+            lanes = _sum_lanes(self, k)
+            _, atoms, lengths, *_ = self._packed(lanes)
+            values, tops = self._lattice
+            reach = k * max(map(abs, chain.from_iterable(values)), default=0)
+            high = _Lanes(len(values[0]) if values else 0, 2 * reach + 1)
+            shift = len(lanes.shifts) * lanes.width
+            low = (1 << shift) - 1
+            bounds = []
+            for e in range(k * (self._lmax - self._lmin) + 1):
+                bound = [-reach - 1 if e else 0] * len(high.shifts)
+                for d, top in tops.items():
+                    bound = list(map(max, bound, (x * e // d for x in top)))
+                bounds.append((high.guards + high.pack(min(reach, b) for b in bound)) << shift | low)
+            packing = (lanes, tuple(a + (high.pack(v) << shift) for a, v in zip(atoms, values)),
+                       lengths, low, high.guards << shift, tuple(bounds))
+            self._sum_packings[k] = packing
         return packing
 
     @property
@@ -555,14 +610,15 @@ def _sum_lanes(monoid: PresentedMonoid, k: int) -> _Lanes:
 def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
     """Yield (packed, total) for each distinct sum of k atoms whose total
     length is at least min_total, once, so that a caller can stop at the
-    first that works: the sum packed in ``_sum_lanes(monoid, k)`` and its
+    first that works: the sum packed in ``_sum_lanes(monoid, k)``, with its
+    values under G above it (``PresentedMonoid._sum_packing``), and its
     total length.
 
     Depth-first over nonincreasing atom lengths, with an explicit stack; a
     branch stops as soon as its remaining picks at the current length can no
     longer reach min_total.
     """
-    _, atoms, lengths, *_ = monoid._packed(_sum_lanes(monoid, k))
+    _, atoms, lengths, *_ = monoid._sum_packing(k)
     n = len(atoms)
     seen: set[int] = set()
     stack = [(0, k, 0, 0)]
@@ -597,6 +653,18 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
     strategy='exhaustive' tests every l of the band; 'extremes' walks in from
     each end of the band to the first member, which gives rho_k and lambda_k
     exactly but leaves the value set partial.
+
+    A lattice prune skips candidates first.  Let G be F and -F, F an
+    integer basis of the g with g(a) = 0 for every shortest atom a.  If a
+    candidate s is b_1 + ... + b_m, m = max(k, l), its excess e = |s| -
+    m * lmin is sum_i (|b_i| - lmin), and the shortest atoms add 0 to g, so
+    g(s) = sum_i (|b_i| - lmin) * g(b_i) / (|b_i| - lmin) over the longer
+    b_i is at most e times the largest g(b) / (|b| - lmin), |b| > lmin.  As
+    an int, g(s) <= bound_g(e) = max_b floor(g(b) * e / (|b| - lmin)), 0
+    at e = 0 (no e > 0 without a longer atom).  A candidate with g(s) >
+    bound_g(e) for some g has no factorization of m atoms and is skipped,
+    by one guarded subtraction (``PresentedMonoid._sum_packing``); the
+    length search decides every other.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -607,10 +675,14 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
     lmin, lmax = monoid._lmin, monoid._lmax
 
     def member(l: int) -> bool:
+        if l == k:
+            return True
         small, big = min(k, l), max(k, l)
-        lanes = _sum_lanes(monoid, small)
-        return l == k or any(_packed_has_length(monoid, lanes, s, total, big)
-                             for s, total in _k_fold_sums(monoid, small, big * lmin))
+        lanes, _, _, low, flags, bounds = monoid._sum_packing(small)
+        floor = big * lmin
+        return any((bounds[total - floor] - s) & flags == flags
+                   and _packed_has_length(monoid, lanes, s & low, total, big)
+                   for s, total in _k_fold_sums(monoid, small, floor))
 
     band = range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1)
     if strategy == "exhaustive":

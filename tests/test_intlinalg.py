@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from zsl.intlinalg import (
     det_bareiss,
+    kernel_basis,
     lattice_quotient,
     matrix_dims,
     primitive_kernel_vector,
@@ -161,6 +162,31 @@ def test_primitive_kernel_vector_none_when_independent():
 
 def test_primitive_kernel_vector_none_when_nullity_two():
     assert primitive_kernel_vector([(1, 0), (1, 0), (1, 0)]) is None
+
+
+def test_kernel_basis_one_relation_per_free_column():
+    # columns e1, e2, e1 + e2, 2(e1 + e2): columns 2 and 3 are free
+    assert kernel_basis([(1, 0), (0, 1), (1, 1), (2, 2)]) == [[-1, -1, 1, 0], [-2, -2, 0, 1]]
+    assert kernel_basis([(1, 0), (0, 1)]) == []
+    assert kernel_basis([]) == []
+    # vectors with no entries: every column is free
+    assert kernel_basis([(), ()]) == [[1, 0], [0, 1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda r: st.lists(
+    st.lists(st.integers(-3, 3), min_size=r, max_size=r), max_size=6)))
+def test_kernel_basis_is_an_independent_set_of_primitive_relations(vectors):
+    basis = kernel_basis(vectors)
+    for z in basis:
+        assert len(z) == len(vectors) and {type(x) for x in z} == {int}
+        assert gcd(*z) == 1
+        # z annihilates every row of the matrix whose columns are the vectors
+        assert all(sum(map(lambda x, v: x * v[i], z, vectors)) == 0
+                   for i in range(len(vectors[0])))
+    assert len(basis) == len(vectors) - rank_over_q(vectors)
+    assert rank_over_q(basis) == len(basis)
+    assert primitive_kernel_vector(vectors) == (basis[0] if len(basis) == 1 else None)
 
 
 def square_matrices(max_n=4, bound=7):

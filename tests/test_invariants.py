@@ -884,6 +884,62 @@ def test_packed_k_fold_sums_match_combinations_reference(monoid, k, min_total):
     assert elements_up_to(monoid, k) == set().union(*map(sums, range(1, k + 1)))
 
 
+def recorded_length_searches(monoid, k, strategy, answer=None):
+    """(target, sum) for each length search that ``union_of_lengths(monoid,
+    k, strategy)`` runs, in call order: the search replaced by one that
+    records its sum, unpacked, and returns ``answer(target, sum)``, or the
+    real search's answer."""
+    search = invariants._packed_has_length
+    calls = []
+
+    def recorded(m, lanes, residual, total, target):
+        [s] = lanes.unpack_all([residual])
+        assert sum(s) == total
+        calls.append((target, s))
+        if answer is None:
+            return search(m, lanes, residual, total, target)
+        return answer(target, s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_packed_has_length", recorded)
+        union_of_lengths(monoid, k, strategy)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_block_monoids(), field_edge_monoids()), st.integers(1, 4))
+@example(B2, 3)
+def test_lattice_prune_skips_only_sums_without_the_length(monoid, k):
+    # with every length search answering no, member(l) walks all its
+    # candidate sums, and the ones it does not search are the ones the
+    # lattice prune skipped: none of them has a factorization of max(k, l)
+    # atoms
+    tested = set(recorded_length_searches(monoid, k, "exhaustive", lambda *_: False))
+    lengths = monoid.atom_lengths()
+    lmin, lmax = min(lengths), max(lengths)
+    for l in range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1):
+        small, big = min(k, l), max(k, l)
+        if l != k:
+            for s in unpacked_k_fold_sums(monoid, small, big * lmin):
+                assert (big, s) in tested or not exists_length(monoid, s, big), (l, s)
+
+
+def test_lattice_prune_at_the_top_of_rank3_u5():
+    # rho_5 = 11 at rank 3: the lattice prune skips all 5,412 five-atom sums
+    # of total length at least 12 * lmin = 24, and none of them has a
+    # factorization of 12 atoms.  The extremes then run two length
+    # searches, the first candidate of l = 11 and of lambda's l = 2, and both
+    # hit; without the prune they ran 5,614, all 5,412 at l = 12 among them
+    from zsl.constructions import hypercube_pm
+
+    m3 = block_monoid(enumerate_atoms(hypercube_pm(3)))
+    calls = recorded_length_searches(m3, 5, "extremes")
+    assert [target for target, _ in calls] == [11, 5]
+    candidates = unpacked_k_fold_sums(m3, 5, 24)
+    assert len(candidates) == 5412
+    assert not any(exists_length(m3, s, 12) for s in candidates)
+
+
 def kruskal_catenary(zs):
     """Every pairwise ``distance`` sorted, then joined by union-find until
     the graph is connected: a reference for the threshold growth of
