@@ -98,9 +98,18 @@ def _minimal_solutions(vectors, budget: int,
     solution carries its support bitmask and each frontier tuple carries its
     own next to its state, so one integer test, supp(a) inside supp(t2),
     rejects most of those before any coordinate is read.  The screen stays
-    although small grounds pay for it: without it perfbench's ``enumerate``
-    pass ran about 12 % faster, but the complete signed 4-cube at budget 27
-    took 8.9-13.1 s against 6.4-10.1 s (2-core host, Python 3.11).
+    for the 4-cube: without it the complete signed 4-cube at budget 27 took
+    8.9-13.1 s against 6.4-10.1 s (2-core host, Python 3.11), and
+    perfbench's ``enumerate`` pass ran about 5 % slower (0.0193 s against
+    0.0184 s, median of 6 alternating pairs).
+
+    Round ``budget`` is the last, and no child it makes is read: its
+    solutions come from the final-state pass over its whole frontier, and
+    of its children only whether one survives the dominance test decides
+    the flag.  So it stops at the first survivor, leaving the step loop and
+    the frontier loop with that one child; the solutions, their order and
+    the flag are those of a full last round.  When none survives, as in a
+    run whose longest solution has length ``budget``, all are still made.
 
     Each count tuple is one int p of ``counts = _Lanes(n, budget + 1)``,
     t_j in field j of w bits.  No count exceeds the length of its tuple, and
@@ -115,14 +124,14 @@ def _minimal_solutions(vectors, budget: int,
     Each state is one int T + pack(x) of ``lanes`` too, T its guards at bit
     c of each field, and a child's state is its parent's plus packed step
     j.  A state is read (final test, step list) only in the round of its
-    tuple, so only while the tuple's length is at most the budget; a child
-    made in the last round is stored but never read.  Every value x of a
-    state read lies in [-B, B] for the ``largest`` B of the lanes, so its
-    field holds x + 2^c, with bit c set exactly when x >= 0.  The steps of a
-    state are listed under the clear guards of the fields that steer them,
-    once per key in increasing j and kept, so the children come in
-    increasing j: the steps whose test bits meet key & (-key | spread), all
-    of key without ``need`` (spread = -1), its lowest bit with it (0).
+    tuple, so only while the tuple's length is at most the budget; the child
+    the last round keeps is never read.  Every value x of a state read lies
+    in [-B, B] for the ``largest`` B of the lanes, so its field holds
+    x + 2^c, with bit c set exactly when x >= 0.  The steps of a state are
+    listed under the clear guards of the fields that steer them, once per
+    key in increasing j and kept, so the children come in increasing j: the
+    steps whose test bits meet key & (-key | spread), all of key without
+    ``need`` (spread = -1), its lowest bit with it (0).
 
     - Without ``need`` the lanes are ``_Lanes(r + n, B)`` and x is the
       coordinates s_k, then the inner products <s, v_j>.  Packed step i
@@ -183,7 +192,10 @@ def _minimal_solutions(vectors, budget: int,
                     if p & f:
                         by_coordinate.setdefault(p & f, []).append((mask, p))
         next_frontier: dict[int, tuple[int, int]] = {}
+        last = length == budget  # its children are never read: one survivor settles the flag
         for p, (state, mask) in frontier.items():
+            if last and next_frontier:
+                break
             if state & state_mask == state_zero:
                 continue
             key = signs & ~state
@@ -202,6 +214,8 @@ def _minimal_solutions(vectors, budget: int,
                         break
                 else:
                     next_frontier[p2] = (state + step, mask2)
+                    if last:
+                        break
         frontier = next_frontier
         length += 1
     return counts.unpack_all(solutions), not frontier

@@ -511,6 +511,25 @@ def test_deficit_lanes_hold_a_need_beyond_the_budget(need, budget):
     assert got == ([], False)
 
 
+@pytest.mark.parametrize("rank, budget, count, complete", [
+    # the longest atom has length 5, so the dominance test drops every one
+    # of the 48 children of the last round and the frontier empties
+    (3, 5, 41, True),
+    # 20 children of the last round survive: the flag rests on the first
+    (3, 4, 33, False),
+    # without the cut, 8,256 of the run's 10,126 children are made in its last round
+    (4, 3, 65, False),
+])
+def test_complete_flag_at_the_budget_edge(rank, budget, count, complete):
+    # the last round stops at its first surviving child: only a surviving
+    # child may clear the flag, and the solutions of length budget stay
+    args = (hypercube_pm(rank).elements, budget)
+    got = _minimal_solutions(*args)
+    assert got == tuple_minimal_solutions(*args)
+    assert (len(got[0]), got[1]) == (count, complete)
+    assert max(map(sum, got[0])) == budget
+
+
 def test_square_ground_hilbert_basis():
     # the 24 nonzero points of [-2, 2]^2
     g = GroundSet.from_elements(2, [(x, y) for x in range(-2, 3) for y in range(-2, 3)
