@@ -126,8 +126,8 @@ def test_enumeration_matches_brute_force_on_signed_hypercube_r3():
 def literal_brute_force_atoms(ground, max_length):
     """Every multiplicity vector of total 1 .. max_length built as a
     ``Sequence``, kept when it sums to zero and no nonzero proper sub-vector,
-    itself built as a ``Sequence``, does: a reference for the sum table and
-    the flag DP of ``brute_force_atoms``."""
+    itself built as a ``Sequence``, does: a reference for the meet-in-the-middle
+    listing and the level-by-level minimality test of ``brute_force_atoms``."""
     n = len(ground)
     zero = (0,) * ground.rank
 
@@ -170,22 +170,42 @@ def test_brute_force_matches_literal_reference(ground, max_length):
 @pytest.mark.parametrize("elements, max_length, expected", [
     # a zero element: alone an atom, and in no other atom
     ([(1,), (0,), (-1,)], 4, [(0, 1, 0), (1, 0, 1)]),
-    # a one-element ground, both with and without an atom
+    # a one-element ground, both with and without an atom: the tabled half is empty
     ([(0, 0)], 3, [(1,)]),
     ([(2, -1)], 5, []),
     # a +-v pair: alone, before a third element and around one
     ([(1, 2), (-1, -2)], 6, [(1, 1)]),
     ([(1, 0), (-1, 0), (0, 1)], 5, [(1, 1, 0)]),
     ([(3,), (1,), (-3,)], 6, [(0, 3, 1), (1, 0, 1)]),
-    # tail sums that collide: 1 * (2,) and 2 * (1,) both cancel one (-2,)
+    # streamed half-vectors of one sum and two totals: 1 * (2,) and 2 * (1,) both cancel one (-2,)
     ([(-2,), (1,), (2,)], 7, [(1, 0, 1), (1, 2, 0)]),
-    # the (1, 1) tail sum 0 is also the empty tail's: left 2 and left 0
+    # the streamed half-vector (1, 1) sums to 0, as the empty one does: totals 2 and 0
     ([(2, 2), (1, 0), (-1, 0)], 4, [(0, 1, 1)]),
+    # a zero element in the tabled half
+    ([(0,), (1,), (-1,)], 4, [(0, 1, 1), (1, 0, 0)]),
+    # an odd number of elements, with a zero element in the streamed half
+    ([(2,), (1,), (-1,), (-3,), (0,)], 5,
+     [(0, 0, 0, 0, 1), (0, 1, 1, 0, 0), (0, 3, 0, 1, 0), (1, 0, 2, 0, 0), (1, 1, 0, 1, 0),
+      (2, 0, 1, 1, 0), (3, 0, 0, 2, 0)]),
+    # tabled half-vectors of one sum and one total: (1, 0, 1) and (0, 2, 0) both cancel (-4,)
+    ([(1,), (2,), (3,), (-4,), (-2,), (-1,)], 4,
+     [(0, 0, 1, 0, 0, 3), (0, 0, 1, 0, 1, 1), (0, 0, 2, 1, 1, 0), (0, 1, 0, 0, 0, 2),
+      (0, 1, 0, 0, 1, 0), (0, 1, 1, 1, 0, 1), (0, 2, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1),
+      (1, 0, 1, 0, 2, 0), (1, 0, 1, 1, 0, 0), (2, 0, 0, 0, 1, 0), (2, 1, 0, 1, 0, 0)]),
+    # the non-atom (1, 1, 1, 1) is joined from the streamed half-vector of its
+    # atom (0, 0, 1, 1): only its total puts it after that atom
+    ([(1,), (-1,), (2,), (-2,)], 4, [(0, 0, 1, 1), (0, 2, 1, 0), (1, 1, 0, 0), (2, 0, 0, 1)]),
 ])
 def test_brute_force_explicit_examples(elements, max_length, expected):
     ground = GroundSet.from_elements(len(elements[0]), elements)
     got = [a.mult for a in brute_force_atoms(ground, max_length)]
     assert got == expected == literal_brute_force_atoms(ground, max_length)
+
+
+def test_brute_force_matches_truncated_enumeration_on_signed_hypercube_r4():
+    fast = [a.mult for a in enumerate_atoms(hypercube_pm(4), 5).atoms]
+    assert [a.mult for a in brute_force_atoms(hypercube_pm(4), 5)] == fast
+    assert len(fast) == 641
 
 
 def test_brute_force_on_an_empty_ground():
