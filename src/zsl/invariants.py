@@ -16,20 +16,13 @@ subtraction both removes an atom and tells whether it fit.  Each node
 carries its factorization so far as one int too: the count vector, in lex
 lanes whose int order is the order of the count vectors, so sorting the
 ints sorts the factorizations and each is unpacked only for public output.
-For a set of lengths, and for the least length of each cover quotient
-behind tau, the same search carries the length subtracted instead and
-stops at one factorization per length: it cuts every node whose window of
-possible lengths holds no length not yet found.  Whether an element has a
-factorization of one given length (behind the unions of sets of lengths)
-is a second, existence-only search over the same packed residuals and the
-atoms by nonincreasing length: a length budget that the remaining atoms
-must meet exactly cuts a branch that its longest atom cannot fill and
-skips the atoms too long for the slack left above the shortest atom
-length.  It stays apart from the bucket search: one kernel for both, its
-buckets sorted by length and the length window found by bisection, made
-perfbench's ``factorize`` pass about 12 % slower and the
-``union_of_lengths`` extremes for k = 4..6 on the rank-3 block monoid half
-again as slow.  The unions of sets of lengths run it on the distinct k-fold
+For a set of lengths, for the least length of each cover quotient behind
+tau, and for whether an element has a factorization of one given length
+(behind the unions of sets of lengths), the same search carries the length
+subtracted instead and a mask of the lengths wanted: it stops at one
+factorization of each wanted length, clearing that length from the mask,
+and cuts every node whose window of possible lengths holds no wanted
+length.  The unions of sets of lengths run it on the distinct k-fold
 atom sums, each built and held as one packed int with its values under
 linear forms that vanish on the shortest atoms; a sum whose values rule out
 the wanted length, by one guarded subtraction, is skipped.  The catenary degree
@@ -89,17 +82,11 @@ class PresentedMonoid(_Record):
                             raise ValueError("atoms must be pairwise incomparable")
         order = sorted(range(len(atoms)), key=lambda i: (-sum(atoms[i]), atoms[i]))
         object.__setattr__(self, "_search_order", tuple(order))
-        # slack s -> the first search position whose atom is at most lmin + s
-        # long, for s = 0 .. lmax - lmin (see _packed_has_length)
         object.__setattr__(self, "_lengths", tuple(map(sum, atoms)))
-        lengths = [self._lengths[i] for i in order]
-        # the shortest and longest atom lengths, 1 and 1 without atoms
-        lmin, lmax = (lengths[-1], lengths[0]) if lengths else (1, 1)
-        object.__setattr__(self, "_lmin", lmin)
-        object.__setattr__(self, "_lmax", lmax)
-        object.__setattr__(self, "_slack_start", tuple(
-            next(p for p, length in enumerate(lengths) if length <= lmin + s)
-            for s in range(lmax - lmin + 1 if lengths else 0)))
+        # the shortest and longest atom lengths, 1 and 1 without atoms: the
+        # length window of the factorization search and the band of the unions
+        object.__setattr__(self, "_lmin", min(self._lengths, default=1))
+        object.__setattr__(self, "_lmax", max(self._lengths, default=1))
         object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
         object.__setattr__(self, "_packings", {})
         object.__setattr__(self, "_sum_packings", {})
@@ -113,28 +100,18 @@ class PresentedMonoid(_Record):
 
     def _packed(self, lanes: _Lanes):
         """The lanes, the atoms in search order packed in them with their
-        lengths, per search position the fields of the coordinates that no
-        atom from that position on touches (read only by the length search),
-        and per coordinate i the bucket of (packed atom, atom index) pairs,
-        by atom index, of the atoms whose lowest support coordinate is i.
-        Built on first use of a lane width and kept."""
+        lengths, and per coordinate i the bucket of (packed atom, atom index)
+        pairs, by atom index, of the atoms whose lowest support coordinate
+        is i.  Built on first use of a lane width and kept."""
         packing = self._packings.get(lanes.width)
         if packing is None:
             packed = list(map(lanes.pack, self.atoms))
-            ordered = [self.atoms[i] for i in self._search_order]
-            uncovered = []
-            mask = lanes.pack([lanes.field] * self.ambient_dim)
-            for a in reversed(ordered):
-                mask &= ~lanes.pack(lanes.field if v else 0 for v in a)
-                uncovered.append(mask)
-            uncovered.reverse()
             buckets = [[] for _ in lanes.shifts]
             for i, a in enumerate(self.atoms):
                 buckets[next(k for k, v in enumerate(a) if v)].append((packed[i], i))
             packing = (lanes,
                        tuple(packed[i] for i in self._search_order),
-                       tuple(sum(a) for a in ordered),
-                       tuple(uncovered),
+                       tuple(self._lengths[i] for i in self._search_order),
                        tuple(map(tuple, buckets)))
             self._packings[lanes.width] = packing
         return packing
@@ -235,21 +212,22 @@ def _count_lanes(monoid: PresentedMonoid, total: int) -> _Lanes:
     return _Lanes(monoid.atom_count, total // monoid._lmin, lex=True)
 
 
-def _factorization_counts(monoid: PresentedMonoid, x, one_per_length: bool = False):
+def _factorization_counts(monoid: PresentedMonoid, x, wanted: int | None = None):
     """``_packed_factorization_counts`` on x, a nonnegative element of the
     ambient dimension, packed in lanes that hold its largest coordinate."""
     lanes = monoid._lanes(max(x, default=0))
-    return _packed_factorization_counts(monoid, lanes, lanes.pack(x), sum(x), one_per_length)
+    return _packed_factorization_counts(monoid, lanes, lanes.pack(x), sum(x), wanted)
 
 
 def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residual: int,
-                                 total: int, one_per_length: bool = False):
+                                 total: int, wanted: int | None = None):
     """Yield the factorizations of the element x packed as ``residual`` in
     ``lanes``, of total length ``total``, each once, in no fixed order, as
-    count vectors packed in ``_count_lanes(monoid, total)``.  With
-    ``one_per_length``, yield instead the length of one factorization of
-    each length that x has, each length once.  The lanes must hold every
-    coordinate of x.
+    count vectors packed in ``_count_lanes(monoid, total)``.  With an int
+    ``wanted``, a mask with bit l set for each length l wanted (-1 for
+    every length, 1 << l for l alone), yield instead the length of one
+    factorization of each wanted length that x has, each length once.  The
+    lanes must hold every coordinate of x.
 
     Depth-first with an explicit stack, so that the depth is not bounded by
     the recursion limit.  A node is a residual r, its depth, an accumulator
@@ -293,38 +271,38 @@ def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residua
     step of atom i is the 1 of its count field, so the accumulator is the
     packed count vector of the path; no count or length exceeds the count
     lanes' largest (``_count_lanes``), so no field carries.  With
-    ``one_per_length`` the step is the atom's length, so the accumulator is
-    the length c subtracted so far.  The atoms that complete a node of
-    depth d then sum to total - c in length, each between lmin and lmax
-    long, the shortest and longest atom lengths, so the node's
-    factorizations have lengths in the window d + ceil((total - c) / lmax)
-    .. d + (total - c) // lmin, just d at a zero residual.  A node whose
-    window holds no length yielded so far is cut: every factorization below
-    it has a length already yielded, so no length is lost, and a zero
-    residual whose length was yielded is not yielded again.
+    ``wanted`` the step is the atom's length, so the accumulator is the
+    length c subtracted so far.  The atoms that complete a node of depth d
+    then sum to total - c in length, each between lmin and lmax long, the
+    shortest and longest atom lengths, so the node's factorizations have
+    lengths in the window d + ceil((total - c) / lmax) ..
+    d + (total - c) // lmin, just d at a zero residual.  A yielded length
+    is cleared from ``wanted``, and a node whose window holds no length
+    still wanted is cut: every factorization below it has a length not
+    wanted or already yielded, so no wanted length is lost, and a zero
+    residual whose length is not wanted, or was yielded, is not yielded.
     """
     guards, width = lanes.guards, lanes.width
-    buckets = monoid._packed(lanes)[4]
+    buckets = monoid._packed(lanes)[3]
     lmin, lmax = monoid._lmin, monoid._lmax
-    if one_per_length:
-        steps = monoid._lengths
-        yielded = 0  # bit l set once length l is yielded
-    else:
+    if wanted is None:
         steps = [1 << s for s in _count_lanes(monoid, total).shifts]
+    else:
+        steps = monoid._lengths
     stack = [(0, residual, 0, -1, 0)]
     while stack:
         depth, residual, acc, low, place = stack.pop()
-        if one_per_length:
+        if wanted is not None:
             rest = total - acc
             window = (2 << depth + rest // lmin) - (1 << depth - -rest // lmax)
-            if not window & ~yielded:
+            if not window & wanted:
                 continue
         if not residual:
-            if one_per_length:
-                yielded |= 1 << depth
-                yield depth
-            else:
+            if wanted is None:
                 yield acc
+            else:
+                wanted &= ~(1 << depth)
+                yield depth
             continue
         i = ((residual & -residual).bit_length() - 1) // width
         if i != low:
@@ -336,72 +314,6 @@ def _packed_factorization_counts(monoid: PresentedMonoid, lanes: _Lanes, residua
             fitted = (residual | guards) - atom
             if fitted & guards == guards:
                 stack.append((depth, fitted ^ guards, acc + steps[index], i, p))
-
-
-def _packed_has_length(monoid: PresentedMonoid, lanes: _Lanes, residual: int,
-                       total: int, target: int) -> bool:
-    """Whether the element packed as ``residual`` in ``lanes``, of total
-    length ``total``, is a sum of exactly ``target`` atoms.  The lanes must
-    hold every coordinate of the element.
-
-    Depth-first over the atoms in search order, by nonincreasing length,
-    with an explicit stack, stopping at the first hit: each atom takes
-    every count that fits, the largest first, down to 0, and a residual
-    with a coordinate that no atom from the node's position on touches
-    (an AND with ``uncovered``) is cut.  The residuals are packed, and an
-    atom's fit tested, as in ``_factorization_counts``.  A node is a
-    residual of total length T that ``left`` atoms from search position
-    ``pos`` on must sum to exactly.  Each of them is at least lmin long,
-    lmin being the shortest atom length, so
-
-    - the node is dead when slack = T - left * lmin is negative;
-    - an atom of length L among the left picks leaves T - L >=
-      (left - 1) * lmin for the other left - 1, so L <= lmin + slack:
-      every position before the first one whose atom is at most
-      lmin + slack long takes count 0, and the search jumps there;
-    - the atoms from the (new) pos on are at most lengths[pos] long, the
-      search order being by nonincreasing length, so the node is dead
-      when T > left * lengths[pos].
-
-    A pruned node has no factorization of the wanted length, so the answer
-    is that of the search without the prunes.
-    ``PresentedMonoid._slack_start[s]`` is the first position for slack s;
-    from slack lmax - lmin on it is position 0.
-    """
-    n = len(monoid._search_order)
-    _, atoms, lengths, uncovered, _ = monoid._packed(lanes)
-    guards = lanes.guards
-    if not residual or not n:
-        return not residual and not target
-    lmin = lengths[-1]
-    start = monoid._slack_start
-    top = len(start)
-    stack = [(0, residual, target, total)]
-    while stack:
-        pos, residual, left, total = stack.pop()
-        if not residual:
-            if not left:
-                return True
-            continue
-        slack = total - left * lmin
-        if slack < 0:
-            continue
-        if slack < top and start[slack] > pos:
-            pos = start[slack]
-        if pos == n or total > left * lengths[pos] or residual & uncovered[pos]:
-            continue
-        atom, length = atoms[pos], lengths[pos]
-        pos += 1
-        stack.append((pos, residual, left, total))
-        while left:  # pushed upwards, so the largest count pops first
-            fitted = (residual | guards) - atom
-            if fitted & guards != guards:
-                break
-            residual = fitted ^ guards
-            left -= 1
-            total -= length
-            stack.append((pos, residual, left, total))
-    return False
 
 
 def _element(monoid: PresentedMonoid, x) -> tuple[int, ...]:
@@ -438,7 +350,7 @@ def factorizations(monoid: PresentedMonoid, x) -> list[tuple[int, ...]]:
 
 def set_of_lengths(monoid: PresentedMonoid, x) -> tuple[int, ...]:
     x = _nonnegative_element(monoid, x)
-    return tuple(sorted(_factorization_counts(monoid, x, one_per_length=True)))
+    return tuple(sorted(_factorization_counts(monoid, x, -1)))
 
 
 def distance(z, w) -> int:
@@ -567,20 +479,17 @@ def catenary_element(monoid: PresentedMonoid, x) -> int:
 
 def exists_length(monoid: PresentedMonoid, x, target: int) -> bool:
     """Whether x factors into exactly ``target`` atoms (never, for an x with
-    a negative coordinate).
+    a negative coordinate or a target outside 0 .. |x|, as every atom is at
+    least 1 long).
 
-    Depth-first over the atoms by nonincreasing length, stopping at the
-    first hit.  The atoms still to pick must sum to exactly the residual's
-    length, so a branch whose longest remaining atom cannot fill it is cut,
-    and an atom longer than the shortest atom length plus the slack (the
-    residual length beyond what that many shortest atoms would take) is
-    skipped; the proof is at ``_packed_has_length``.
+    The factorization search with only ``target`` wanted, stopped at its
+    first yield: it cuts every node whose window of lengths misses the
+    target (``_packed_factorization_counts``).
     """
     x = _element(monoid, x)
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in x) or not 0 <= target <= sum(x):
         return False
-    lanes = monoid._lanes(max(x, default=0))
-    return _packed_has_length(monoid, lanes, lanes.pack(x), sum(x), target)
+    return next(_factorization_counts(monoid, x, 1 << target), None) is not None
 
 
 class UnionOfLengths(_Record):
@@ -603,7 +512,7 @@ class UnionOfLengths(_Record):
 def _sum_lanes(monoid: PresentedMonoid, k: int) -> _Lanes:
     """The lanes of the packed sums of k atoms: every coordinate of such a
     sum is at most k times the largest atom coordinate, so the sums add
-    fieldwise and ``_packed_has_length`` takes them as they are."""
+    fieldwise and ``_packed_factorization_counts`` takes them as they are."""
     return monoid._lanes(k * monoid._largest_coordinate)
 
 
@@ -664,7 +573,7 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
     at e = 0 (no e > 0 without a longer atom).  A candidate with g(s) >
     bound_g(e) for some g has no factorization of m atoms and is skipped,
     by one guarded subtraction (``PresentedMonoid._sum_packing``); the
-    length search decides every other.
+    factorization search with only m wanted decides every other.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -681,7 +590,8 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
         lanes, _, _, low, flags, bounds = monoid._sum_packing(small)
         floor = big * lmin
         return any((bounds[total - floor] - s) & flags == flags
-                   and _packed_has_length(monoid, lanes, s & low, total, big)
+                   and next(_packed_factorization_counts(monoid, lanes, s & low, total,
+                                                         1 << big), None) is not None
                    for s, total in _k_fold_sums(monoid, small, floor))
 
     band = range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1)
@@ -836,9 +746,9 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     is nonnegative, of total length T = sum z_i |a_i| - |u|; as |z| <= omega,
     every coordinate is at most omega times the largest atom coordinate, so
     in ``_sum_lanes(monoid, omega)`` it packs as sum z_i A_i - U with no
-    carry or borrow.  The one-per-length factorization search yields each
-    length of the quotient once, so its least yield is the least length,
-    and no yield means the quotient left the monoid.
+    carry or borrow.  The factorization search with every length wanted
+    yields each length of the quotient once, so its least yield is the
+    least length, and no yield means the quotient left the monoid.
     """
     kept, covers = _covers(monoid, atom_index)
     w = max(map(sum, covers))
@@ -851,8 +761,8 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     for z in covers:
         residual = sum(map(mul, z, packed)) - packed_u
         total = sum(map(mul, z, lengths)) - length_u
-        least = min(_packed_factorization_counts(monoid, lanes, residual, total,
-                                                 one_per_length=True), default=None)
+        least = min(_packed_factorization_counts(monoid, lanes, residual, total, -1),
+                    default=None)
         if least is None:
             raise AssertionError("cover quotient left the monoid")
         t = max(t, least)

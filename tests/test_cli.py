@@ -632,9 +632,9 @@ def test_each_atom_and_element_searched_once(capsys, monkeypatch, h2, tmp_path):
         covers[monoid, atom_index] += 1
         return search_covers(monoid, atom_index)
 
-    def counted_counts(monoid, x, one_per_length=False):  # exists_length has its own
+    def counted_counts(monoid, x, wanted=None):
         factored[monoid, tuple(x)] += 1
-        return search_counts(monoid, x, one_per_length)
+        return search_counts(monoid, x, wanted)
 
     monkeypatch.setattr(invariants, "_covers", counted_covers)
     monkeypatch.setattr(invariants, "_factorization_counts", counted_counts)

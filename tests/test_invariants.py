@@ -198,6 +198,9 @@ def test_exists_length_banding():
     assert exists_length(B2, x, 2)
     assert exists_length(B2, x, 3)
     assert not exists_length(B2, x, 4)
+    # a target below 0 or above |x| is answered without building its mask
+    assert not exists_length(B2, x, -1)
+    assert not exists_length(B2, x, 10 ** 12)
 
 
 def test_min_max_length():
@@ -407,7 +410,7 @@ def test_tau_does_not_depend_on_the_atom_order():
     reversed_m3 = PresentedMonoid(m3.ambient_dim, m3.atoms[::-1])
     u = reversed_m3.atoms[1]
     firsts = [next(invariants._factorization_counts(
-        reversed_m3, [x - y for x, y in zip(reversed_m3.element(z), u)], one_per_length=True))
+        reversed_m3, [x - y for x, y in zip(reversed_m3.element(z), u)], -1))
         for z in minimal_covers(reversed_m3, 1)]
     assert max(firsts) > 5
     assert atom_invariants(reversed_m3, 1) == atom_invariants(m3, 39) == {
@@ -436,14 +439,20 @@ def test_cover_quotient_outside_the_monoid_raises(atoms, atom_index, cover):
 
 
 def test_atom_invariants_runs_no_length_existence_search(monkeypatch):
-    # tau reads each cover quotient's least length off the one-per-length
-    # factorization search, also when a quotient leaves the monoid
-    def unreachable(*args):
-        raise AssertionError("the length existence search ran")
-
+    # tau reads each cover quotient's least length off one factorization
+    # search with every length wanted, never off a scan of one-length
+    # searches, also when a quotient leaves the monoid
     want = [tau_from_covers(B2, i) for i in range(B2.atom_count)]
-    monkeypatch.setattr(invariants, "_packed_has_length", unreachable)
+    kernel = invariants._packed_factorization_counts
+    masks = []
+
+    def recorded(monoid, lanes, residual, total, wanted=None):
+        masks.append(wanted)
+        return kernel(monoid, lanes, residual, total, wanted)
+
+    monkeypatch.setattr(invariants, "_packed_factorization_counts", recorded)
     assert [atom_invariants(B2, i)["tau"] for i in range(B2.atom_count)] == want
+    assert masks == [-1] * sum(len(minimal_covers(B2, i)) for i in range(B2.atom_count))
     monoid = PresentedMonoid(2, [(0, 3), (2, 2), (3, 0)])
     with pytest.raises(AssertionError, match="cover quotient left the monoid"):
         atom_invariants(monoid, 1)
@@ -523,63 +532,6 @@ def search_order_and_masks(monoid):
     return order, masks
 
 
-def tuple_length_search(monoid, x, target):
-    """The length-budget search of ``invariants.exists_length`` over tuple
-    residuals: whether x has a factorization of ``target`` atoms, and the
-    search positions of the nodes it expanded, in order.  The slack jump
-    walks forward atom by atom instead of reading a table."""
-    atoms = monoid.atoms
-    order, masks = search_order_and_masks(monoid)
-    n = len(order)
-    lengths = [sum(atoms[i]) for i in order]
-    expanded = []
-    stack = [(0, tuple(x), target)]
-    while stack:
-        pos, residual, left = stack.pop()
-        if not any(residual):
-            if left == 0:
-                return True, expanded
-            continue
-        total = sum(residual)
-        slack = total - left * lengths[-1] if n else -1
-        if slack < 0:
-            continue
-        while pos < n and lengths[pos] > lengths[-1] + slack:
-            pos += 1
-        if pos == n or total > left * lengths[pos]:
-            continue
-        if any(r and not m for r, m in zip(residual, masks[pos])):
-            continue
-        expanded.append(pos)
-        atom = atoms[order[pos]]
-        cap = min(left, min(r // a for r, a in zip(residual, atom) if a))
-        for c in range(cap + 1):
-            stack.append((pos + 1, tuple(r - c * a for r, a in zip(residual, atom)), left - c))
-    return False, expanded
-
-
-def packed_length_search(monoid, x, target):
-    """``invariants.exists_length`` on x, with the search positions of the
-    nodes it expanded: the kernel reads the packed atom of a node exactly
-    when it expands it, so a recording tuple in the monoid's packing cache
-    sees each.  The cache entry is restored afterwards."""
-    lanes = monoid._lanes(max(x, default=0))
-    packing = monoid._packed(lanes)
-    expanded = []
-
-    class Recording(tuple):
-        def __getitem__(self, pos):
-            expanded.append(pos)
-            return tuple.__getitem__(self, pos)
-
-    monoid._packings[lanes.width] = (lanes, Recording(packing[1])) + packing[2:]
-    try:
-        hit = invariants.exists_length(monoid, x, target)
-    finally:
-        monoid._packings[lanes.width] = packing
-    return hit, expanded
-
-
 def tuple_lowest_coordinate_counts(monoid, x):
     """The search of ``_factorization_counts`` with each residual held as a
     tuple, each fit tested coordinate by coordinate and each node carrying
@@ -628,23 +580,25 @@ def search_counts(monoid, x):
 def assert_packed_search_matches_reference(monoid, x):
     """The full search yields the count vectors of the decreasing-length
     tuple search, each once, in the order of its own tuple twin, and the
-    one-per-length search yields each of their lengths once; and at
-    every target of the length band and one beyond each end of it, the
-    length-budget search gives the same answer as the bounded tuple
-    reference and expands the same nodes as its tuple twin."""
+    search with every length wanted yields each of their lengths once; and
+    at every target of the length band and one beyond each end of it,
+    ``exists_length`` gives the same answer as the bounded tuple
+    reference, and the search with only the target wanted yields it at
+    most once and nothing else."""
     x = tuple(x)
     got = search_counts(monoid, x)
     assert sorted(got) == sorted(tuple_factorization_counts(monoid, x)), x
     assert len(set(got)) == len(got), x
     assert got == list(tuple_lowest_coordinate_counts(monoid, x)), x
-    lengths = list(invariants._factorization_counts(monoid, x, one_per_length=True))
+    lengths = list(invariants._factorization_counts(monoid, x, -1))
     assert sorted(lengths) == sorted(set(map(sum, got))), x
     lo, hi = length_band(monoid, x)
     for target in range(lo - 1, hi + 2):
         want = next(tuple_factorization_counts(monoid, x, target), None) is not None
-        got = packed_length_search(monoid, x, target)
-        assert got == tuple_length_search(monoid, x, target), (x, target)
-        assert got[0] == want, (x, target)
+        assert exists_length(monoid, x, target) == want, (x, target)
+        if target >= 0:
+            only = list(invariants._factorization_counts(monoid, x, 1 << target))
+            assert only == [target] * want, (x, target)
 
 
 @st.composite
@@ -750,7 +704,7 @@ def test_factorizations_are_the_sorted_count_vectors(case):
 @st.composite
 def uniform_length_monoids(draw):
     """Atoms of N0^3 all of length 3: any set of them is pairwise
-    incomparable, and the slack table has one entry."""
+    incomparable, and every length window holds one length."""
     vectors = [v for v in product(range(4), repeat=3) if sum(v) == 3]
     atoms = draw(st.sets(st.sampled_from(vectors), min_size=2, max_size=6))
     return PresentedMonoid(3, sorted(atoms))
@@ -772,7 +726,6 @@ def length_cases(draw):
         monoid = draw(small_block_monoids())
     elif kind == "uniform":
         monoid = draw(uniform_length_monoids())
-        assert monoid._slack_start == (0,)
     else:
         monoid = acm_monoid()
     n = monoid.atom_count
@@ -802,15 +755,23 @@ def test_exists_length_matches_reference_and_set_of_lengths(case):
 @settings(max_examples=200, deadline=None)
 @given(length_cases())
 def test_one_per_length_search_matches_full_enumeration(case):
-    # the window cut keeps one factorization of every length and yields
-    # each length once, for sums of atoms, mostly non-members and the zero
-    # element alike
+    # the window cut keeps one factorization of every wanted length and
+    # yields each such length once, for sums of atoms, mostly non-members
+    # and the zero element alike: with every length wanted, with the even
+    # lengths, and with every length but the least and the largest
     monoid, elements = case
     for x in elements + [(0,) * monoid.ambient_dim]:
-        got = list(invariants._factorization_counts(monoid, x, one_per_length=True))
+        got = list(invariants._factorization_counts(monoid, x, -1))
         want = sorted({sum(z) for z in tuple_factorization_counts(monoid, x)})
         assert sorted(got) == want, x
         assert set_of_lengths(monoid, x) == tuple(want), x
+        evens = sum(1 << l for l in range(0, sum(x) + 1, 2))
+        got = list(invariants._factorization_counts(monoid, x, evens))
+        assert sorted(got) == [l for l in want if l % 2 == 0], x
+        if want:
+            inner = ~(1 << want[0] | 1 << want[-1])
+            got = list(invariants._factorization_counts(monoid, x, inner))
+            assert sorted(got) == want[1:-1], x
 
 
 def unpacked_k_fold_sums(monoid, k, min_total=0):
@@ -826,21 +787,19 @@ def unpacked_k_fold_sums(monoid, k, min_total=0):
 def test_rank3_union_top_misses_at_slack_zero():
     # l = 12 in U_5 at rank 3 needs a five-atom sum of total length at least
     # 12 * lmin = 24, and 5 * lmax = 25: each search at l = 12 starts with
-    # slack 0 or 1, so it jumps past the length-5 (and, at slack 0, the
-    # length-3 and length-4) atoms; none hits, while l = 11 does
+    # slack 0 or 1 (its total less 24), 12 at the top of its length window,
+    # so the window cut drops every child that takes an atom longer than
+    # lmin + slack; none hits, while l = 11 does
     from zsl.constructions import hypercube_pm
 
     m3 = block_monoid(enumerate_atoms(hypercube_pm(3)))
-    assert m3._slack_start[0] == sorted(m3.atom_lengths(), reverse=True).index(2)
+    assert (m3._lmin, m3._lmax) == (2, 5)
     sums = unpacked_k_fold_sums(m3, 5, 24)
     assert {sum(s) for s in sums} == {24, 25}
     assert not any(exists_length(m3, s, 12) for s in sums)
     assert any(exists_length(m3, s, 11) for s in unpacked_k_fold_sums(m3, 5, 22))
     for s in sums[::97]:
-        hit, expanded = packed_length_search(m3, s, 12)
-        assert not hit and (hit, expanded) == tuple_length_search(m3, s, 12)
-        if sum(s) == 24:
-            assert not expanded or expanded[0] >= m3._slack_start[0]
+        assert next(tuple_factorization_counts(m3, s, 12), None) is None, s
     ext = union_of_lengths(m3, 5, "extremes")
     assert (ext.rho, ext.lam) == (11, 2)
 
@@ -886,22 +845,26 @@ def test_packed_k_fold_sums_match_combinations_reference(monoid, k, min_total):
 
 def recorded_length_searches(monoid, k, strategy, answer=None):
     """(target, sum) for each length search that ``union_of_lengths(monoid,
-    k, strategy)`` runs, in call order: the search replaced by one that
-    records its sum, unpacked, and returns ``answer(target, sum)``, or the
-    real search's answer."""
-    search = invariants._packed_has_length
+    k, strategy)`` runs, in call order: each factorization search whose
+    ``wanted`` mask has one bit, the target's, records its sum, unpacked,
+    and yields the target exactly when ``answer(target, sum)``, or runs as
+    it is."""
+    kernel = invariants._packed_factorization_counts
     calls = []
 
-    def recorded(m, lanes, residual, total, target):
+    def recorded(m, lanes, residual, total, wanted=None):
+        if wanted is None or wanted <= 0 or wanted & wanted - 1:
+            return kernel(m, lanes, residual, total, wanted)
+        target = wanted.bit_length() - 1
         [s] = lanes.unpack_all([residual])
         assert sum(s) == total
         calls.append((target, s))
         if answer is None:
-            return search(m, lanes, residual, total, target)
-        return answer(target, s)
+            return kernel(m, lanes, residual, total, wanted)
+        return iter([target] if answer(target, s) else [])
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "_packed_has_length", recorded)
+        patch.setattr(invariants, "_packed_factorization_counts", recorded)
         union_of_lengths(monoid, k, strategy)
     return calls
 
@@ -1091,13 +1054,12 @@ def test_field_edge_coordinates_factor_exactly():
 
 def test_negative_coordinates_never_reach_the_search(monkeypatch):
     # no factorization has a negative coordinate: exists_length says so,
-    # factorizations and set_of_lengths reject the input, and neither
-    # search kernel runs
+    # factorizations and set_of_lengths reject the input, and the search
+    # kernel does not run
     def unreachable(*args):
         raise AssertionError("the search was given a negative coordinate")
 
     monkeypatch.setattr(invariants, "_packed_factorization_counts", unreachable)
-    monkeypatch.setattr(invariants, "_packed_has_length", unreachable)
     x = (-1, 2, 0, 0, 1, 0)
     for target in range(0, 4):
         assert exists_length(B2, x, target) is False
