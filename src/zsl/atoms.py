@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb, gcd, isqrt
-from operator import add, mul
+from operator import add, le, mul
 
 from .ground import (GroundSet, RationalSequence, Sequence, _checked, _encode_mult, _Lanes,
                      _Record, up_to_sign)
@@ -670,10 +670,13 @@ def brute_force_atoms(ground: GroundSet, max_length: int) -> list[Sequence]:
        ``max_length``: 170,544 for the signed 4-cube at length 7, where the
        whole process peaks at 36 MB (Python 3.11).  The other half is
        streamed.
-    2. Minimality, level by level in increasing total: a listed vector is
-       kept when no atom already kept lies below it, that is, when none is
-       among the combinations of its positions, sorted as they are.  This
-       is exact.  A nonzero
+    2. Minimality, level by level in increasing total: a listed vector t
+       is kept when no atom already kept lies below it.  Such an atom has
+       its support, its set of positions, inside t's, so the kept atoms are
+       filed by support and t reads the file of each nonempty subset of its
+       support, comparing counts: 2^s - 1 lookups for s distinct positions,
+       not the 2^|t| combinations of its positions, which no atom of length
+       78 over four positions would finish.  This is exact.  A nonzero
        zero-sum y < t has a smaller total, so y is listed in an earlier
        level, and by induction some kept atom lies below y.  Two distinct
        vectors of equal total never lie below one another.
@@ -693,8 +696,13 @@ def brute_force_atoms(ground: GroundSet, max_length: int) -> list[Sequence]:
     for u, s in half(range(n // 2, n)):
         for total in range(max(len(u), 1), max_length + 1):
             levels[total] += [w + u for w in table.get((s, total - len(u)), ())]
-    atoms: set[tuple[int, ...]] = set()
-    for level in levels:
-        atoms.update([t for t in level if not any(
-            sub in atoms for m in range(1, len(t)) for sub in combinations(t, m))])
+    atoms: list[tuple[int, ...]] = []
+    filed: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # kept atoms by support
+    for t in chain(*levels):
+        support = tuple(dict.fromkeys(t))
+        if not any(all(map(le, map(a.count, s), map(t.count, s)))
+                   for m in range(1, len(support) + 1) for s in combinations(support, m)
+                   for a in filed.get(s, ())):
+            atoms.append(t)
+            filed.setdefault(support, []).append(t)
     return [Sequence(ground, t) for t in sorted(tuple(map(a.count, range(n))) for a in atoms)]

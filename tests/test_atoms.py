@@ -215,6 +215,17 @@ def test_brute_force_on_an_empty_ground():
     assert brute_force_atoms(ground, 7) == []
 
 
+def test_brute_force_settles_a_long_circuit_atom():
+    # the one atom of these four vectors is 78 long: its minimality test
+    # reads the files of the 15 subsets of its four positions, where the
+    # combinations of its positions would number 2^78
+    combo = [(-2, 2, 1), (-1, -2, -2), (2, -1, 2), (1, 2, -2)]
+    ground = GroundSet.from_elements(3, combo)
+    assert circuit_length(combo) == 78
+    assert [a.mult for a in brute_force_atoms(ground, 78)] == [(20, 21, 24, 13)]
+    assert brute_force_atoms(ground, 77) == []
+
+
 def test_brute_force_never_calls_the_completion_kernel(monkeypatch):
     from zsl import atoms
 
