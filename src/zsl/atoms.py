@@ -95,9 +95,10 @@ def _minimal_solutions(vectors, budget: int,
 
     The solutions are therefore kept by (j, a_j) for each j in supp(a), and
     a child is compared only with the solutions under (j, t2_j).  Each
-    solution carries its support bitmask and each frontier tuple carries its
-    own next to its state, so one integer test, supp(a) inside supp(t2),
-    rejects most of those before any coordinate is read.  The screen stays
+    solution carries its support bitmask, whose set bits are the j it is
+    filed under, and each frontier tuple carries its own next to its state,
+    so one integer test, supp(a) inside supp(t2), rejects most of those
+    before any coordinate is read.  The screen stays
     for the 4-cube: without it the complete signed 4-cube at budget 27 took
     8.9-13.1 s against 6.4-10.1 s (2-core host, Python 3.11), and
     perfbench's ``enumerate`` pass ran about 5 % slower (0.0193 s against
@@ -188,9 +189,11 @@ def _minimal_solutions(vectors, budget: int,
         for p, (state, mask) in frontier.items():
             if state & state_mask == state_zero:
                 solutions.append(p)
-                for _, f, _, _ in steps:
-                    if p & f:
-                        by_coordinate.setdefault(p & f, []).append((mask, p))
+                bits = mask
+                while bits:
+                    f = steps[(bits & -bits).bit_length() - 1][1]
+                    by_coordinate.setdefault(p & f, []).append((mask, p))
+                    bits &= bits - 1
         next_frontier: dict[int, tuple[int, int]] = {}
         last = length == budget  # its children are never read: one survivor settles the flag
         for p, (state, mask) in frontier.items():

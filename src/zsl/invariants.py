@@ -16,8 +16,9 @@ subtraction both removes an atom and tells whether it fit.  Each node
 carries its factorization so far as one int too: the count vector, in lex
 lanes whose int order is the order of the count vectors, so sorting the
 ints sorts the factorizations and each is unpacked only for public output.
-For a set of lengths, for the least length of each cover quotient behind
-tau, and for whether an element has a factorization of one given length
+For a set of lengths, for whether each cover quotient behind tau has a
+length up to the largest least length so far (and else for its least
+length), and for whether an element has a factorization of one given length
 (behind the unions of sets of lengths), the same search carries the length
 subtracted instead and a mask of the lengths wanted: it stops at one
 factorization of each wanted length, clearing that length from the mask,
@@ -25,7 +26,9 @@ and cuts every node whose window of possible lengths holds no wanted
 length.  The unions of sets of lengths run it on the distinct k-fold
 atom sums, each built and held as one packed int with its values under
 linear forms that vanish on the shortest atoms; a sum whose values rule out
-the wanted length, by one guarded subtraction, is skipped.  The catenary degree
+the wanted length, by one guarded subtraction, is skipped, and the walk cuts
+every branch whose values so far, with the least its remaining atoms can
+add, already rule it out.  The catenary degree
 grows a tree over the sorted packed factorizations under a bound that rises
 only when no factorization outside the tree is within it, each distance one
 guarded subtraction, a field mask and a multiply-by-ones sum.  The minimal
@@ -40,7 +43,8 @@ Everything is deterministic: outputs are canonically sorted.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
+from math import lcm
 from operator import ge, mul, sub
 
 from .atoms import AtomSet, _minimal_solutions
@@ -90,6 +94,7 @@ class PresentedMonoid(_Record):
         object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
         object.__setattr__(self, "_packings", {})
         object.__setattr__(self, "_sum_packings", {})
+        object.__setattr__(self, "_cut", (-1, None))
 
     def _lanes(self, largest: int) -> _Lanes:
         """The lanes of ``ambient_dim`` fields that hold ``largest`` and
@@ -118,9 +123,11 @@ class PresentedMonoid(_Record):
 
     @cached_property
     def _lattice(self):
-        """(values, tops): per atom in search order, its values under the G
-        of ``union_of_lengths``; per excess d > 0, per g, the largest g(b)
-        over the atoms b with |b| - lmin = d."""
+        """(values, tops, slopes, rows, suffix): per atom in search order, its
+        values under the G of ``union_of_lengths``; per excess d > 0, per g,
+        the largest g(b) over the atoms b with |b| - lmin = d; and the cut's
+        N_g, per atom in search order its c_g(a), and per place the least
+        c_g(a) at or after it (``union_of_lengths``)."""
         f = kernel_basis(list(zip(*(a for a in self.atoms if sum(a) == self._lmin))))
         values = [[sum(map(mul, g, self.atoms[i])) for g in f + [[-x for x in g] for g in f]]
                   for i in self._search_order]
@@ -128,14 +135,21 @@ class PresentedMonoid(_Record):
         for v, i in zip(values, self._search_order):
             if (d := self._lengths[i] - self._lmin) > 0:
                 tops[d] = list(map(max, tops.get(d, v), v))
-        return values, tops
+        scale = lcm(*tops)
+        slopes = [max((top[g] * scale // d for d, top in tops.items()), default=0)
+                  for g in range(len(values[0]) if values else 0)]
+        rows = [[scale * x - slope * self._lengths[i] for x, slope in zip(v, slopes)]
+                for v, i in zip(values, self._search_order)]
+        suffix = list(accumulate(rows[::-1], lambda a, b: list(map(min, a, b))))[::-1]
+        return values, tops, slopes, rows, suffix
 
     def _sum_packing(self, k: int):
-        """(lanes, atoms, lengths, low, flags, bounds), built on first use of
-        a k and kept: ``_sum_lanes(self, k)``; the atoms in search order,
-        each A + (pack(g(a) for g in G) << shift) with G's lanes above the
-        sum lanes; their lengths; low = 2^shift - 1; G's guards << shift;
-        and per excess e the prune's test value of ``union_of_lengths``.
+        """(lanes, atoms, lengths, low, flags, bounds, cut), built on first
+        use of a k and kept: ``_sum_lanes(self, k)``; the atoms in search
+        order, each A + (pack(g(a) for g in G) << shift) with G's lanes above
+        the sum lanes; their lengths; low = 2^shift - 1; G's guards << shift;
+        per excess e the prune's test value of ``union_of_lengths``; and
+        ``_cut_packing(k)``.
 
         G's lanes hold 2kM + 1, M the largest |g(a)|, so a sum s of k atoms
         packs as S + (pack(g(s)) << shift) with |g(s)| <= kM, S < 2^shift.
@@ -150,7 +164,7 @@ class PresentedMonoid(_Record):
         if packing is None:
             lanes = _sum_lanes(self, k)
             _, atoms, lengths, *_ = self._packed(lanes)
-            values, tops = self._lattice
+            values, tops, *_ = self._lattice
             reach = k * max(map(abs, chain.from_iterable(values)), default=0)
             high = _Lanes(len(values[0]) if values else 0, 2 * reach + 1)
             shift = len(lanes.shifts) * lanes.width
@@ -162,9 +176,25 @@ class PresentedMonoid(_Record):
                     bound = list(map(max, bound, (x * e // d for x in top)))
                 bounds.append((high.guards + high.pack(min(reach, b) for b in bound)) << shift | low)
             packing = (lanes, tuple(a + (high.pack(v) << shift) for a, v in zip(atoms, values)),
-                       lengths, low, high.guards << shift, tuple(bounds))
+                       lengths, low, high.guards << shift, tuple(bounds), self._cut_packing(k))
             self._sum_packings[k] = packing
         return packing
+
+    def _cut_packing(self, k: int):
+        """(guards, slopes, rows, suffix) of the cut of ``_k_fold_sums``:
+        the guards of slack lanes that hold k * C, C = lmax * max |N_g| +
+        max |c_g(a)| (``union_of_lengths``), then pack(N), each -pack(c(a))
+        and each place's pack(least c).  Packed for 2kC and kept, so that
+        only a k beyond the lanes kept packs them again."""
+        _, _, slopes, rows, suffix = self._lattice
+        largest = k * (self._lmax * max(map(abs, slopes), default=0)
+                       + max(map(abs, chain(*rows)), default=0))
+        if self._cut[0] < largest:
+            lanes = _Lanes(len(slopes), 2 * largest)
+            object.__setattr__(self, "_cut", (2 * largest, (
+                lanes.guards, lanes.pack(slopes), tuple(-lanes.pack(r) for r in rows),
+                tuple(map(lanes.pack, suffix)))))
+        return self._cut[1]
 
     @property
     def atom_count(self) -> int:
@@ -516,7 +546,7 @@ def _sum_lanes(monoid: PresentedMonoid, k: int) -> _Lanes:
     return monoid._lanes(k * monoid._largest_coordinate)
 
 
-def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
+def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0, cut: bool = False):
     """Yield (packed, total) for each distinct sum of k atoms whose total
     length is at least min_total, once, so that a caller can stop at the
     first that works: the sum packed in ``_sum_lanes(monoid, k)``, with its
@@ -525,14 +555,22 @@ def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
 
     Depth-first over nonincreasing atom lengths, with an explicit stack; a
     branch stops as soon as its remaining picks at the current length can no
-    longer reach min_total.
+    longer reach min_total.  With ``cut``, each node also carries its slack
+    at floor = min_total, and a node whose slack plus ``left`` times the
+    least c_g at or after its place is positive for some g is cut, by one
+    guarded subtraction (``union_of_lengths``): what is yielded is every sum
+    whose slack is at most 0 for every g, in the order of the walk without
+    the cut.  Its lanes assume min_total <= k * lmax; a larger min_total
+    yields no sum either way, as the root has no child.
     """
-    _, atoms, lengths, *_ = monoid._sum_packing(k)
+    _, atoms, lengths, *_, (guards, slopes, rows, suffix) = monoid._sum_packing(k)
     n = len(atoms)
     seen: set[int] = set()
-    stack = [(0, k, 0, 0)]
+    stack = [(0, k, 0, 0, guards - min_total * slopes)]
     while stack:
-        pos, left, total, acc = stack.pop()
+        pos, left, total, acc, slack = stack.pop()
+        if cut and (slack - left * suffix[pos]) & guards != guards:
+            continue
         if left == 0:
             if total >= min_total and acc not in seen:
                 seen.add(acc)
@@ -542,7 +580,7 @@ def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0):
         while end < n and total + left * lengths[end] >= min_total:
             end += 1
         for p in range(end - 1, pos - 1, -1):  # pushed downwards, so pos pops first
-            stack.append((p, left - 1, total + lengths[p], acc + atoms[p]))
+            stack.append((p, left - 1, total + lengths[p], acc + atoms[p], slack + rows[p]))
 
 
 def union_of_lengths(monoid: PresentedMonoid, k: int,
@@ -574,6 +612,31 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
     bound_g(e) for some g has no factorization of m atoms and is skipped,
     by one guarded subtraction (``PresentedMonoid._sum_packing``); the
     factorization search with only m wanted decides every other.
+
+    The walk over the candidates cuts by the same bound.  Let D be the lcm
+    of the excesses d of the longer atoms, N_g / D the largest top_d(g) / d
+    (the largest g(b) / d over the atoms b of excess d), and c_g(a) =
+    D g(a) - N_g |a|; without a longer atom D = 1 and N_g = 0.  For e >= 0,
+    bound_g(e) <= max_d top_d(g) e / d = N_g e / D, so a candidate whose
+    slack N_g * floor + sum_i c_g(b_i) = D g(s) - N_g e is positive for
+    some g has g(s) > bound_g(e), floor being m * lmin, and is skipped (the
+    table's clipping decides every g(s) alike).  The walk picks atoms in
+    search order, so at a node with ``left`` atoms still to pick, all at or
+    after its place, every sum below it has slack at least the node's slack
+    plus ``left`` times the least c_g at or after the place.  When that is positive for some g, every sum below is skipped,
+    and the branch is cut (``_k_fold_sums``).  A sum whose slack is at most
+    0 for every g, as every sum that passes the prune has, is cut at no node
+    on any path to it, since each bound read on the way is at most its own
+    slack; so the cut walk yields those sums in the plain walk's order, and
+    the length searches are exactly those of the plain walk.
+
+    A node holds G + pack(-slack) in lanes of one field per g; the test
+    subtracts ``left`` times pack(least c_g), and the guard of g survives
+    exactly when slack_g + left * least <= 0 (``ground._Lanes``).  The band
+    gives floor = max(k, l) * lmin <= min(k, l) * lmax, so in a walk of k'
+    = min(k, l) atoms every field stays within |N_g| floor + k' max |c| <=
+    k' * C, C = lmax * max |N_g| + max |c_g(a)|, which the lanes hold
+    (``PresentedMonoid._cut_packing``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -587,12 +650,12 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
         if l == k:
             return True
         small, big = min(k, l), max(k, l)
-        lanes, _, _, low, flags, bounds = monoid._sum_packing(small)
+        lanes, _, _, low, flags, bounds, _ = monoid._sum_packing(small)
         floor = big * lmin
         return any((bounds[total - floor] - s) & flags == flags
                    and next(_packed_factorization_counts(monoid, lanes, s & low, total,
                                                          1 << big), None) is not None
-                   for s, total in _k_fold_sums(monoid, small, floor))
+                   for s, total in _k_fold_sums(monoid, small, floor, True))
 
     band = range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1)
     if strategy == "exhaustive":
@@ -746,9 +809,12 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     is nonnegative, of total length T = sum z_i |a_i| - |u|; as |z| <= omega,
     every coordinate is at most omega times the largest atom coordinate, so
     in ``_sum_lanes(monoid, omega)`` it packs as sum z_i A_i - U with no
-    carry or borrow.  The factorization search with every length wanted
-    yields each length of the quotient once, so its least yield is the
-    least length, and no yield means the quotient left the monoid.
+    carry or borrow.  Only a quotient whose least length exceeds t, the
+    largest so far, raises t: so the factorization search first wants the
+    lengths 0 .. t and stops at its first yield.  A quotient without such a
+    length gets the search with the lengths above t wanted, which yields
+    each of them once: its least yield is the least length, the new t, and
+    no yield means the quotient left the monoid.
     """
     kept, covers = _covers(monoid, atom_index)
     w = max(map(sum, covers))
@@ -761,11 +827,12 @@ def atom_invariants(monoid: PresentedMonoid, atom_index: int) -> dict:
     for z in covers:
         residual = sum(map(mul, z, packed)) - packed_u
         total = sum(map(mul, z, lengths)) - length_u
-        least = min(_packed_factorization_counts(monoid, lanes, residual, total, -1),
+        if next(_packed_factorization_counts(monoid, lanes, residual, total, (2 << t) - 1),
+                None) is None:
+            t = min(_packed_factorization_counts(monoid, lanes, residual, total, -2 << t),
                     default=None)
-        if least is None:
-            raise AssertionError("cover quotient left the monoid")
-        t = max(t, least)
+            if t is None:
+                raise AssertionError("cover quotient left the monoid")
     return {"omega": w, "tau": t, "tame": 0 if w <= 1 else max(w, t + 1)}
 
 

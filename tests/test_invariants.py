@@ -417,6 +417,25 @@ def test_tau_does_not_depend_on_the_atom_order():
         "omega": 4, "tau": 5, "tame": 6}
 
 
+def test_tau_does_not_depend_on_the_cover_order(monkeypatch):
+    # two covers of rank-3 atom 10 (tau 5) leave quotients of lengths 5 and
+    # 6; searched first, while t is still 0, each raises t to its least
+    # length 5, not to its largest
+    m3 = rank3_monoid()
+    kept, covers = invariants._covers(m3, 10)
+
+    def lengths(z):
+        counts = [0] * m3.atom_count
+        for i, c in zip(kept, z):
+            counts[i] = c
+        return set_of_lengths(m3, [x - y for x, y in zip(m3.element(counts), m3.atoms[10])])
+
+    first = sorted(covers, key=lambda z: -max(lengths(z)))
+    assert lengths(first[0]) == lengths(first[1]) == (5, 6)
+    monkeypatch.setattr(invariants, "_covers", lambda monoid, atom_index: (kept, first))
+    assert atom_invariants(m3, 10) == {"omega": 4, "tau": 5, "tame": 6}
+
+
 @pytest.mark.parametrize("atoms, atom_index, cover", [
     # u = (2, 2): the cover (0, 3) + (3, 0) leaves (1, 1), of total length
     # 2, below the shortest atom length 3
@@ -439,9 +458,10 @@ def test_cover_quotient_outside_the_monoid_raises(atoms, atom_index, cover):
 
 
 def test_atom_invariants_runs_no_length_existence_search(monkeypatch):
-    # tau reads each cover quotient's least length off one factorization
-    # search with every length wanted, never off a scan of one-length
-    # searches, also when a quotient leaves the monoid
+    # tau asks each cover quotient first for a length of 0 .. t, t the
+    # running maximum, with the mask (2 << t) - 1, and only when it has none
+    # for its least length above t, with the complement -2 << t: never a
+    # scan of one-length searches, also when a quotient leaves the monoid
     want = [tau_from_covers(B2, i) for i in range(B2.atom_count)]
     kernel = invariants._packed_factorization_counts
     masks = []
@@ -450,12 +470,25 @@ def test_atom_invariants_runs_no_length_existence_search(monkeypatch):
         masks.append(wanted)
         return kernel(monoid, lanes, residual, total, wanted)
 
+    def check_masks():
+        for before, mask in zip([None] + masks, masks):
+            if mask > 0:
+                assert mask & mask + 1 == 0, mask  # the lengths 0 .. t
+            else:
+                assert mask == ~before, (before, mask)  # then those above t
+
     monkeypatch.setattr(invariants, "_packed_factorization_counts", recorded)
     assert [atom_invariants(B2, i)["tau"] for i in range(B2.atom_count)] == want
-    assert masks == [-1] * sum(len(minimal_covers(B2, i)) for i in range(B2.atom_count))
+    check_masks()
+    assert sum(mask > 0 for mask in masks) == sum(
+        len(minimal_covers(B2, i)) for i in range(B2.atom_count))
+    assert any(mask < 0 for mask in masks)
+    masks.clear()
     monoid = PresentedMonoid(2, [(0, 3), (2, 2), (3, 0)])
     with pytest.raises(AssertionError, match="cover quotient left the monoid"):
         atom_invariants(monoid, 1)
+    check_masks()
+    assert masks[-1] < 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -885,6 +918,44 @@ def test_lattice_prune_skips_only_sums_without_the_length(monoid, k):
         if l != k:
             for s in unpacked_k_fold_sums(monoid, small, big * lmin):
                 assert (big, s) in tested or not exists_length(monoid, s, big), (l, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_block_monoids(), field_edge_monoids()), st.integers(1, 4))
+@example(B2, 3)
+def test_k_fold_cut_keeps_every_sum_the_lattice_prune_keeps(monoid, k):
+    # for every l != k of the band, the walk with the cut yields plain sums
+    # only, in the plain walk's order, and among them every plain sum that
+    # passes the lattice prune of union_of_lengths
+    lengths = monoid.atom_lengths()
+    lmin, lmax = min(lengths), max(lengths)
+    for l in range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1):
+        if l == k:
+            continue
+        small, floor = min(k, l), max(k, l) * lmin
+        *_, flags, bounds, _ = monoid._sum_packing(small)
+        plain = list(invariants._k_fold_sums(monoid, small, floor))
+        cut = list(invariants._k_fold_sums(monoid, small, floor, True))
+        kept = set(cut)
+        assert cut == [pair for pair in plain if pair in kept], l
+        assert {(s, total) for s, total in plain
+                if (bounds[total - floor] - s) & flags == flags} <= kept, l
+
+
+def test_k_fold_cut_counts_on_rank3():
+    # the cut leaves of the 5,412 five-atom sums at l = 12 none, of the
+    # 45,084 at l = 11 the 1,768 that pass the lattice prune, and at k = 15
+    # none of the 1,798,464 fifteen-atom sums at l = 37 (rho_15 = 36).  The
+    # exhaustive U_10 walks ten-atom sums, whose slack needs lanes for ten
+    # atoms: with lanes for fewer the cut drops members
+    m3 = rank3_monoid()
+
+    def count(k, l, cut):
+        return sum(1 for _ in invariants._k_fold_sums(m3, k, l * m3._lmin, cut))
+
+    assert [count(5, 12, True), count(5, 11, True), count(15, 37, True)] == [0, 1768, 0]
+    assert [count(5, 12, False), count(5, 11, False)] == [5412, 45084]
+    assert union_of_lengths(m3, 10).values == set(range(4, 26))
 
 
 def test_lattice_prune_at_the_top_of_rank3_u5():
