@@ -24,11 +24,10 @@ subtracted instead and a mask of the lengths wanted: it stops at one
 factorization of each wanted length, clearing that length from the mask,
 and cuts every node whose window of possible lengths holds no wanted
 length.  The unions of sets of lengths run it on the distinct k-fold
-atom sums, each built and held as one packed int with its values under
-linear forms that vanish on the shortest atoms; a sum whose values rule out
-the wanted length, by one guarded subtraction, is skipped, and the walk cuts
-every branch whose values so far, with the least its remaining atoms can
-add, already rule it out.  The catenary degree
+atom sums, each built and held as one packed int, and the walk over them
+cuts, by one guarded subtraction, every branch whose values under linear
+forms that vanish on the shortest atoms, with the least its remaining atoms
+can add, already rule out the wanted length.  The catenary degree
 grows a tree over the sorted packed factorizations under a bound that rises
 only when no factorization outside the tree is within it, each distance one
 guarded subtraction, a field mask and a multiply-by-ones sum.  The minimal
@@ -93,8 +92,7 @@ class PresentedMonoid(_Record):
         object.__setattr__(self, "_lmax", max(self._lengths, default=1))
         object.__setattr__(self, "_largest_coordinate", max(map(max, atoms), default=0))
         object.__setattr__(self, "_packings", {})
-        object.__setattr__(self, "_sum_packings", {})
-        object.__setattr__(self, "_cut", (-1, None))
+        object.__setattr__(self, "_slack_packings", {})
 
     def _lanes(self, largest: int) -> _Lanes:
         """The lanes of ``ambient_dim`` fields that hold ``largest`` and
@@ -123,11 +121,9 @@ class PresentedMonoid(_Record):
 
     @cached_property
     def _lattice(self):
-        """(values, tops, slopes, rows, suffix): per atom in search order, its
-        values under the G of ``union_of_lengths``; per excess d > 0, per g,
-        the largest g(b) over the atoms b with |b| - lmin = d; and the cut's
-        N_g, per atom in search order its c_g(a), and per place the least
-        c_g(a) at or after it (``union_of_lengths``)."""
+        """(slopes, rows, suffix) of the cut of ``union_of_lengths``: per g in
+        G, N_g; per atom in search order, its c_g(a); and per place the least
+        c_g(a) at or after it."""
         f = kernel_basis(list(zip(*(a for a in self.atoms if sum(a) == self._lmin))))
         values = [[sum(map(mul, g, self.atoms[i])) for g in f + [[-x for x in g] for g in f]]
                   for i in self._search_order]
@@ -137,64 +133,27 @@ class PresentedMonoid(_Record):
                 tops[d] = list(map(max, tops.get(d, v), v))
         scale = lcm(*tops)
         slopes = [max((top[g] * scale // d for d, top in tops.items()), default=0)
-                  for g in range(len(values[0]) if values else 0)]
+                  for g in range(2 * len(f))]
         rows = [[scale * x - slope * self._lengths[i] for x, slope in zip(v, slopes)]
                 for v, i in zip(values, self._search_order)]
         suffix = list(accumulate(rows[::-1], lambda a, b: list(map(min, a, b))))[::-1]
-        return values, tops, slopes, rows, suffix
+        return slopes, rows, suffix
 
-    def _sum_packing(self, k: int):
-        """(lanes, atoms, lengths, low, flags, bounds, cut), built on first
-        use of a k and kept: ``_sum_lanes(self, k)``; the atoms in search
-        order, each A + (pack(g(a) for g in G) << shift) with G's lanes above
-        the sum lanes; their lengths; low = 2^shift - 1; G's guards << shift;
-        per excess e the prune's test value of ``union_of_lengths``; and
-        ``_cut_packing(k)``.
-
-        G's lanes hold 2kM + 1, M the largest |g(a)|, so a sum s of k atoms
-        packs as S + (pack(g(s)) << shift) with |g(s)| <= kM, S < 2^shift.
-        bounds[e] = ((guards + pack(B)) << shift) | low, B = bound_g(e)
-        clipped to [-kM - 1, kM], which decides every g(s) <= B alike.  So
-        bounds[e] - s = ((guards + pack(B - g(s))) << shift) + low - S, with
-        |B - g(s)| <= 2kM + 1, and the guard of g survives exactly when
-        g(s) <= B (``ground._Lanes``).  g(s) is a function of s, so the
-        packed ints tell the sums apart exactly as S does.
-        """
-        packing = self._sum_packings.get(k)
+    def _slack_packing(self, k: int):
+        """(guards, slopes, rows, suffix) of the cut in a walk of k atoms,
+        built on first use of a k and kept: the guards of lanes, one field
+        per g, that hold k * C, C = lmax * max |N_g| + max |c_g(a)|
+        (``union_of_lengths``), then pack(N), each -pack(c(a)) and each
+        place's pack(least c)."""
+        packing = self._slack_packings.get(k)
         if packing is None:
-            lanes = _sum_lanes(self, k)
-            _, atoms, lengths, *_ = self._packed(lanes)
-            values, tops, *_ = self._lattice
-            reach = k * max(map(abs, chain.from_iterable(values)), default=0)
-            high = _Lanes(len(values[0]) if values else 0, 2 * reach + 1)
-            shift = len(lanes.shifts) * lanes.width
-            low = (1 << shift) - 1
-            bounds = []
-            for e in range(k * (self._lmax - self._lmin) + 1):
-                bound = [-reach - 1 if e else 0] * len(high.shifts)
-                for d, top in tops.items():
-                    bound = list(map(max, bound, (x * e // d for x in top)))
-                bounds.append((high.guards + high.pack(min(reach, b) for b in bound)) << shift | low)
-            packing = (lanes, tuple(a + (high.pack(v) << shift) for a, v in zip(atoms, values)),
-                       lengths, low, high.guards << shift, tuple(bounds), self._cut_packing(k))
-            self._sum_packings[k] = packing
+            slopes, rows, suffix = self._lattice
+            lanes = _Lanes(len(slopes), k * (self._lmax * max(map(abs, slopes), default=0)
+                                             + max(map(abs, chain(*rows)), default=0)))
+            packing = (lanes.guards, lanes.pack(slopes), tuple(-lanes.pack(r) for r in rows),
+                       tuple(map(lanes.pack, suffix)))
+            self._slack_packings[k] = packing
         return packing
-
-    def _cut_packing(self, k: int):
-        """(guards, slopes, rows, suffix) of the cut of ``_k_fold_sums``:
-        the guards of slack lanes that hold k * C, C = lmax * max |N_g| +
-        max |c_g(a)| (``union_of_lengths``), then pack(N), each -pack(c(a))
-        and each place's pack(least c).  Packed for 2kC and kept, so that
-        only a k beyond the lanes kept packs them again."""
-        _, _, slopes, rows, suffix = self._lattice
-        largest = k * (self._lmax * max(map(abs, slopes), default=0)
-                       + max(map(abs, chain(*rows)), default=0))
-        if self._cut[0] < largest:
-            lanes = _Lanes(len(slopes), 2 * largest)
-            object.__setattr__(self, "_cut", (2 * largest, (
-                lanes.guards, lanes.pack(slopes), tuple(-lanes.pack(r) for r in rows),
-                tuple(map(lanes.pack, suffix)))))
-        return self._cut[1]
 
     @property
     def atom_count(self) -> int:
@@ -549,23 +508,27 @@ def _sum_lanes(monoid: PresentedMonoid, k: int) -> _Lanes:
 def _k_fold_sums(monoid: PresentedMonoid, k: int, min_total: int = 0, cut: bool = False):
     """Yield (packed, total) for each distinct sum of k atoms whose total
     length is at least min_total, once, so that a caller can stop at the
-    first that works: the sum packed in ``_sum_lanes(monoid, k)``, with its
-    values under G above it (``PresentedMonoid._sum_packing``), and its
+    first that works: the sum packed in ``_sum_lanes(monoid, k)`` and its
     total length.
 
     Depth-first over nonincreasing atom lengths, with an explicit stack; a
     branch stops as soon as its remaining picks at the current length can no
     longer reach min_total.  With ``cut``, each node also carries its slack
-    at floor = min_total, and a node whose slack plus ``left`` times the
-    least c_g at or after its place is positive for some g is cut, by one
-    guarded subtraction (``union_of_lengths``): what is yielded is every sum
-    whose slack is at most 0 for every g, in the order of the walk without
-    the cut.  Its lanes assume min_total <= k * lmax; a larger min_total
-    yields no sum either way, as the root has no child.
+    at floor = min_total (``PresentedMonoid._slack_packing``), and a node
+    whose slack plus ``left`` times the least c_g at or after its place is
+    positive for some g is cut, by one guarded subtraction
+    (``union_of_lengths``): what is yielded is every sum whose slack is at
+    most 0 for every g, in the order of the walk without the cut.  Its lanes
+    assume min_total <= k * lmax; a larger min_total yields no sum either
+    way, as the root has no child.  Without ``cut`` the slack stays 0.
     """
-    _, atoms, lengths, *_, (guards, slopes, rows, suffix) = monoid._sum_packing(k)
+    _, atoms, lengths, _ = monoid._packed(_sum_lanes(monoid, k))
     n = len(atoms)
     seen: set[int] = set()
+    if cut:
+        guards, slopes, rows, suffix = monoid._slack_packing(k)
+    else:
+        guards, slopes, rows = 0, 0, (0,) * n
     stack = [(0, k, 0, 0, guards - min_total * slopes)]
     while stack:
         pos, left, total, acc, slack = stack.pop()
@@ -601,42 +564,32 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
     each end of the band to the first member, which gives rho_k and lambda_k
     exactly but leaves the value set partial.
 
-    A lattice prune skips candidates first.  Let G be F and -F, F an
-    integer basis of the g with g(a) = 0 for every shortest atom a.  If a
-    candidate s is b_1 + ... + b_m, m = max(k, l), its excess e = |s| -
-    m * lmin is sum_i (|b_i| - lmin), and the shortest atoms add 0 to g, so
-    g(s) = sum_i (|b_i| - lmin) * g(b_i) / (|b_i| - lmin) over the longer
-    b_i is at most e times the largest g(b) / (|b| - lmin), |b| > lmin.  As
-    an int, g(s) <= bound_g(e) = max_b floor(g(b) * e / (|b| - lmin)), 0
-    at e = 0 (no e > 0 without a longer atom).  A candidate with g(s) >
-    bound_g(e) for some g has no factorization of m atoms and is skipped,
-    by one guarded subtraction (``PresentedMonoid._sum_packing``); the
-    factorization search with only m wanted decides every other.
-
-    The walk over the candidates cuts by the same bound.  Let D be the lcm
-    of the excesses d of the longer atoms, N_g / D the largest top_d(g) / d
-    (the largest g(b) / d over the atoms b of excess d), and c_g(a) =
-    D g(a) - N_g |a|; without a longer atom D = 1 and N_g = 0.  For e >= 0,
-    bound_g(e) <= max_d top_d(g) e / d = N_g e / D, so a candidate whose
-    slack N_g * floor + sum_i c_g(b_i) = D g(s) - N_g e is positive for
-    some g has g(s) > bound_g(e), floor being m * lmin, and is skipped (the
-    table's clipping decides every g(s) alike).  The walk picks atoms in
-    search order, so at a node with ``left`` atoms still to pick, all at or
-    after its place, every sum below it has slack at least the node's slack
-    plus ``left`` times the least c_g at or after the place.  When that is positive for some g, every sum below is skipped,
-    and the branch is cut (``_k_fold_sums``).  A sum whose slack is at most
-    0 for every g, as every sum that passes the prune has, is cut at no node
-    on any path to it, since each bound read on the way is at most its own
-    slack; so the cut walk yields those sums in the plain walk's order, and
-    the length searches are exactly those of the plain walk.
+    The walk over the candidates cuts by a lattice bound.  Let G be F and
+    -F, F an integer basis of the g with g(a) = 0 for every shortest atom
+    a; D the lcm of the excesses d = |b| - lmin > 0 of the longer atoms b;
+    and N_g / D the largest g(b) / d over them (D = 1 and N_g = 0 without a
+    longer atom).  If a candidate s is b_1 + ... + b_m, m = max(k, l), its
+    excess e = |s| - m * lmin is sum_i (|b_i| - lmin), and the shortest
+    atoms add 0 to g, so g(s) = sum_i (|b_i| - lmin) * g(b_i) / (|b_i| -
+    lmin) over the longer b_i is at most N_g e / D.  So a candidate whose
+    slack D g(s) - N_g e is positive for some g has no factorization of m
+    atoms.  As a sum a_1 + ... + a_j of the walk's atoms, j = min(k, l), its
+    slack is N_g * floor + sum_i c_g(a_i), floor = m * lmin and c_g(a) =
+    D g(a) - N_g |a|.  The walk picks atoms in search order, so at a node
+    with ``left`` atoms still to pick, all at or after its place, every sum
+    below it has slack at least the node's slack plus ``left`` times the
+    least c_g at or after the place; when that is positive for some g, the
+    branch is cut (``_k_fold_sums``), and at a leaf the test is the slack
+    itself.  So the walk yields exactly the candidates whose slack is at
+    most 0 for every g, in the order of the walk without the cut, and the
+    factorization search with only m wanted decides each of them.
 
     A node holds G + pack(-slack) in lanes of one field per g; the test
     subtracts ``left`` times pack(least c_g), and the guard of g survives
     exactly when slack_g + left * least <= 0 (``ground._Lanes``).  The band
-    gives floor = max(k, l) * lmin <= min(k, l) * lmax, so in a walk of k'
-    = min(k, l) atoms every field stays within |N_g| floor + k' max |c| <=
-    k' * C, C = lmax * max |N_g| + max |c_g(a)|, which the lanes hold
-    (``PresentedMonoid._cut_packing``).
+    gives floor <= j * lmax, so every field stays within |N_g| floor + j
+    max |c| <= j * C, C = lmax * max |N_g| + max |c_g(a)|, which the lanes
+    hold (``PresentedMonoid._slack_packing``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -650,12 +603,9 @@ def union_of_lengths(monoid: PresentedMonoid, k: int,
         if l == k:
             return True
         small, big = min(k, l), max(k, l)
-        lanes, _, _, low, flags, bounds, _ = monoid._sum_packing(small)
-        floor = big * lmin
-        return any((bounds[total - floor] - s) & flags == flags
-                   and next(_packed_factorization_counts(monoid, lanes, s & low, total,
-                                                         1 << big), None) is not None
-                   for s, total in _k_fold_sums(monoid, small, floor, True))
+        lanes = _sum_lanes(monoid, small)
+        return any(next(_packed_factorization_counts(monoid, lanes, s, total, 1 << big), None)
+                   is not None for s, total in _k_fold_sums(monoid, small, big * lmin, True))
 
     band = range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1)
     if strategy == "exhaustive":

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from zsl.atoms import enumerate_atoms
 from zsl import invariants
 from zsl.ground import GroundSet, Sequence, _Lanes
+from zsl.intlinalg import kernel_basis
 from zsl.invariants import (
     PresentedMonoid,
     atom_invariants,
@@ -920,35 +922,50 @@ def test_lattice_prune_skips_only_sums_without_the_length(monoid, k):
                 assert (big, s) in tested or not exists_length(monoid, s, big), (l, s)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(small_block_monoids(), field_edge_monoids()), st.integers(1, 4))
-@example(B2, 3)
-def test_k_fold_cut_keeps_every_sum_the_lattice_prune_keeps(monoid, k):
-    # for every l != k of the band, the walk with the cut yields plain sums
-    # only, in the plain walk's order, and among them every plain sum that
-    # passes the lattice prune of union_of_lengths
+def assert_cut_is_the_slope_bound(monoid, k):
+    """For every l != k of the band, the walk with the cut yields, in the
+    plain walk's order, exactly the plain sums s with g(s) <= e * g(b) / d
+    for every g of G and some longer atom b, d = |b| - lmin and e = |s| -
+    max(k, l) * lmin, or g(s) <= 0 without a longer atom; G is F and -F, F
+    the kernel basis of the shortest atoms."""
     lengths = monoid.atom_lengths()
     lmin, lmax = min(lengths), max(lengths)
+    f = kernel_basis(list(zip(*(a for a in monoid.atoms if sum(a) == lmin))))
+    longer = [b for b in monoid.atoms if sum(b) > lmin]
+
+    def dot(g, v):
+        return sum(x * y for x, y in zip(g, v))
+
+    def within(s, e):
+        return all(dot(g, s) <= max((Fraction(e * dot(g, b), sum(b) - lmin) for b in longer),
+                                    default=0)
+                   for g in f + [[-x for x in g] for g in f])
+
     for l in range(max(1, -(-k * lmin // lmax)), k * lmax // lmin + 1):
         if l == k:
             continue
         small, floor = min(k, l), max(k, l) * lmin
-        *_, flags, bounds, _ = monoid._sum_packing(small)
-        plain = list(invariants._k_fold_sums(monoid, small, floor))
-        cut = list(invariants._k_fold_sums(monoid, small, floor, True))
-        kept = set(cut)
-        assert cut == [pair for pair in plain if pair in kept], l
-        assert {(s, total) for s, total in plain
-                if (bounds[total - floor] - s) & flags == flags} <= kept, l
+        cut = [packed for packed, _ in invariants._k_fold_sums(monoid, small, floor, True)]
+        assert invariants._sum_lanes(monoid, small).unpack_all(cut) == [
+            s for s in unpacked_k_fold_sums(monoid, small, floor) if within(s, sum(s) - floor)], l
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_block_monoids(), field_edge_monoids()), st.integers(1, 4))
+@example(B2, 3)
+def test_k_fold_cut_yields_the_plain_sums_within_the_slope_bound(monoid, k):
+    assert_cut_is_the_slope_bound(monoid, k)
 
 
 def test_k_fold_cut_counts_on_rank3():
     # the cut leaves of the 5,412 five-atom sums at l = 12 none, of the
-    # 45,084 at l = 11 the 1,768 that pass the lattice prune, and at k = 15
-    # none of the 1,798,464 fifteen-atom sums at l = 37 (rho_15 = 36).  The
-    # exhaustive U_10 walks ten-atom sums, whose slack needs lanes for ten
-    # atoms: with lanes for fewer the cut drops members
+    # 45,084 at l = 11 the 1,768 within the slope bound, and at k = 15 none
+    # of the 1,798,464 fifteen-atom sums at l = 37 (rho_15 = 36).  Its
+    # longer atoms have three excesses, so N_g is the largest of three
+    # slopes.  The exhaustive U_10 walks ten-atom sums, whose slack needs
+    # lanes for ten atoms: with lanes for fewer the cut drops members
     m3 = rank3_monoid()
+    assert_cut_is_the_slope_bound(m3, 2)
 
     def count(k, l, cut):
         return sum(1 for _ in invariants._k_fold_sums(m3, k, l * m3._lmin, cut))
